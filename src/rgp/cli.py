@@ -508,9 +508,6 @@ def main(argv: Optional[list] = None) -> int:
     except RgpError as ex:
         print(f"E-MAP {ex}", file=sys.stderr)
         return 1
-    except ValueError as ex:
-        print(f"E-MAP {ex}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

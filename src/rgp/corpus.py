@@ -77,11 +77,6 @@ def twisted_loop() -> RibbonGraph:
     return loop_graph(twisted=True)
 
 
-def tadpole_with_flag() -> RibbonGraph:
-    """Untwisted loop with a single flag (the smallest flagged one-loop graph)."""
-    return loop_graph(1, 0)
-
-
 def banana(n: int, planar: bool = True) -> RibbonGraph:
     """n parallel edges between two vertices; the planar version reverses the
     second rotation, the non-planar one repeats it."""

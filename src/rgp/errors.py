@@ -50,6 +50,15 @@ class NoFlags(RgpError):
     """The quadratic-form polynomial needs at least one flag."""
 
 
+class UnknownMethod(RgpError):
+    """A strategy, method or r-rule name is not one the function knows."""
+
+
+class SelfCheckFailed(RgpError):
+    """An internal consistency check failed: two routes that must agree did
+    not.  This signals a bug in the package, not bad input."""
+
+
 class NotOrientable(RgpError):
     """The operation is only defined for orientable maps."""
 

@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HasFlags, NotACycle, NotATree, NotConnected, NotOrientable
+from .errors import (HasFlags, NotACycle, NotATree, NotConnected, NotOrientable,
+                     SelfCheckFailed, UnknownMethod)
 from .maps import (
     RibbonGraph,
+    _incidences,
+    _subset_degrees,
     face_count,
     face_sets,
     orientation_selection,
@@ -30,7 +33,7 @@ from .maps import (
 )
 from .ops import cut, delete, delete_flag, partial_dual, spanning_subgraph, to_rotation_spec
 from .poly import MultiPoly, VarId
-from .qpoly import RSequenceSpec, _incidences, q_by_expansion, q_by_reduction
+from .qpoly import RSequenceSpec, q_by_expansion, q_by_reduction
 
 # Q-reduction results are independent of labels, so one memo serves every HU
 # computation in the process (HV alone triggers dozens of related graphs).
@@ -57,7 +60,7 @@ def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiP
     elif method == "expansion":
         q = q_by_expansion(g, rule, max_edges=max_edges).poly
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
     mapping = {}
     for lab in g.edge_labels:
         t, om = _t(lab), _omega(lab)
@@ -96,19 +99,12 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
-def hu_tree(g: RibbonGraph) -> MultiPoly:
-    """HU of a tree: contract any A, then every leftover vertex must be made
-    odd by cut edges, weighted 2^(e - |A| + 1)."""
-    rep = structure_report(g)
-    if rep.k != 1 or rep.e != rep.v - 1:
-        raise NotATree(f"v={rep.v}, e={rep.e}, k={rep.k} is not a tree")
-    if g.bare_vertices:
-        return MultiPoly.zero()   # a flagless point has even (zero) flag count
-    flags_at, ends = _incidences(g)
-    edges = sorted(g.edge_labels, key=str)
-    ne = len(edges)
+def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks) -> MultiPoly:
+    """The closed-form sum over the given A (bitmasks over `edges`): contract
+    A, then every vertex of G/A must be made odd by the cut edges B among the
+    rest.  Each admissible (A, B) is weighted 2^(vertices of G/A)."""
     total = MultiPoly.zero()
-    for amask in range(1 << ne):
+    for amask in amasks:
         uf = _UnionFind(len(flags_at))
         rest = []
         for i, lab in enumerate(edges):
@@ -116,22 +112,20 @@ def hu_tree(g: RibbonGraph) -> MultiPoly:
                 uf.union(*ends[lab])
             else:
                 rest.append(lab)
-        nA = bin(amask).count("1")
-        for bmask in range(1 << len(rest)):
-            deg: dict[int, int] = {}
-            for v, nf in enumerate(flags_at):
-                deg[uf.find(v)] = deg.get(uf.find(v), 0) + nf
-            for j, lab in enumerate(rest):
-                if bmask >> j & 1:
-                    u, w = ends[lab]
-                    deg[uf.find(u)] += 1
-                    deg[uf.find(w)] += 1
-            if any(d % 2 == 0 for d in deg.values()):
+        roots = [uf.find(v) for v in range(len(flags_at))]
+        cls = {r: k for k, r in enumerate(dict.fromkeys(roots))}   # G/A vertices
+        base = [0] * len(cls)
+        for r, nf in zip(roots, flags_at):
+            base[cls[r]] += nf
+        pairs = [(cls[roots[u]], cls[roots[w]]) for u, w in (ends[lab] for lab in rest)]
+        contracted = MultiPoly.const(2 ** len(base))
+        for i, lab in enumerate(edges):
+            if amask >> i & 1:
+                contracted = contracted * _omega(lab) * _one_plus_t2(lab)
+        for bmask, deg in _subset_degrees(base, pairs):
+            if any(d % 2 == 0 for d in deg):
                 continue
-            term = MultiPoly.const(2 ** (ne - nA + 1))
-            for i, lab in enumerate(edges):
-                if amask >> i & 1:
-                    term = term * _omega(lab) * _one_plus_t2(lab)
+            term = contracted
             for j, lab in enumerate(rest):
                 if bmask >> j & 1:
                     term = term * _omega(lab) * _omega(lab) * _t(lab)
@@ -141,15 +135,28 @@ def hu_tree(g: RibbonGraph) -> MultiPoly:
     return total
 
 
+def hu_tree(g: RibbonGraph) -> MultiPoly:
+    """HU of a tree: contract any A, then every leftover vertex must be made
+    odd by cut edges, weighted 2^(vertices of G/A) = 2^(e - |A| + 1)."""
+    rep = structure_report(g)
+    if rep.k != 1 or rep.e != rep.v - 1:
+        raise NotATree(f"v={rep.v}, e={rep.e}, k={rep.k} is not a tree")
+    if g.bare_vertices:
+        return MultiPoly.zero()   # a flagless point has even (zero) flag count
+    flags_at, ends = _incidences(g)
+    edges = sorted(g.edge_labels, key=str)
+    return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)))
+
+
 def hu_cycle(g: RibbonGraph) -> MultiPoly:
     """HU of an untwisted cycle (flags allowed anywhere, loops count)."""
     rep = structure_report(g)
+    flags_at, ends = _incidences(g)
     slots_ok = all(len(v.crosses) // 2 - nf == 2
-                   for v, nf in zip(vertices_of(g), _incidences(g)[0]))
+                   for v, nf in zip(vertices_of(g), flags_at))
     if rep.k != 1 or g.bare_vertices or rep.e < 1 or not slots_ok or rep.faces != 2:
         raise NotACycle("expected a connected untwisted cycle (two faces, "
                         "every vertex bivalent)")
-    flags_at, ends = _incidences(g)
     edges = sorted(g.edge_labels, key=str)
     ne = len(edges)
 
@@ -175,37 +182,8 @@ def hu_cycle(g: RibbonGraph) -> MultiPoly:
             acc = acc + term
         total = total + MultiPoly.const(4) * omegas * acc
 
-    for amask in range((1 << ne) - 1):   # proper subsets only
-        uf = _UnionFind(len(flags_at))
-        rest = []
-        for i, lab in enumerate(edges):
-            if amask >> i & 1:
-                uf.union(*ends[lab])
-            else:
-                rest.append(lab)
-        nA = bin(amask).count("1")
-        for bmask in range(1 << len(rest)):
-            deg: dict[int, int] = {}
-            for v, nf in enumerate(flags_at):
-                deg[uf.find(v)] = deg.get(uf.find(v), 0) + nf
-            for j, lab in enumerate(rest):
-                if bmask >> j & 1:
-                    u, w = ends[lab]
-                    deg[uf.find(u)] += 1
-                    deg[uf.find(w)] += 1
-            if any(d % 2 == 0 for d in deg.values()):
-                continue
-            term = MultiPoly.const(2 ** (ne - nA))
-            for i, lab in enumerate(edges):
-                if amask >> i & 1:
-                    term = term * _omega(lab) * _one_plus_t2(lab)
-            for j, lab in enumerate(rest):
-                if bmask >> j & 1:
-                    term = term * _omega(lab) * _omega(lab) * _t(lab)
-                else:
-                    term = term * _t(lab)
-            total = total + term
-    return total
+    # proper subsets only: A = every edge is the two-face term above
+    return total + _contracted_sum(edges, flags_at, ends, range((1 << ne) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +247,13 @@ def hu_via_critical_algorithm(g: RibbonGraph) -> MultiPoly:
             base[u] += 1
             base[w] += 1
         admissible = MultiPoly.zero()
-        for dmask in range(1 << len(odd)):
-            deg = list(base)
-            chosen = [odd[j] for j in range(len(odd)) if dmask >> j & 1]
-            for lab in chosen:
-                u, w = ends[lab]
-                deg[u] += 1
-                deg[w] += 1
+        for dmask, deg in _subset_degrees(base, [ends[lab] for lab in odd]):
             if any(d % 2 == 0 for d in deg):
                 continue
             part = MultiPoly.one()
-            for lab in chosen:
-                part = part * _omega(lab) * _omega(lab)
+            for j, lab in enumerate(odd):
+                if dmask >> j & 1:
+                    part = part * _omega(lab) * _omega(lab)
             admissible = admissible + part
         nverts = len(vertices_of(h)) + h.bare_vertices
         term = MultiPoly.const(2 ** nverts) * admissible
@@ -292,7 +265,8 @@ def hu_via_critical_algorithm(g: RibbonGraph) -> MultiPoly:
             term = term * _t(lab)
         total = total + term
     flattened = total.substitute({VarId("OMEGA", lab): 1 for lab in edges})
-    assert flattened == crit, "reconstruction must specialize back to the face product"
+    if flattened != crit:
+        raise SelfCheckFailed("reconstruction must specialize back to the face product")
     return total
 
 
@@ -367,8 +341,8 @@ def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
     """HU(G^e - e) - HU(G^e v e) for the fused edge."""
     pd = partial_dual(g, [label])
     d = hu(delete(pd, label)) - hu(cut(pd, label))
-    assert not any(v.label == label for v in d.variables()), \
-        "the fused edge must be eliminated from both branches"
+    if any(v.label == label for v in d.variables()):
+        raise SelfCheckFailed("the fused edge must be eliminated from both branches")
     return d
 
 
@@ -404,8 +378,9 @@ def hv(g: RibbonGraph) -> QuadraticForm:
 
             fwd = marked(a_i, a_j)
             bwd = marked(a_j, a_i)
-            assert fwd == MultiPoly.zero() - bwd, \
-                "the marked difference must be antisymmetric in the flag order"
+            if fwd != MultiPoly.zero() - bwd:
+                raise SelfCheckFailed("the marked difference must be antisymmetric "
+                                      "in the flag order")
             antisym[(i, j)] = fwd
     return QuadraticForm(flags, diag, sym, antisym)
 
@@ -525,10 +500,10 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
         degrees = {sum(e for vv, e in mono if vv.kind == "BETA")
                    for mono in graded.terms}
         if min(degrees) < v:
-            raise ValueError(f"leading Omega-degree {min(degrees)} < v = {v}")
+            raise SelfCheckFailed(f"leading Omega-degree {min(degrees)} < v = {v}")
         return graded.coefficient_of_kind_degree("BETA", v)
     if method != "enumeration":
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
 
     if g.bare_vertices:
         return MultiPoly.zero()   # an uncoverable vertex admits no subgraph

@@ -112,9 +112,6 @@ class Permutation:
             out.append(tuple(orb))
         return out
 
-    def is_involution(self) -> bool:
-        return all(self.mapping[y] == x for x, y in self.mapping.items())
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.mapping == other.mapping
 
@@ -201,9 +198,6 @@ class RibbonGraph:
     def sorted_edges(self) -> list:
         return sorted(self.edge_labels, key=str)
 
-    def sorted_flags(self) -> list:
-        return sorted(self.flag_labels, key=str)
-
 
 def make_graph(m: CombinatorialMap,
                edge_labels: Optional[dict] = None,
@@ -283,9 +277,31 @@ def vertex_index_of_cross(g: RibbonGraph) -> dict:
     return out
 
 
-def half_ribbons_of(g: RibbonGraph) -> list[frozenset]:
-    m = g.map
-    return [frozenset((x, m.theta(x))) for x in sorted(m.crosses) if x < m.theta(x)]
+def _incidences(g: RibbonGraph):
+    """Flags per vertex and, per edge label, its two endpoint vertex indices
+    (a loop repeats its vertex).  Bare vertices are not included."""
+    v_of = vertex_index_of_cross(g)
+    flags_at = [0] * len(vertices_of(g))
+    for orb in g.flag_labels.values():
+        flags_at[v_of[min(orb)]] += 1
+    ends = {}
+    for lab, orb in g.edge_labels.items():
+        x = min(orb)
+        ends[lab] = (v_of[x], v_of[g.map.sigma1(x)])
+    return flags_at, ends
+
+
+def _subset_degrees(base: list, pairs: list):
+    """Yield (mask, degrees) for every subset of the endpoint pairs: bit i of
+    mask chooses pairs[i], which adds one to each of its two ends (two to a
+    loop's vertex) on top of the base degrees.  Each degrees list is fresh."""
+    for mask in range(1 << len(pairs)):
+        deg = list(base)
+        for i, (u, w) in enumerate(pairs):
+            if mask >> i & 1:
+                deg[u] += 1
+                deg[w] += 1
+        yield mask, deg
 
 
 def _dual_triple(m: CombinatorialMap, flag_crosses: set[int]) -> CombinatorialMap:

@@ -21,7 +21,7 @@ from typing import Iterable
 from .errors import DuplicateId, TooLarge, UnknownEdge
 from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
                    make_graph, orientation_selection, vertices_of,
-                   vertex_index_of_cross, flag_cross_set, _dual_triple)
+                   flag_cross_set, _dual_triple, _incidences, _subset_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +202,6 @@ class ClassCounts:
     cevf: int
 
 
-def _incidence_tables(g: RibbonGraph):
-    """Per-vertex flag counts and, per edge, its two endpoint vertex indices."""
-    v_of = vertex_index_of_cross(g)
-    nv = len(vertices_of(g))
-    flags_at = [0] * nv
-    for orb in g.flag_labels.values():
-        flags_at[v_of[min(orb)]] += 1
-    ends = {}
-    for lab, orb in g.edge_labels.items():
-        x = min(orb)
-        ends[lab] = (v_of[x], v_of[g.map.sigma1(x)])
-    return flags_at, ends, nv
-
-
 def class_counts(g: RibbonGraph, max_size: int = 24) -> ClassCounts:
     """Brute-force counts of the odd/even spanning subgraph classes.
 
@@ -227,19 +213,14 @@ def class_counts(g: RibbonGraph, max_size: int = 24) -> ClassCounts:
     e, f = len(g.edge_labels), len(g.flag_labels)
     if 2 * e + f > max_size:
         raise TooLarge(f"2e+f = {2 * e + f} exceeds {max_size}")
-    flags_at, ends, nv = _incidence_tables(g)
+    flags_at, ends = _incidences(g)
+    nv = len(flags_at)
     order = sorted(g.edge_labels, key=str)
     bare = g.bare_vertices
     v_total = nv + bare
 
     odd = even = 0
-    for mask in range(1 << e):
-        deg = list(flags_at)
-        for i, lab in enumerate(order):
-            if mask >> i & 1:
-                u, w = ends[lab]
-                deg[u] += 1
-                deg[w] += 1
+    for _mask, deg in _subset_degrees(flags_at, [ends[lab] for lab in order]):
         if all(d % 2 for d in deg) and bare == 0:
             odd += 1
         if all(d % 2 == 0 for d in deg):

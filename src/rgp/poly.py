@@ -190,12 +190,6 @@ class MultiPoly:
     def variables(self) -> set[VarId]:
         return {v for m in self.terms for v, _ in m}
 
-    def degree_in(self, var: VarId, monomial: Monomial) -> int:
-        for v, e in monomial:
-            if v == var:
-                return e
-        return 0
-
     def kind_degree(self, kind: str, monomial: Monomial) -> int:
         return sum(e for v, e in monomial if v.kind == kind)
 
@@ -315,24 +309,8 @@ class MultiPoly:
 
 # --- module-level operation aliases (the functional API) ----------------------
 
-def add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def scale(a: MultiPoly, c: int) -> MultiPoly:
-    return a.scale(c)
-
-
 def substitute(a: MultiPoly, mapping: Mapping[VarId, MultiPoly | int]) -> MultiPoly:
     return a.substitute(mapping)
-
-
-def eval_rational(a: MultiPoly, assignment: Mapping[VarId, Fraction | int]) -> Fraction:
-    return a.eval_rational(assignment)
 
 
 def to_string_canonical(a: MultiPoly) -> str:

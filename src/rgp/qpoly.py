@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import TooLarge
-from .maps import RibbonGraph, canonical_form, vertex_index_of_cross, vertices_of
+from .errors import TooLarge, UnknownMethod
+from .maps import RibbonGraph, _incidences, _subset_degrees, canonical_form
 from .ops import cut, delete, partial_dual
 from .poly import MultiPoly, VarId
 
@@ -73,7 +73,7 @@ class RSequenceSpec:
             return MultiPoly.const(1 if n == 1 else 0)
         if self.rule == self.CONSTANT:
             return MultiPoly.const(self.constant)
-        raise ValueError(f"unknown r-rule {self.rule!r}")
+        raise UnknownMethod(f"unknown r-rule {self.rule!r}")
 
     def key(self):
         return (self.rule, self.constant)
@@ -88,20 +88,6 @@ class QResult:
 
 def _edge_var(kind: str, label) -> MultiPoly:
     return MultiPoly.variable(kind, label)
-
-
-def _incidences(g: RibbonGraph):
-    """flags-per-vertex and edge-endpoint vertex indices (loops repeat)."""
-    v_of = vertex_index_of_cross(g)
-    nv = len(vertices_of(g))
-    flags_at = [0] * nv
-    for orb in g.flag_labels.values():
-        flags_at[v_of[min(orb)]] += 1
-    ends = {}
-    for lab, orb in g.edge_labels.items():
-        x = min(orb)
-        ends[lab] = (v_of[x], v_of[g.map.sigma1(x)])
-    return flags_at, ends
 
 
 def _terminal_weight(g: RibbonGraph, r: RSequenceSpec) -> MultiPoly:
@@ -136,13 +122,7 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
         flags_at, ends = _incidences(h)
         r0_bare = r.weight(0) ** h.bare_vertices
         in_a = [bool(amask >> i & 1) for i in range(ne)]
-        for bmask in range(1 << ne):
-            deg = list(flags_at)
-            for i in range(ne):
-                if bmask >> i & 1:
-                    u, w = ends[edges[i]]
-                    deg[u] += 1
-                    deg[w] += 1
+        for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
             weight = r0_bare
             for n in deg:
                 weight = weight * r.weight(n)
@@ -233,7 +213,7 @@ def q_polynomial(g: RibbonGraph, r: RSequenceSpec | None = None,
         return q_by_expansion(g, r, max_edges=max_edges)
     if method == "reduction":
         return q_by_reduction(g, r, memo=memo)
-    raise ValueError(f"unknown method {method!r}")
+    raise UnknownMethod(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from rgp import cli
 from rgp.cli import (
     format_dot,
     format_graph_file,
@@ -111,6 +114,16 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate", "x.rg")[0] == 2
     assert run(capsys, "limit", str(EXAMPLES / "dumbbell.rg"))[0] == 2
     assert run(capsys, "hu")[0] == 2
+
+
+def test_bare_value_error_propagates(monkeypatch):
+    # only RgpError is a domain error; anything else is a bug and must crash
+    def broken(*args, **kwargs):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "hu", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        main(["hu", str(EXAMPLES / "two_cycle.rg")])
 
 
 def test_critical_method_rejects_nonorientable(capsys):

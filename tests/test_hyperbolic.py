@@ -29,7 +29,10 @@ from rgp.errors import (
     NotATree,
     NotConnected,
     NotOrientable,
+    SelfCheckFailed,
+    UnknownMethod,
 )
+from rgp import hyperbolic
 from rgp.hyperbolic import (
     hu,
     hu_commutative_limit,
@@ -424,6 +427,22 @@ def test_reconstruction_rejects_nonorientable():
     for g in (twisted_loop(), fig_two_vertex()):
         with pytest.raises(NotOrientable):
             hu_via_critical_algorithm(g)
+
+
+def test_reconstruction_self_check_raises(monkeypatch):
+    # a typed error, not an assert, so it also fires under python -O
+    real = hyperbolic.hu_critical
+    monkeypatch.setattr(hyperbolic, "hu_critical", lambda g: real(g) + C(1))
+    with pytest.raises(SelfCheckFailed):
+        hu_via_critical_algorithm(two_cycle())
+
+
+def test_unknown_method_is_typed():
+    g = two_cycle()
+    with pytest.raises(UnknownMethod):
+        hu(g, method="nope")
+    with pytest.raises(UnknownMethod):
+        hu_commutative_limit(g, method="nope")
 
 
 # ---------------------------------------------------------------------------

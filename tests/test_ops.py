@@ -12,6 +12,8 @@ from rgp.maps import (Permutation, RotationSpec, canonical_form, face_count,
 from rgp.ops import (ClassCounts, class_counts, contract, cut, delete,
                      delete_flag, disjoint_union, natural_dual, partial_dual,
                      spanning_subgraph, to_rotation_spec)
+from rgp.poly import MultiPoly, VarId
+from rgp.qpoly import RSequenceSpec, q_by_reduction
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,31 @@ def test_cutting_counts_match_closed_form():
         c = class_counts(g)
         oddf, evf = _closed_form_counts(g)
         assert (c.oddf, c.evf) == (oddf, evf)
+
+
+def _at_a_empty(g, p):
+    """x = w = 1, y = z = 0: only A = {} survives, each B counted once."""
+    mapping = {}
+    for lab in g.edge_labels:
+        mapping.update({VarId("X", lab): 1, VarId("W", lab): 1,
+                        VarId("Y", lab): 0, VarId("Z", lab): 0})
+    return p.substitute(mapping)
+
+
+def test_class_counts_match_reduction():
+    # class_counts and q_by_reduction enumerate separately; the colored odd
+    # and even counts are Q at A = {} under the odd- and even-vertex rules
+    rng = random.Random(808)
+    nonzero = 0
+    for _ in range(60):
+        g = corpus.random_rotation_graph(rng, max_edges=4, max_flags=3)
+        c = class_counts(g)
+        odd = q_by_reduction(g, RSequenceSpec.odd_two_even_zero()).poly
+        even = q_by_reduction(g, RSequenceSpec.even_two_odd_zero()).poly
+        assert _at_a_empty(g, odd) == MultiPoly.const(c.codd)
+        assert _at_a_empty(g, even) == MultiPoly.const(c.cev)
+        nonzero += (c.codd != 0) + (c.cev != 0)
+    assert nonzero > 30
 
 
 def test_class_counts_guard():
