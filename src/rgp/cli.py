@@ -313,17 +313,22 @@ def _r_rule(text: str) -> RSequenceSpec:
         "delta1, or const:<n>)")
 
 
+def _agreed(results: dict) -> MultiPoly:
+    """The reduction result, once every strategy gave the same polynomial."""
+    if len({p.to_string() for p in results.values()}) != 1:
+        raise RgpError("strategy disagreement: "
+                       + "; ".join(f"{m}={p.to_string()}"
+                                   for m, p in sorted(results.items())))
+    return results["reduction"]
+
+
 def _cmd_q(args) -> int:
     g = read_graph_file(args.input)
     rule = args.r_rule
     if args.check_all:
         results = {m: q_polynomial(g, rule, method=m, max_edges=args.max_edges).poly
                    for m in ("expansion", "reduction")}
-        if len({p.to_string() for p in results.values()}) != 1:
-            raise RgpError("strategy disagreement: "
-                           + "; ".join(f"{m}={p.to_string()}"
-                                       for m, p in sorted(results.items())))
-        return _emit_poly(results["reduction"], args)
+        return _emit_poly(_agreed(results), args)
     res = q_polynomial(g, rule, method=args.method, max_edges=args.max_edges)
     return _emit_poly(res.poly, args)
 
@@ -340,12 +345,7 @@ def _cmd_hu(args) -> int:
         methods = ["expansion", "reduction"]
         if structure_report(g).orientable:
             methods.append("critical")
-        results = {m: compute(m) for m in methods}
-        if len({p.to_string() for p in results.values()}) != 1:
-            raise RgpError("strategy disagreement: "
-                           + "; ".join(f"{m}={p.to_string()}"
-                                       for m, p in sorted(results.items())))
-        return _emit_poly(results["reduction"], args)
+        return _emit_poly(_agreed({m: compute(m) for m in methods}), args)
     return _emit_poly(compute(args.method), args)
 
 

@@ -1,17 +1,23 @@
 """Builders for the example graphs used throughout the tests and scripts.
 
-Each builder asserts the structural facts its callers rely on (face counts,
-flag placement, orientability) so a regression in the core shows up here
-first, with a named graph attached.
+Each builder checks the structural facts its callers rely on (face counts,
+flag placement, orientability) and raises SelfCheckFailed if one fails, so a
+regression in the core shows up here first, with a named graph attached.
 """
 
 from __future__ import annotations
 
 import random
 
+from .errors import HasFlags, InvalidArgument, SelfCheckFailed, UnknownEdge
 from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
                    face_sets, from_rotation_system, make_graph,
                    structure_report)
+
+
+def _require(ok: bool, fact: str) -> None:
+    if not ok:
+        raise SelfCheckFailed(fact)
 
 
 def _face_of(g: RibbonGraph, crosses) -> int:
@@ -44,7 +50,8 @@ def bridge(m: int = 0, n: int = 0) -> RibbonGraph:
         edges=(("e1", "uh", "vh", 0),),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.faces, rep.orientable) == (2, 1, m + n, 1, True)
+    _require((rep.v, rep.e, rep.f, rep.faces, rep.orientable) == (2, 1, m + n, 1, True),
+             "bridge: not a planar one-edge tree")
     return g
 
 
@@ -59,17 +66,22 @@ def loop_graph(m: int = 0, n: int = 0, twisted: bool = False) -> RibbonGraph:
     ))
     rep = structure_report(g)
     if twisted:
-        assert (rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 1, False)
+        _require((rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 1, False),
+                 "twisted loop: not one non-orientable face")
     else:
-        assert (rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 2, True)
+        _require((rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 2, True),
+                 "loop: not two orientable faces")
         ff = _flag_faces(g)
         sides = {0: [l for l in ff if l.startswith("p")], 1: [l for l in ff if l.startswith("q")]}
         placed = {ff[l] for l in ff}
         if m and n:
-            assert len({ff[l] for l in sides[0]}) == 1 and len({ff[l] for l in sides[1]}) == 1
-            assert {ff[l] for l in sides[0]} != {ff[l] for l in sides[1]}
+            _require(len({ff[l] for l in sides[0]}) == 1
+                     and len({ff[l] for l in sides[1]}) == 1,
+                     "loop: a side's flags split over faces")
+            _require({ff[l] for l in sides[0]} != {ff[l] for l in sides[1]},
+                     "loop: both sides' flags on one face")
         elif m + n:
-            assert len(placed) == 1
+            _require(len(placed) == 1, "loop: one side's flags split over faces")
     return g
 
 
@@ -88,11 +100,13 @@ def banana(n: int, planar: bool = True) -> RibbonGraph:
     ))
     rep = structure_report(g)
     if planar:
-        assert (rep.v, rep.e, rep.faces, rep.euler_genus) == (2, n, n, 0)
+        _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (2, n, n, 0),
+                 "planar banana: not n faces on the sphere")
     else:
-        assert rep.v == 2 and rep.e == n
+        _require(rep.v == 2 and rep.e == n, "banana: not two vertices and n edges")
         if n == 3:
-            assert rep.faces == 1 and rep.euler_genus == 2 and rep.orientable
+            _require(rep.faces == 1 and rep.euler_genus == 2 and rep.orientable,
+                     "non-planar 3-banana: not one face on the torus")
     return g
 
 
@@ -108,7 +122,8 @@ def double_tadpole() -> RibbonGraph:
         edges=(("e1", "h1a", "h1b", 0), ("e2", "h2a", "h2b", 0)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.faces, rep.euler_genus, rep.orientable) == (1, 2, 1, 2, True)
+    _require((rep.v, rep.e, rep.faces, rep.euler_genus, rep.orientable) == (1, 2, 1, 2, True),
+             "double tadpole: not one face on the torus")
     return g
 
 
@@ -120,7 +135,8 @@ def dumbbell() -> RibbonGraph:
                ("e3", "l3a", "l3b", 0)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.faces, rep.euler_genus) == (2, 3, 3, 0)
+    _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (2, 3, 3, 0),
+             "dumbbell: not three faces on the sphere")
     return g
 
 
@@ -132,7 +148,8 @@ def linear_tree3() -> RibbonGraph:
         edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.faces) == (4, 3, 0, 1)
+    _require((rep.v, rep.e, rep.f, rep.faces) == (4, 3, 0, 1),
+             "linear_tree3: not a flagless 3-edge tree")
     return g
 
 
@@ -152,7 +169,7 @@ def path_tree(k: int, flags_at: tuple = ()) -> RibbonGraph:
         vertices=tuple(verts),
         edges=tuple((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, k + 1)),
     ))
-    assert structure_report(g).faces == 1
+    _require(structure_report(g).faces == 1, "path_tree: more than one face")
     return g
 
 
@@ -168,7 +185,8 @@ def star(n: int, with_flags: bool = False) -> RibbonGraph:
         edges=tuple((f"e{i}", f"c{i}", f"l{i}", 0) for i in range(1, n + 1)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.faces) == (n + 1, n, n if with_flags else 0, 1)
+    _require((rep.v, rep.e, rep.f, rep.faces) == (n + 1, n, n if with_flags else 0, 1),
+             "star: wrong vertex, edge, flag or face count")
     return g
 
 
@@ -189,13 +207,15 @@ def cycle_graph(n: int, flag_plan: dict | None = None) -> RibbonGraph:
         edges=tuple((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, n + 1)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.faces, rep.euler_genus) == (n, n, 2, 0)
+    _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (n, n, 2, 0),
+             "cycle_graph: not two faces on the sphere")
     ff = _flag_faces(g)
     inner_faces = {f for l, f in ff.items() if l.startswith("I")}
     outer_faces = {f for l, f in ff.items() if l.startswith("O")}
-    assert len(inner_faces) <= 1 and len(outer_faces) <= 1
+    _require(len(inner_faces) <= 1 and len(outer_faces) <= 1,
+             "cycle_graph: a side's flags split over faces")
     if inner_faces and outer_faces:
-        assert inner_faces != outer_faces
+        _require(inner_faces != outer_faces, "cycle_graph: inner and outer flags on one face")
     return g
 
 
@@ -211,8 +231,9 @@ def triangle(with_flags: bool = False) -> RibbonGraph:
         edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.faces) == (3, 3, 3, 2)
-    assert len(set(_flag_faces(g).values())) == 1, "flags must share a face"
+    _require((rep.v, rep.e, rep.f, rep.faces) == (3, 3, 3, 2),
+             "triangle: wrong vertex, edge, flag or face count")
+    _require(len(set(_flag_faces(g).values())) == 1, "triangle: flags must share a face")
     return g
 
 
@@ -220,7 +241,8 @@ def broken_cycle3() -> RibbonGraph:
     """Planar triangle with two flags at v1 (between e3 and e1), one per face."""
     g = cycle_graph(3, {1: (1, 1)})
     ff = _flag_faces(g)
-    assert len(ff) == 2 and len(set(ff.values())) == 2
+    _require(len(ff) == 2 and len(set(ff.values())) == 2,
+             "broken_cycle3: the two flags must lie on different faces")
     return g
 
 
@@ -232,10 +254,12 @@ def sunset() -> RibbonGraph:
         edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
     ))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.faces) == (2, 3, 2, 3)
+    _require((rep.v, rep.e, rep.f, rep.faces) == (2, 3, 2, 3),
+             "sunset: wrong vertex, edge, flag or face count")
     ff = _flag_faces(g)
-    assert ff["s1"] == ff["s2"] != -1, "both flags must share a face"
-    assert _edges_on_face(g, ff["s1"]) == {"e1", "e3"}
+    _require(ff["s1"] == ff["s2"] != -1, "sunset: both flags must share a face")
+    _require(_edges_on_face(g, ff["s1"]) == {"e1", "e3"},
+             "sunset: the flags' face must be bounded by e1 and e3")
     return g
 
 
@@ -251,10 +275,14 @@ def fig_two_vertex() -> RibbonGraph:
     )
     g = make_graph(m)
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f, rep.k, rep.faces) == (2, 2, 2, 1, 1)
-    assert rep.euler_genus == 1 and not rep.orientable
-    assert g.edge_labels == {"e1": frozenset({1, 2, 5, 6}), "e2": frozenset({3, 4, 7, 8})}
-    assert g.flag_labels == {"f1": frozenset({9, 10}), "f2": frozenset({11, 12})}
+    _require((rep.v, rep.e, rep.f, rep.k, rep.faces) == (2, 2, 2, 1, 1),
+             "fig_two_vertex: wrong vertex, edge, flag, component or face count")
+    _require(rep.euler_genus == 1 and not rep.orientable,
+             "fig_two_vertex: not the projective plane")
+    _require(g.edge_labels == {"e1": frozenset({1, 2, 5, 6}), "e2": frozenset({3, 4, 7, 8})},
+             "fig_two_vertex: unexpected edge labels")
+    _require(g.flag_labels == {"f1": frozenset({9, 10}), "f2": frozenset({11, 12})},
+             "fig_two_vertex: unexpected flag labels")
     return g
 
 
@@ -263,7 +291,8 @@ def single_vertex(n_flags: int = 0) -> RibbonGraph:
     items = tuple(f"x{i}" for i in range(1, n_flags + 1))
     g = from_rotation_system(RotationSpec(vertices=(("v", items),), edges=()))
     rep = structure_report(g)
-    assert (rep.v, rep.e, rep.f) == (1, 0, n_flags)
+    _require((rep.v, rep.e, rep.f) == (1, 0, n_flags),
+             "single_vertex: not one vertex with n flags")
     return g
 
 
@@ -283,11 +312,11 @@ def half_edge_detached(g: RibbonGraph, edge, end: int = 1) -> RibbonGraph:
     """
     from .ops import to_rotation_spec
     if g.flag_labels:
-        raise ValueError("half_edge_detached expects a graph without flags")
+        raise HasFlags("half_edge_detached expects a graph without flags")
     if edge not in g.edge_labels:
-        raise ValueError(f"unknown edge: {edge!r}")
+        raise UnknownEdge(f"unknown edge: {edge!r}")
     if end not in (1, 2):
-        raise ValueError("end must be 1 or 2")
+        raise InvalidArgument("end must be 1 or 2")
     spec = to_rotation_spec(g)
     target = f"{edge}.{end}"
     stub, leaf = f"{edge}.stub", f"{edge}.leaf"
@@ -298,13 +327,15 @@ def half_edge_detached(g: RibbonGraph, edge, end: int = 1) -> RibbonGraph:
             items = tuple(stub if it == target else it for it in items)
             hit = True
         vertices.append((vid, items))
-    assert hit, target
+    _require(hit, f"half_edge_detached: {target} is in no rotation")
     vertices.append(("hat", (target, leaf)))
     out = from_rotation_system(RotationSpec(vertices=tuple(vertices),
                                             edges=spec.edges))
     rep_in, rep_out = structure_report(g), structure_report(out)
-    assert rep_out.v == rep_in.v + 1 and rep_out.e == rep_in.e
-    assert set(out.flag_labels) == {stub, leaf}
+    _require(rep_out.v == rep_in.v + 1 and rep_out.e == rep_in.e,
+             "half_edge_detached: not one more vertex and the same edges")
+    _require(set(out.flag_labels) == {stub, leaf},
+             "half_edge_detached: the flags are not the stub and the leaf")
     return out
 
 

@@ -50,6 +50,11 @@ class NoFlags(RgpError):
     """The quadratic-form polynomial needs at least one flag."""
 
 
+class InvalidArgument(RgpError):
+    """An argument lies outside the values the function accepts (a negative
+    power or exponent, an unknown variable kind, an edge end other than 1 or 2)."""
+
+
 class UnknownMethod(RgpError):
     """A strategy, method or r-rule name is not one the function knows."""
 

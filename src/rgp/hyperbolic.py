@@ -23,7 +23,6 @@ from .maps import (
     _incidences,
     _subset_degrees,
     face_count,
-    face_sets,
     orientation_selection,
     structure_report,
     vertices_of,
@@ -31,7 +30,8 @@ from .maps import (
     CombinatorialMap,
     Permutation,
 )
-from .ops import cut, delete, delete_flag, partial_dual, spanning_subgraph, to_rotation_spec
+from .ops import (cut, delete, delete_flag, natural_dual, partial_dual,
+                  spanning_subgraph, to_rotation_spec)
 from .poly import MultiPoly, VarId
 from .qpoly import RSequenceSpec, q_by_expansion, q_by_reduction
 
@@ -99,6 +99,15 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
 
+def _parity_split(factors) -> tuple[MultiPoly, MultiPoly]:
+    """(even, odd) parts of the product of the (fe + fo) factors: the sums,
+    over choosing fo from an even / odd number of factors, of the products."""
+    even, odd = MultiPoly.one(), MultiPoly.zero()
+    for fe, fo in factors:
+        even, odd = even * fe + odd * fo, even * fo + odd * fe
+    return even, odd
+
+
 def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks) -> MultiPoly:
     """The closed-form sum over the given A (bitmasks over `edges`): contract
     A, then every vertex of G/A must be made odd by the cut edges B among the
@@ -158,32 +167,18 @@ def hu_cycle(g: RibbonGraph) -> MultiPoly:
         raise NotACycle("expected a connected untwisted cycle (two faces, "
                         "every vertex bivalent)")
     edges = sorted(g.edge_labels, key=str)
-    ne = len(edges)
-
-    fsets = face_sets(g)
-    face_flags = [sum(1 for orb in g.flag_labels.values() if orb <= fs)
-                  for fs in fsets]
-    m, n = face_flags
+    m, n = _incidences(natural_dual(g))[0]     # flags per face
 
     total = MultiPoly.zero()
     if (m - n) % 2 == 0:
-        # the two-face term survives only when both faces break the same way
-        omegas = MultiPoly.one()
-        for lab in edges:
-            omegas = omegas * _omega(lab)
-        acc = MultiPoly.zero()
-        for amask in range(1 << ne):
-            if (bin(amask).count("1") + n) % 2 == 0:
-                continue
-            term = MultiPoly.one()
-            for i, lab in enumerate(edges):
-                if amask >> i & 1:
-                    term = term * _t(lab) * _t(lab)
-            acc = acc + term
-        total = total + MultiPoly.const(4) * omegas * acc
+        # the two-face term survives only when both faces break the same way:
+        # prod O_e (1 + t_e^2) with an odd (n even) / even (n odd) number of t^2
+        even, odd = _parity_split((_omega(lab), _omega(lab) * _t(lab) * _t(lab))
+                                  for lab in edges)
+        total = MultiPoly.const(4) * (odd if n % 2 == 0 else even)
 
     # proper subsets only: A = every edge is the two-face term above
-    return total + _contracted_sum(edges, flags_at, ends, range((1 << ne) - 1))
+    return total + _contracted_sum(edges, flags_at, ends, range((1 << len(edges)) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +197,18 @@ def hu_critical(g: RibbonGraph) -> MultiPoly:
     """
     if g.bare_vertices:
         return MultiPoly.zero()
-    total = MultiPoly.const(2 ** face_count(g))
-    for fs in face_sets(g):
-        even, odd = MultiPoly.one(), MultiPoly.zero()
-        for lab, orb in sorted(g.edge_labels.items(), key=lambda kv: str(kv[0])):
-            mult = len(orb & fs) // 2
-            if mult == 0:
-                continue
+    face_flags, sides = _incidences(natural_dual(g))
+    edges = sorted(sides, key=str)
+    total = MultiPoly.const(2 ** len(face_flags))
+    for face, phi in enumerate(face_flags):
+        factors = []
+        for lab in edges:
+            mult = sides[lab].count(face)
             if mult == 1:
-                fe, fo = MultiPoly.one(), _t(lab)
-            else:
-                fe, fo = _one_plus_t2(lab), MultiPoly.const(2) * _t(lab)
-            even, odd = even * fe + odd * fo, even * fo + odd * fe
-        phi = sum(1 for orb in g.flag_labels.values() if orb <= fs)
+                factors.append((MultiPoly.one(), _t(lab)))
+            elif mult == 2:
+                factors.append((_one_plus_t2(lab), MultiPoly.const(2) * _t(lab)))
+        even, odd = _parity_split(factors)
         total = total * (odd if phi % 2 == 0 else even)
     return total
 
@@ -549,11 +543,8 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
                 if sum(twist[lab] for lab in cyc) % 2 == 1:
                     ok = False
                     break
-                even, odd = MultiPoly.one(), MultiPoly.zero()
-                for lab in cyc:
-                    fe = _omega(lab)
-                    fo = _omega(lab) * _t(lab) * _t(lab)
-                    even, odd = even * fe + odd * fo, even * fo + odd * fe
+                _even, odd = _parity_split((_omega(lab), _omega(lab) * _t(lab) * _t(lab))
+                                           for lab in cyc)
                 for lab in labs:
                     if lab not in cyc:
                         odd = odd * _omega(lab) * _one_plus_t2(lab)

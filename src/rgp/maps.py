@@ -10,6 +10,10 @@ on an even set of integer "crosses" (quarter-edges):
   * sigma0 encodes the cyclic order around vertices; conjugation by theta
     inverts it, so its cycles come in conjugate pairs, one pair per vertex.
 
+Vertices and faces are walked the same way: a face is a vertex of the dual,
+the partial dual along every edge (`_dual_triple`, the one duality surgery),
+so both are conjugate sigma0-cycle pairs (`_conjugate_pairs`).
+
 Everything downstream (duality, the polynomials, the CLI) works on the
 RibbonGraph wrapper, which adds stable edge/flag labels and a count of bare
 (cross-free) isolated vertices — those are invisible to the permutations but
@@ -150,6 +154,7 @@ def validate_map(m: CombinatorialMap) -> list[Violation]:
         return out  # pointwise checks below assume matching domains
     if len(X) % 2:
         out.append(Violation("A.1", (), "odd number of crosses"))
+    sigma0_inv = m.sigma0.inverse()
     for x in sorted(X):
         if m.theta(m.theta(x)) != x:
             out.append(Violation("A.1", (x,), "theta is not an involution"))
@@ -161,7 +166,7 @@ def validate_map(m: CombinatorialMap) -> list[Violation]:
             out.append(Violation("A.2", (x,), "theta has a fixed point"))
         if m.theta(x) == m.sigma1(x):
             out.append(Violation("A.2", (x,), "sigma1 equals theta at this cross"))
-        if m.sigma0(m.theta(x)) != m.theta(m.sigma0.inverse()(x)):
+        if m.sigma0(m.theta(x)) != m.theta(sigma0_inv(x)):
             out.append(Violation("A.3", (x,), "sigma0 not inverted by theta-conjugation"))
     if not any(v.axiom in ("A.1", "A.2", "A.3") for v in out):
         for x in sorted(X):
@@ -250,38 +255,48 @@ def _check_labels(labels: dict, orbits: list, kind: str):
         raise InvalidMap(f"{kind} label table does not match the {kind} orbits")
 
 
-def vertices_of(g: RibbonGraph) -> list[Vertex]:
-    """Vertices as conjugate sigma0-cycle pairs, sorted by smallest cross.
-    Bare vertices are not included (they have no crosses)."""
-    m = g.map
+def _conjugate_pairs(m: CombinatorialMap) -> list[tuple[tuple, tuple]]:
+    """The sigma0-cycles in conjugate pairs (the cycle through the smallest
+    unvisited cross, then its theta-conjugate), sorted by smallest cross."""
     seen: set[int] = set()
-    out: list[Vertex] = []
+    out = []
     for x in sorted(m.crosses):
         if x in seen:
             continue
         cyc = tuple(m.sigma0.orbit(x))
         partner = tuple(m.sigma0.orbit(m.theta(x)))
-        if set(cyc) & set(partner):
-            raise InvalidMap(f"conjugate cycles overlap at cross {x}")
         seen.update(cyc)
         seen.update(partner)
+        out.append((cyc, partner))
+    return out
+
+
+def vertices_of(g: RibbonGraph) -> list[Vertex]:
+    """Vertices as conjugate sigma0-cycle pairs, sorted by smallest cross.
+    Bare vertices are not included (they have no crosses)."""
+    out: list[Vertex] = []
+    for cyc, partner in _conjugate_pairs(g.map):
+        if set(cyc) & set(partner):
+            raise InvalidMap(f"conjugate cycles overlap at cross {cyc[0]}")
         out.append(Vertex(cyc, partner, frozenset(cyc) | frozenset(partner)))
     return out
 
 
+def _vertex_index(verts: list[Vertex]) -> dict:
+    return {x: i for i, v in enumerate(verts) for x in v.crosses}
+
+
 def vertex_index_of_cross(g: RibbonGraph) -> dict:
-    out = {}
-    for i, v in enumerate(vertices_of(g)):
-        for x in v.crosses:
-            out[x] = i
-    return out
+    return _vertex_index(vertices_of(g))
 
 
 def _incidences(g: RibbonGraph):
     """Flags per vertex and, per edge label, its two endpoint vertex indices
-    (a loop repeats its vertex).  Bare vertices are not included."""
-    v_of = vertex_index_of_cross(g)
-    flags_at = [0] * len(vertices_of(g))
+    (a loop repeats its vertex).  Bare vertices are not included.  On the
+    natural dual: flags per face, and the faces on each side of every edge."""
+    verts = vertices_of(g)
+    v_of = _vertex_index(verts)
+    flags_at = [0] * len(verts)
     for orb in g.flag_labels.values():
         flags_at[v_of[min(orb)]] += 1
     ends = {}
@@ -304,83 +319,48 @@ def _subset_degrees(base: list, pairs: list):
         yield mask, deg
 
 
-def _dual_triple(m: CombinatorialMap, flag_crosses: set[int]) -> CombinatorialMap:
-    """The natural dual (sigma0 theta_H sigma1, sigma1_H theta_F, theta_H sigma1_F),
-    H = half-edge crosses, F = flag crosses."""
-    H = set(m.crosses) - flag_crosses
-    theta_H = m.theta.piecewise(H)
-    theta_F = m.theta.piecewise(flag_crosses)
-    sigma1_H = m.sigma1.piecewise(H)       # sigma1 is identity on F anyway
-    sigma1_F = m.sigma1.piecewise(flag_crosses)
+def _dual_triple(m: CombinatorialMap, edge_crosses: set[int]) -> CombinatorialMap:
+    """The partial dual along the edges with crosses E', E'c the rest:
+    (sigma0 theta_{E'} sigma1_{E'}, sigma1_{E'} theta_{E'c}, sigma1_{E'c} theta_{E'}).
+    Along every edge it is the natural dual; applied twice it is the identity."""
+    rest = set(m.crosses) - edge_crosses
+    th_p = m.theta.piecewise(edge_crosses)
+    th_c = m.theta.piecewise(rest)
+    s1_p = m.sigma1.piecewise(edge_crosses)
+    s1_c = m.sigma1.piecewise(rest)
     return CombinatorialMap(
         m.crosses,
-        m.sigma0.compose(theta_H).compose(m.sigma1),
-        sigma1_H.compose(theta_F),
-        theta_H.compose(sigma1_F),
+        m.sigma0.compose(th_p).compose(s1_p),
+        s1_p.compose(th_c),
+        s1_c.compose(th_p),
     )
 
 
-def flag_cross_set(g: RibbonGraph) -> set[int]:
-    out: set[int] = set()
-    for orb in g.flag_labels.values():
-        out |= orb
-    return out
+def _faces(g: RibbonGraph) -> list[tuple[tuple, tuple]]:
+    """The faces as the natural dual's vertices: its conjugate sigma0-cycle
+    pairs.  The surgery runs on the bare map, with no RibbonGraph built."""
+    return _conjugate_pairs(_dual_triple(g.map, set().union(*g.edge_labels.values())))
 
 
 def boundary_components(g: RibbonGraph) -> list[tuple]:
     """The faces, one cross-cycle per face (the conjugate partner is implied).
     Bare vertices contribute faces to the counts but no cycles here."""
-    dual = _dual_triple(g.map, flag_cross_set(g))
-    seen: set[int] = set()
-    out = []
-    for x in sorted(dual.crosses):
-        if x in seen:
-            continue
-        cyc = tuple(dual.sigma0.orbit(x))
-        partner = tuple(dual.sigma0.orbit(dual.theta(x)))
-        seen.update(cyc)
-        seen.update(partner)
-        out.append(cyc)
-    return out
+    return [cyc for cyc, _partner in _faces(g)]
 
 
 def face_count(g: RibbonGraph) -> int:
-    return len(boundary_components(g)) + g.bare_vertices
+    return len(_faces(g)) + g.bare_vertices
 
 
 def face_sets(g: RibbonGraph) -> list[frozenset]:
     """Per face, the union of its conjugate boundary-cycle cross sets
     (bare vertices excluded — they have no crosses)."""
-    dual = _dual_triple(g.map, flag_cross_set(g))
-    seen: set[int] = set()
-    out = []
-    for x in sorted(dual.crosses):
-        if x in seen:
-            continue
-        both = set(dual.sigma0.orbit(x)) | set(dual.sigma0.orbit(dual.theta(x)))
-        seen |= both
-        out.append(frozenset(both))
-    return out
+    return [frozenset(cyc) | frozenset(partner) for cyc, partner in _faces(g)]
 
 
 def component_count(g: RibbonGraph) -> int:
     """Connected components (orbits of the full group, plus bare vertices)."""
-    m = g.map
-    seen: set[int] = set()
-    k = 0
-    for x in sorted(m.crosses):
-        if x in seen:
-            continue
-        k += 1
-        stack = [x]
-        seen.add(x)
-        while stack:
-            y = stack.pop()
-            for img in (m.sigma0(y), m.theta(y), m.sigma1(y)):
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    return k + g.bare_vertices
+    return len(cross_components(g)) + g.bare_vertices
 
 
 def cross_components(g: RibbonGraph) -> list[frozenset]:
@@ -424,10 +404,7 @@ def orientation_selection(g: RibbonGraph) -> OrientationChoice:
     """
     m = g.map
     verts = vertices_of(g)
-    v_of = {}
-    for i, v in enumerate(verts):
-        for x in v.crosses:
-            v_of[x] = i
+    v_of = _vertex_index(verts)
     choice: dict[int, tuple] = {}
     chosen_crosses: set[int] = set()
     orientable = True

@@ -1,11 +1,12 @@
 """Operations on ribbon graphs: deletion, cut, duality, contraction, unions,
 and the odd/even spanning-class counts.
 
-Edge deletion induces the permutations on the surviving crosses; cutting an
-edge turns it into two flags (labelled <e>.1 and <e>.2); partial duality is
-the three-line permutation surgery and keeps every edge's four crosses and
-every flag's two crosses intact, so labels survive all of these operations.
-Contraction is deletion after dualising the one edge.
+Edge and flag deletion induce the permutations on the surviving crosses;
+cutting an edge turns it into two flags (labelled <e>.1 and <e>.2).  Partial
+duality is the one permutation surgery `maps._dual_triple`; the natural dual
+is the partial dual along every edge.  The surgery keeps every edge's four
+crosses and every flag's two crosses intact, so labels survive all of these
+operations.  Contraction is deletion after dualising the one edge.
 
 Vertices that lose all their crosses (deleting a bridge end, a flag removal)
 are kept as bare isolated vertices — the polynomial layer weights them by
@@ -21,20 +22,16 @@ from typing import Iterable
 from .errors import DuplicateId, TooLarge, UnknownEdge
 from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
                    make_graph, orientation_selection, vertices_of,
-                   flag_cross_set, _dual_triple, _incidences, _subset_degrees)
+                   _dual_triple, _incidences, _subset_degrees)
 
 
 # ---------------------------------------------------------------------------
 # deletion / cut
 # ---------------------------------------------------------------------------
 
-def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
-    """Remove the given edges; endpoint vertices that lose every cross stay
-    behind as bare vertices."""
-    labels = list(labels)
-    removed: set[int] = set()
-    for lab in labels:
-        removed |= g.edge_crosses(lab)
+def _remove_crosses(g: RibbonGraph, removed: set, edges: dict, flags: dict) -> RibbonGraph:
+    """Induce the permutations on the crosses outside `removed`; vertices
+    that lose every cross stay behind as bare vertices."""
     kept = set(g.map.crosses) - removed
     newly_bare = sum(1 for v in vertices_of(g) if v.crosses <= removed)
     m = CombinatorialMap(
@@ -43,9 +40,18 @@ def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
         g.map.theta.induced_on(kept),
         g.map.sigma1.induced_on(kept),
     )
-    edges = {lab: orb for lab, orb in g.edge_labels.items() if lab not in set(labels)}
-    return make_graph(m, edges, dict(g.flag_labels),
-                      bare_vertices=g.bare_vertices + newly_bare)
+    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices + newly_bare)
+
+
+def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
+    """Remove the given edges; endpoint vertices that lose every cross stay
+    behind as bare vertices."""
+    labels = dict.fromkeys(labels)   # given order, set membership
+    removed: set[int] = set()
+    for lab in labels:
+        removed |= g.edge_crosses(lab)
+    edges = {lab: orb for lab, orb in g.edge_labels.items() if lab not in labels}
+    return _remove_crosses(g, removed, edges, dict(g.flag_labels))
 
 
 def delete(g: RibbonGraph, e) -> RibbonGraph:
@@ -79,17 +85,8 @@ def delete_flag(g: RibbonGraph, flag) -> RibbonGraph:
         orb = g.flag_labels[flag]
     except KeyError:
         raise UnknownEdge(f"no flag labelled {flag!r}") from None
-    kept = set(g.map.crosses) - orb
-    newly_bare = sum(1 for v in vertices_of(g) if v.crosses <= orb)
-    m = CombinatorialMap(
-        frozenset(kept),
-        g.map.sigma0.induced_on(kept),
-        g.map.theta.induced_on(kept),
-        g.map.sigma1.induced_on(kept),
-    )
     flags = {lab: o for lab, o in g.flag_labels.items() if lab != flag}
-    return make_graph(m, dict(g.edge_labels), flags,
-                      bare_vertices=g.bare_vertices + newly_bare)
+    return _remove_crosses(g, orb, dict(g.edge_labels), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -97,37 +94,17 @@ def delete_flag(g: RibbonGraph, flag) -> RibbonGraph:
 # ---------------------------------------------------------------------------
 
 def natural_dual(g: RibbonGraph) -> RibbonGraph:
-    """Geometric dual: vertices and faces swap, edge/flag cross-sets persist."""
-    m = _dual_triple(g.map, flag_cross_set(g))
-    return make_graph(m, dict(g.edge_labels), dict(g.flag_labels),
-                      bare_vertices=g.bare_vertices)
+    """Geometric dual: the partial dual along every edge.  Vertices and faces
+    swap; edge/flag cross-sets persist."""
+    return partial_dual(g, g.edge_labels)
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable) -> RibbonGraph:
-    """Dualise only the given edge subset.
-
-    With E' the union of those edges' crosses and the complement including
-    every other cross, the new triple is
-    (sigma0 theta_{E'} sigma1_{E'}, sigma1_{E'} theta_{E'c}, sigma1_{E'c} theta_{E'}).
-    Dualising every edge equals the natural dual; dualising twice is the
-    identity.
+    """Dualise only the given edge subset, by the surgery `maps._dual_triple`
+    on the union of those edges' crosses.  Dualising twice is the identity.
     """
-    subset = set(edges)
-    Ep: set[int] = set()
-    for lab in subset:
-        Ep |= g.edge_crosses(lab)
-    Epc = set(g.map.crosses) - Ep
-    th_p = g.map.theta.piecewise(Ep)
-    th_c = g.map.theta.piecewise(Epc)
-    s1_p = g.map.sigma1.piecewise(Ep)
-    s1_c = g.map.sigma1.piecewise(Epc)
-    m = CombinatorialMap(
-        g.map.crosses,
-        g.map.sigma0.compose(th_p).compose(s1_p),
-        s1_p.compose(th_c),
-        s1_c.compose(th_p),
-    )
-    return make_graph(m, dict(g.edge_labels), dict(g.flag_labels),
+    Ep = set().union(*(g.edge_crosses(lab) for lab in set(edges)))
+    return make_graph(_dual_triple(g.map, Ep), dict(g.edge_labels), dict(g.flag_labels),
                       bare_vertices=g.bare_vertices)
 
 

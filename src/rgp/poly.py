@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import MissingVariable, ParseError
+from .errors import InvalidArgument, MissingVariable, ParseError
 
 # Kind order is part of the canonical monomial order.  LAMBDA/MU exist only so
 # scaling identities can be asserted as honest polynomial identities in fresh
@@ -111,9 +111,9 @@ class MultiPoly:
     @staticmethod
     def variable(kind: str, label: Label = None, exp: int = 1) -> "MultiPoly":
         if kind not in _KIND_INDEX:
-            raise ValueError(f"unknown variable kind {kind!r}")
+            raise InvalidArgument(f"unknown variable kind {kind!r}")
         if exp < 0:
-            raise ValueError("negative exponent")
+            raise InvalidArgument("negative exponent")
         if exp == 0:
             return MultiPoly.one()
         return MultiPoly({((VarId(kind, label), exp),): 1})
@@ -158,7 +158,7 @@ class MultiPoly:
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
-            raise ValueError("negative power")
+            raise InvalidArgument("negative power")
         result = MultiPoly.one()
         for _ in range(n):
             result = result * self

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -141,6 +142,28 @@ def test_check_all(capsys):
     code2, out2, _ = run(capsys, "q", str(EXAMPLES / "two_cycle.rg"),
                          "--check-all", "--r-rule", "delta1")
     assert code2 == 0
+
+
+def test_check_all_reports_disagreement(monkeypatch, capsys):
+    # one strategy off by one: --check-all must refuse, not pick a winner
+    real_q, real_hu = cli.q_polynomial, cli.hu
+
+    def wrong_q(g, rule, method, max_edges):
+        res = real_q(g, rule, method=method, max_edges=max_edges)
+        if method == "reduction":
+            return res
+        return dataclasses.replace(res, poly=res.poly + MultiPoly.one())
+
+    def wrong_hu(g, method, max_edges):
+        p = real_hu(g, method=method, max_edges=max_edges)
+        return p if method == "reduction" else p + MultiPoly.one()
+
+    monkeypatch.setattr(cli, "q_polynomial", wrong_q)
+    monkeypatch.setattr(cli, "hu", wrong_hu)
+    for verb in ("q", "hu"):
+        code, out, err = run(capsys, verb, str(EXAMPLES / "two_cycle.rg"), "--check-all")
+        assert (code, out) == (1, "")
+        assert err.startswith("E-MAP strategy disagreement: ")
 
 
 def test_q_r_rules(capsys):

@@ -356,9 +356,10 @@ def test_hu_tree_rejects():
 
 def test_hu_cycle_agrees():
     cases = [loop_graph(m, n) for m in range(2) for n in range(2)]
-    cases += [two_cycle(), cycle_graph(3), cycle_graph(4), triangle(),
+    cases += [two_cycle(), cycle_graph(3), cycle_graph(4), cycle_graph(5), triangle(),
               triangle(with_flags=True), broken_cycle3(),
-              cycle_graph(3, flag_plan={1: (2, 0), 2: (0, 1)})]
+              cycle_graph(3, flag_plan={1: (2, 0), 2: (0, 1)}),
+              cycle_graph(5, flag_plan={1: (1, 0), 3: (1, 1), 4: (0, 1)})]
     for g in cases:
         assert hu_cycle(g) == hu(g)
 

@@ -134,8 +134,14 @@ def test_counts_relation_random():
 
 def test_face_count_is_dual_vertex_count(fig2):
     from rgp.ops import natural_dual
-    for g in (fig2, corpus.two_cycle(), corpus.dumbbell(), corpus.sunset()):
-        assert face_count(g) == structure_report(natural_dual(g)).v
+    rng = random.Random(135)
+    randoms = [corpus.random_rotation_graph(rng) for _ in range(40)]
+    assert any(g.flag_labels for g in randoms)
+    assert not all(structure_report(g).orientable for g in randoms)
+    for g in [fig2, corpus.two_cycle(), corpus.dumbbell(), corpus.sunset()] + randoms:
+        dual = natural_dual(g)
+        assert face_count(g) == structure_report(dual).v
+        assert face_count(dual) == structure_report(g).v
 
 
 # --- rotation systems ----------------------------------------------------------

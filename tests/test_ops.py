@@ -83,8 +83,13 @@ def test_dual_of_loop_is_bridge():
 
 
 def test_full_partial_dual_equals_natural_dual(fig2):
-    for g in (fig2, corpus.two_cycle(), corpus.sunset(), corpus.twisted_loop()):
+    rng = random.Random(85)
+    randoms = [corpus.random_rotation_graph(rng) for _ in range(40)]
+    assert any(g.flag_labels for g in randoms)
+    assert not all(structure_report(g).orientable for g in randoms)
+    for g in [fig2, corpus.two_cycle(), corpus.sunset(), corpus.twisted_loop()] + randoms:
         assert partial_dual(g, g.edge_labels) == natural_dual(g)
+        assert natural_dual(natural_dual(g)) == g
 
 
 def test_partial_dual_involution(fig2):
