@@ -20,7 +20,7 @@ from rgp.corpus import random_rotation_graph
 from rgp.hyperbolic import (hu_commutative_limit, symanzik_commutative_limit,
                             symanzik_u)
 from rgp.maps import structure_report, vertices_of
-from rgp.poly import MultiPoly
+from rgp.poly import MultiPoly, VarId
 
 
 @dataclass
@@ -38,7 +38,7 @@ def _spanning_tree_sum(g) -> MultiPoly:
     nv = len(vertices_of(g))
     ends = {lab: (idx[min(orb)], idx[g.map.sigma1(min(orb))])
             for lab, orb in g.edge_labels.items()}
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     total = MultiPoly.zero()
     for mask in range(1 << len(edges)):
         keep = [edges[i] for i in range(len(edges)) if mask >> i & 1]
@@ -91,9 +91,8 @@ def run(cfg: SurveyConfig) -> int:
             return 1
 
         hist = nullity_by_genus.setdefault(rep.euler_genus, Counter())
-        for mono, _ in u.terms.items():
-            beta = sum(exp for var, exp in mono if var.kind == "BETA")
-            hist[beta] += 1
+        for mono, _ in u.monomials():
+            hist[mono.get(VarId("BETA"), 0)] += 1
     print(f"{n_used} flagless connected samples, seed {cfg.seed}: "
           "all limit cross-checks hold")
     print("  genus -> quasi-tree count by nullity (beta degree)")

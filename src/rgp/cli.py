@@ -253,7 +253,7 @@ def _cmd_info(args) -> int:
     fields = [("v", rep.v), ("e", rep.e), ("f", rep.f), ("k", rep.k),
               ("faces", rep.faces), ("euler-genus", rep.euler_genus),
               ("orientable", rep.orientable),
-              ("edges", sorted(g.edge_labels, key=str)),
+              ("edges", g.sorted_edges()),
               ("flags", sorted(g.flag_labels, key=str)),
               ("bare-vertices", g.bare_vertices)]
     if args.format == "json":

@@ -76,9 +76,9 @@ def hu_partial_dual_transform(p: MultiPoly, edges) -> MultiPoly:
     swapped HU of the original."""
     mapping = {}
     for lab in edges:
-        mapping[VarId("T", lab)] = _omega(lab)
-        mapping[VarId("OMEGA", lab)] = _t(lab)
-    return p.substitute(mapping)
+        t, om = VarId("T", lab), VarId("OMEGA", lab)
+        mapping.update({t: om, om: t})
+    return p.rename(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def hu_tree(g: RibbonGraph) -> MultiPoly:
     if g.bare_vertices:
         return MultiPoly.zero()   # a flagless point has even (zero) flag count
     flags_at, ends = _incidences(g)
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)))
 
 
@@ -166,7 +166,7 @@ def hu_cycle(g: RibbonGraph) -> MultiPoly:
     if rep.k != 1 or g.bare_vertices or rep.e < 1 or not slots_ok or rep.faces != 2:
         raise NotACycle("expected a connected untwisted cycle (two faces, "
                         "every vertex bivalent)")
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     m, n = _incidences(natural_dual(g))[0]     # flags per face
 
     total = MultiPoly.zero()
@@ -198,7 +198,7 @@ def hu_critical(g: RibbonGraph) -> MultiPoly:
     if g.bare_vertices:
         return MultiPoly.zero()
     face_flags, sides = _incidences(natural_dual(g))
-    edges = sorted(sides, key=str)
+    edges = g.sorted_edges()
     total = MultiPoly.const(2 ** len(face_flags))
     for face, phi in enumerate(face_flags):
         factors = []
@@ -226,10 +226,10 @@ def hu_via_critical_algorithm(g: RibbonGraph) -> MultiPoly:
         raise NotOrientable("reconstruction from the critical factorization "
                             "requires an orientable graph")
     crit = hu_critical(g)
-    edges = sorted(g.edge_labels, key=str)
-    total = MultiPoly.zero()
-    for mono, _coeff in crit.terms.items():
-        texp = {v.label: e for v, e in mono}
+    edges = g.sorted_edges()
+    terms = []
+    for tmono, _coeff in crit.monomials():
+        texp = {v.label: e for v, e in tmono.items()}
         A = [lab for lab in edges if texp.get(lab, 0) % 2 == 0]
         square = [lab for lab in edges if texp.get(lab, 0) == 2]
         odd = [lab for lab in edges if texp.get(lab, 0) == 1]
@@ -240,24 +240,17 @@ def hu_via_critical_algorithm(g: RibbonGraph) -> MultiPoly:
             u, w = ends[lab]
             base[u] += 1
             base[w] += 1
-        admissible = MultiPoly.zero()
+        weight = 2 ** (len(vertices_of(h)) + h.bare_vertices)
+        # t-part from the face product, O_e on A, O_e^2 on the cut odd edges
         for dmask, deg in _subset_degrees(base, [ends[lab] for lab in odd]):
             if any(d % 2 == 0 for d in deg):
                 continue
-            part = MultiPoly.one()
-            for j, lab in enumerate(odd):
-                if dmask >> j & 1:
-                    part = part * _omega(lab) * _omega(lab)
-            admissible = admissible + part
-        nverts = len(vertices_of(h)) + h.bare_vertices
-        term = MultiPoly.const(2 ** nverts) * admissible
-        for lab in A:
-            term = term * _omega(lab)
-        for lab in square:
-            term = term * _t(lab) * _t(lab)
-        for lab in odd:
-            term = term * _t(lab)
-        total = total + term
+            mono = dict(tmono)
+            mono.update((VarId("OMEGA", lab), 1) for lab in A)
+            mono.update((VarId("OMEGA", lab), 2)
+                        for j, lab in enumerate(odd) if dmask >> j & 1)
+            terms.append((mono, weight))
+    total = MultiPoly.from_monomials(terms)
     flattened = total.substitute({VarId("OMEGA", lab): 1 for lab in edges})
     if flattened != crit:
         raise SelfCheckFailed("reconstruction must specialize back to the face product")
@@ -285,7 +278,7 @@ def _selected_cross(g: RibbonGraph, chosen: frozenset, flag) -> int:
     return sel
 
 
-def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple, extra=None):
+def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple):
     """Fuse two flag half-ribbons into an edge (new sigma1 couples the chosen
     side of one to the unchosen side of the other).  Returns (graph, label)."""
     m = g.map
@@ -298,8 +291,6 @@ def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple, extra=None):
     edge_labels = dict(g.edge_labels)
     edge_labels[label] = frozenset((a_i, b_i, a_j, b_j))
     flag_labels = {lab: orb for lab, orb in g.flag_labels.items() if lab not in drop}
-    if extra is not None:
-        flag_labels[extra[0]] = extra[1]
     joined = make_graph(
         CombinatorialMap(m.crosses, m.sigma0, m.theta, Permutation(s1)),
         edge_labels, flag_labels, g.bare_vertices)
@@ -307,8 +298,7 @@ def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple, extra=None):
 
 
 def _insert_flag_after(g: RibbonGraph, at: int):
-    """Splice a fresh flag into the rotation right after cross `at`.
-    Returns (graph, flag label, chosen cross of the new flag)."""
+    """Splice a fresh flag into the rotation right after cross `at`."""
     m = g.map
     p = max(m.crosses) + 1
     pbar = p + 1
@@ -324,11 +314,10 @@ def _insert_flag_after(g: RibbonGraph, at: int):
         label += "+"
     flag_labels = dict(g.flag_labels)
     flag_labels[label] = frozenset((p, pbar))
-    grown = make_graph(
+    return make_graph(
         CombinatorialMap(frozenset(m.crosses | {p, pbar}),
                          Permutation(s0), Permutation(th), Permutation(s1)),
         dict(g.edge_labels), flag_labels, g.bare_vertices)
-    return grown, label, p
 
 
 def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
@@ -366,7 +355,7 @@ def hv(g: RibbonGraph) -> QuadraticForm:
             sym[(i, j)] = _edge_difference(joined, lab)
 
             def marked(first: int, second: int) -> MultiPoly:
-                grown, _flab, _p = _insert_flag_after(g, first)
+                grown = _insert_flag_after(g, first)
                 fused, elab = _join_flags(grown, first, second, drop=(i, j))
                 return _edge_difference(fused, elab)
 
@@ -390,7 +379,7 @@ def symanzik_u(g: RibbonGraph) -> MultiPoly:
     rep = structure_report(g)
     if rep.k != 1:
         raise NotConnected(f"{rep.k} components")
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     ne = len(edges)
     beta = MultiPoly.variable("BETA")
     total = MultiPoly.zero()
@@ -413,30 +402,21 @@ def symanzik_dual_check(g: RibbonGraph, edges) -> bool:
     h = partial_dual(g, sub)
     direct = symanzik_u(h)
     shift = structure_report(g).v - structure_report(h).v
-    rebuilt: dict = {}
-    for mono, c in symanzik_u(g).terms.items():
-        new_vars: dict = {}
-        bexp = shift
-        for v, e in mono:
-            if v.kind == "ALPHA" and v.label in sub:
-                bexp += 2 * e
-                continue                      # a_e -> b^2 / a_e cancels it
-            if v.kind == "BETA":
-                bexp += e
-                continue
-            new_vars[v] = e
+    beta = VarId("BETA")
+    rebuilt = []
+    for mono, c in symanzik_u(g).monomials():
+        bexp = shift + mono.pop(beta, 0) - len(sub)
         for lab in sub:
-            had = any(v.kind == "ALPHA" and v.label == lab for v, _ in mono)
-            if not had:
-                new_vars[VarId("ALPHA", lab)] = new_vars.get(VarId("ALPHA", lab), 0) + 1
-            bexp -= 1
+            alpha = VarId("ALPHA", lab)
+            if alpha in mono:
+                bexp += 2 * mono.pop(alpha)   # a_e -> b^2 / a_e cancels it
+            else:
+                mono[alpha] = 1
         if bexp < 0:
             return False
-        if bexp:
-            new_vars[VarId("BETA", None)] = bexp
-        key = tuple(sorted(new_vars.items(), key=lambda t: t[0].sort_key()))
-        rebuilt[key] = rebuilt.get(key, 0) + c
-    return MultiPoly(rebuilt) == direct
+        mono[beta] = bexp
+        rebuilt.append((mono, c))
+    return MultiPoly.from_monomials(rebuilt) == direct
 
 
 def symanzik_commutative_limit(p: MultiPoly) -> MultiPoly:
@@ -491,8 +471,7 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
         beta = MultiPoly.variable("BETA")
         graded = p.substitute(
             {VarId("OMEGA", lab): beta * _omega(lab) for lab in g.edge_labels})
-        degrees = {sum(e for vv, e in mono if vv.kind == "BETA")
-                   for mono in graded.terms}
+        degrees = {mono.get(VarId("BETA"), 0) for mono, _c in graded.monomials()}
         if min(degrees) < v:
             raise SelfCheckFailed(f"leading Omega-degree {min(degrees)} < v = {v}")
         return graded.coefficient_of_kind_degree("BETA", v)
@@ -503,7 +482,7 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
         return MultiPoly.zero()   # an uncoverable vertex admits no subgraph
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     ne = len(edges)
     twist = {lab: tw for lab, _p, _q, tw in to_rotation_spec(g).edges}
 

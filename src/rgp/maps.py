@@ -169,8 +169,9 @@ def validate_map(m: CombinatorialMap) -> list[Violation]:
         if m.sigma0(m.theta(x)) != m.theta(sigma0_inv(x)):
             out.append(Violation("A.3", (x,), "sigma0 not inverted by theta-conjugation"))
     if not any(v.axiom in ("A.1", "A.2", "A.3") for v in out):
+        cycle_of = {x: i for i, cyc in enumerate(m.sigma0.cycles()) for x in cyc}
         for x in sorted(X):
-            if x in set(m.sigma0.orbit(m.theta(x))):
+            if cycle_of[x] == cycle_of[m.theta(x)]:
                 out.append(Violation("A.4", (x, m.theta(x)),
                                      "cross and its theta-partner share a sigma0-cycle"))
     return out

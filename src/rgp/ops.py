@@ -192,7 +192,7 @@ def class_counts(g: RibbonGraph, max_size: int = 24) -> ClassCounts:
         raise TooLarge(f"2e+f = {2 * e + f} exceeds {max_size}")
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
-    order = sorted(g.edge_labels, key=str)
+    order = g.sorted_edges()
     bare = g.bare_vertices
     v_total = nv + bare
 
@@ -267,7 +267,7 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
         verts.append((f"v{len(vertices_of(g)) + j + 1}", ()))
 
     edges = []
-    for lab in sorted(g.edge_labels, key=str):
+    for lab in g.sorted_edges():
         orb = g.edge_labels[lab]
         x = min(orb)
         first = frozenset((x, g.map.theta(x)))

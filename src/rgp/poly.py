@@ -8,6 +8,11 @@ reserved scaling variables) plus a label.  Monomials are canonically sorted,
 so equal polynomials have equal dicts, equal canonical strings, and equal
 JSON payloads — all goldens in the test suite compare byte-exact strings.
 
+Only this module knows how a monomial is stored.  Elsewhere a monomial is a
+{VarId: exponent} dict: `monomials()` reads terms, `from_monomials()` builds
+them, and `rename()` relabels variables; `substitute` is for images that are
+general polynomials.
+
 Coefficients are Python ints (arbitrary precision); rational evaluation goes
 through fractions.Fraction.
 """
@@ -65,6 +70,12 @@ Monomial = tuple
 _ONE_MONO: Monomial = ()
 
 
+def _mono(exps: Mapping[VarId, int]) -> Monomial:
+    """The monomial of {variable: exponent}, zero exponents dropped.  The one
+    place the monomial sort rule is written."""
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: p[0].sort_key()))
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -73,7 +84,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps: dict[VarId, int] = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: p[0].sort_key()))
+    return _mono(exps)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -117,6 +128,18 @@ class MultiPoly:
         if exp == 0:
             return MultiPoly.one()
         return MultiPoly({((VarId(kind, label), exp),): 1})
+
+    @staticmethod
+    def from_monomials(pairs: Iterable[tuple[Mapping[VarId, int], int]]) -> "MultiPoly":
+        """Sum ({VarId: exponent}, coefficient) pairs; zero exponents are
+        dropped and like terms merge."""
+        terms: dict[Monomial, int] = {}
+        for exps, c in pairs:
+            if any(e < 0 for e in exps.values()):
+                raise InvalidArgument("negative exponent")
+            m = _mono(exps)
+            terms[m] = terms.get(m, 0) + c
+        return MultiPoly(terms)
 
     # -- ring operations -------------------------------------------------
 
@@ -190,21 +213,38 @@ class MultiPoly:
     def variables(self) -> set[VarId]:
         return {v for m in self.terms for v, _ in m}
 
-    def kind_degree(self, kind: str, monomial: Monomial) -> int:
-        return sum(e for v, e in monomial if v.kind == kind)
+    def monomials(self) -> Iterable[tuple[dict[VarId, int], int]]:
+        """Yield every term as ({VarId: exponent}, coefficient); each dict is
+        fresh, so the caller may change it."""
+        for m, c in self.terms.items():
+            yield dict(m), c
 
     def coefficient_of_kind_degree(self, kind: str, degree: int) -> "MultiPoly":
         """Collect terms whose total degree in `kind` equals `degree`,
         with those variables removed from the monomials."""
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            if self.kind_degree(kind, m) != degree:
+            if sum(e for v, e in m if v.kind == kind) != degree:
                 continue
             rest = tuple((v, e) for v, e in m if v.kind != kind)
             out[rest] = out.get(rest, 0) + c
         return MultiPoly(out)
 
-    # -- substitution / evaluation ----------------------------------------
+    # -- relabelling / substitution / evaluation ----------------------------
+
+    def rename(self, mapping: Mapping[VarId, VarId]) -> "MultiPoly":
+        """Replace each mapped variable by its image; unmapped variables pass
+        through.  Variables sent to one image add their exponents and like
+        terms merge.  The images are the mapping's own VarId objects."""
+        terms: dict[Monomial, int] = {}
+        for m, c in self.terms.items():
+            exps: dict[VarId, int] = {}
+            for v, e in m:
+                v = mapping.get(v, v)
+                exps[v] = exps.get(v, 0) + e
+            key = _mono(exps)
+            terms[key] = terms.get(key, 0) + c
+        return MultiPoly(terms)
 
     def substitute(self, mapping: Mapping[VarId, "MultiPoly | int"]) -> "MultiPoly":
         """Replace each mapped variable by a polynomial (or int); unmapped
@@ -277,7 +317,7 @@ class MultiPoly:
     def from_json_obj(obj) -> "MultiPoly":
         if not isinstance(obj, list):
             raise ParseError("polynomial JSON must be a list of terms")
-        terms: dict[Monomial, int] = {}
+        pairs = []
         for entry in obj:
             try:
                 coeff = int(entry["coeff"])
@@ -290,13 +330,12 @@ class MultiPoly:
                         raise ParseError("exponents must be positive")
                     v = VarId(kind, label)
                     mono[v] = mono.get(v, 0) + exp
-                key = tuple(sorted(mono.items(), key=lambda p: p[0].sort_key()))
             except (KeyError, TypeError, ValueError) as exc:
                 if isinstance(exc, ParseError):
                     raise
                 raise ParseError(f"malformed polynomial JSON term: {exc}") from exc
-            terms[key] = terms.get(key, 0) + coeff
-        return MultiPoly(terms)
+            pairs.append((mono, coeff))
+        return MultiPoly.from_monomials(pairs)
 
     @staticmethod
     def from_json(text: str) -> "MultiPoly":
@@ -308,10 +347,6 @@ class MultiPoly:
 
 
 # --- module-level operation aliases (the functional API) ----------------------
-
-def substitute(a: MultiPoly, mapping: Mapping[VarId, MultiPoly | int]) -> MultiPoly:
-    return a.substitute(mapping)
-
 
 def to_string_canonical(a: MultiPoly) -> str:
     return a.to_string()

@@ -109,7 +109,7 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
                    max_edges: int = 10) -> QResult:
     """Enumerate all (A, B) pairs.  Guarded by e(G) <= max_edges."""
     r = r or RSequenceSpec.symbolic()
-    edges = sorted(g.edge_labels, key=str)
+    edges = g.sorted_edges()
     ne = len(edges)
     if ne > max_edges:
         raise TooLarge(f"{ne} edges exceeds the expansion guard {max_edges}")
@@ -146,22 +146,9 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
 # strategy 2: four-term reduction
 # ---------------------------------------------------------------------------
 
-_EDGE_KINDS = ("X", "Y", "Z", "W")
-
-
-def _rename_edge_vars(p: MultiPoly, mapping: dict) -> MultiPoly:
-    """Rewrite x/y/z/w variable labels through `mapping` (monomial surgery)."""
-    out = {}
-    for mono, c in p.terms.items():
-        new = []
-        for v, e in mono:
-            if v.kind in _EDGE_KINDS and v.label in mapping:
-                new.append((VarId(v.kind, mapping[v.label]), e))
-            else:
-                new.append((v, e))
-        key = tuple(sorted(new, key=lambda t: t[0].sort_key()))
-        out[key] = out.get(key, 0) + c
-    return MultiPoly(out)
+def _edge_relabelling(labels: dict) -> dict:
+    """x/y/z/w of each label in `labels` -> the same kinds at its image."""
+    return {VarId(kind, a): VarId(kind, b) for a, b in labels.items() for kind in "XYZW"}
 
 
 def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
@@ -185,8 +172,8 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
         cf = canonical_form(h)
         hit = memo.get((cf.key, rkey))
         if hit is not None:
-            slot_to_label = {slot: lab for lab, slot in cf.edge_slots.items()}
-            return _rename_edge_vars(hit, slot_to_label)
+            return hit.rename(_edge_relabelling(
+                {slot: lab for lab, slot in cf.edge_slots.items()}))
         e = None
         if edge_order:
             for cand in edge_order:
@@ -194,25 +181,24 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
                     e = cand
                     break
         if e is None:
-            e = min(h.edge_labels, key=str)
+            e = h.sorted_edges()[0]
         hd = partial_dual(h, [e])
         p = (_edge_var("X", e) * rec(delete(h, e))
              + _edge_var("Y", e) * rec(delete(hd, e))
              + _edge_var("Z", e) * rec(cut(hd, e))
              + _edge_var("W", e) * rec(cut(h, e)))
-        memo[(cf.key, rkey)] = _rename_edge_vars(p, cf.edge_slots)
+        memo[(cf.key, rkey)] = p.rename(_edge_relabelling(cf.edge_slots))
         return p
 
     return QResult(rec(g), "REDUCTION", None)
 
 
 def q_polynomial(g: RibbonGraph, r: RSequenceSpec | None = None,
-                 method: str = "reduction", max_edges: int = 10,
-                 memo: Optional[dict] = None) -> QResult:
+                 method: str = "reduction", max_edges: int = 10) -> QResult:
     if method == "expansion":
         return q_by_expansion(g, r, max_edges=max_edges)
     if method == "reduction":
-        return q_by_reduction(g, r, memo=memo)
+        return q_by_reduction(g, r)
     raise UnknownMethod(f"unknown method {method!r}")
 
 
@@ -225,11 +211,9 @@ def q_partial_dual_transform(p: MultiPoly, edges: Iterable) -> MultiPoly:
     partial dual equals the transformed polynomial of the original."""
     mapping = {}
     for lab in edges:
-        mapping[VarId("X", lab)] = MultiPoly.variable("Y", lab)
-        mapping[VarId("Y", lab)] = MultiPoly.variable("X", lab)
-        mapping[VarId("Z", lab)] = MultiPoly.variable("W", lab)
-        mapping[VarId("W", lab)] = MultiPoly.variable("Z", lab)
-    return p.substitute(mapping)
+        x, y, z, w = (VarId(kind, lab) for kind in "XYZW")
+        mapping.update({x: y, y: x, z: w, w: z})
+    return p.rename(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +229,22 @@ def _sub_per_edge(g: RibbonGraph, p: MultiPoly, x=None, y=None, z=None, w=None) 
     return p.substitute(mapping)
 
 
-def specialize_br(g: RibbonGraph, memo: Optional[dict] = None) -> MultiPoly:
+def specialize_br(g: RibbonGraph) -> MultiPoly:
     """x=1, z=w=0 and a single symbolic vertex weight r: the edge-subset sum
     of y^A r^(vertex count of the partial dual)."""
-    p = q_by_reduction(g, RSequenceSpec.symbolic(), memo=memo).poly
+    p = q_by_reduction(g, RSequenceSpec.symbolic()).poly
     p = _sub_per_edge(g, p, x=1, z=0, w=0)
-    rvar = MultiPoly.variable("R")
-    mapping = {v: rvar for v in p.variables() if v.kind == "R" and v.label is not None}
-    return p.substitute(mapping)
+    rvar = VarId("R")
+    return p.rename({v: rvar for v in p.variables() if v.kind == "R" and v.label is not None})
 
 
-def specialize_dimer(g: RibbonGraph, memo: Optional[dict] = None) -> MultiPoly:
+def specialize_dimer(g: RibbonGraph) -> MultiPoly:
     """x=1, y=z=0 with the delta-at-one weight: the perfect-matching sum in w."""
-    p = q_by_reduction(g, RSequenceSpec.delta_one(), memo=memo).poly
+    p = q_by_reduction(g, RSequenceSpec.delta_one()).poly
     return _sub_per_edge(g, p, x=1, y=0, z=0)
 
 
-def specialize_ising(g: RibbonGraph, memo: Optional[dict] = None) -> MultiPoly:
+def specialize_ising(g: RibbonGraph) -> MultiPoly:
     """y=z=0 with even-degree weight 2: the even-subgraph (Ising) sum in x, w."""
-    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero(), memo=memo).poly
+    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero()).poly
     return _sub_per_edge(g, p, y=0, z=0)

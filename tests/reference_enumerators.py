@@ -1,0 +1,89 @@
+"""Brute-force reference enumerators shared by several test modules.
+
+Each walks every edge subset with nothing but vertex walks, spanning
+subgraphs and face counts, so the engines under test can be compared with a
+route that does not share their code.  Not a test module: pytest does not
+collect it.
+"""
+
+from rgp.maps import face_count, face_sets, vertices_of
+from rgp.ops import spanning_subgraph
+from rgp.poly import MultiPoly
+
+
+def _edge_ends(g):
+    """Vertex indices of each edge's two endpoints."""
+    idx = {}
+    for i, v in enumerate(vertices_of(g)):
+        for c in v.crosses:
+            idx[c] = i
+    ends = {}
+    for lab, orb in g.edge_labels.items():
+        x = min(orb)
+        ends[lab] = (idx[x], idx[g.map.sigma1(x)])
+    return len(vertices_of(g)), ends
+
+
+def spanning_tree_cotree_sum(g) -> MultiPoly:
+    """Sum over spanning trees T of the product of a_e over the edges not in T."""
+    nv, ends = _edge_ends(g)
+    edges = g.sorted_edges()
+    total = MultiPoly.zero()
+    for mask in range(1 << len(edges)):
+        keep = [edges[i] for i in range(len(edges)) if mask >> i & 1]
+        if len(keep) != nv - 1:
+            continue
+        parent = list(range(nv))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        cycle_free = True
+        for lab in keep:
+            u, w = find(ends[lab][0]), find(ends[lab][1])
+            if u == w:
+                cycle_free = False
+                break
+            parent[u] = w
+        if not cycle_free or len({find(v) for v in range(nv)}) != 1:
+            continue
+        term = MultiPoly.one()
+        for lab in edges:
+            if lab not in keep:
+                term = term * MultiPoly.variable("ALPHA", lab)
+        total = total + term
+    return total
+
+
+def quasi_tree_sets(g):
+    """The edge sets of the one-face spanning subgraphs."""
+    labs = g.sorted_edges()
+    out = set()
+    for mask in range(1 << len(labs)):
+        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
+        if face_count(spanning_subgraph(g, keep)) == 1:
+            out.add(frozenset(keep))
+    return out
+
+
+def two_boundary_sets(gh, stub, leaf):
+    """The edge sets of the two-face spanning subgraphs that put the flags
+    `stub` and `leaf` on different faces."""
+    labs = gh.sorted_edges()
+    out = set()
+    for mask in range(1 << len(labs)):
+        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
+        sub = spanning_subgraph(gh, keep)
+        if face_count(sub) != 2:
+            continue
+        faces = face_sets(sub)
+        where = {}
+        for name in (stub, leaf):
+            orb = sub.flag_labels[name]
+            where[name] = next((i for i, fs in enumerate(faces) if orb <= fs), -1)
+        if -1 not in where.values() and where[stub] != where[leaf]:
+            out.add(frozenset(keep))
+    return out

@@ -53,7 +53,7 @@ from rgp.hyperbolic import (
     symanzik_dual_check,
     symanzik_u,
 )
-from rgp.maps import face_count, isomorphic, structure_report, vertices_of
+from rgp.maps import isomorphic, structure_report
 from rgp.ops import (
     ClassCounts,
     class_counts,
@@ -62,7 +62,6 @@ from rgp.ops import (
     delete_flag,
     natural_dual,
     partial_dual,
-    spanning_subgraph,
 )
 from rgp.poly import KINDS, MultiPoly, parse
 from rgp.qpoly import (
@@ -71,6 +70,9 @@ from rgp.qpoly import (
     q_by_reduction,
     q_partial_dual_transform,
 )
+
+from reference_enumerators import (quasi_tree_sets, spanning_tree_cotree_sum,
+                                   two_boundary_sets)
 
 
 def T(lab) -> MultiPoly:
@@ -494,52 +496,6 @@ def test_6_critical_factorization(acceptance_report):
 # 7. heat-kernel and commutative limits
 # ---------------------------------------------------------------------------
 
-def _edge_ends(g):
-    """Vertex indices of each edge's two endpoints."""
-    idx = {}
-    for i, v in enumerate(vertices_of(g)):
-        for c in v.crosses:
-            idx[c] = i
-    ends = {}
-    for lab, orb in g.edge_labels.items():
-        x = min(orb)
-        ends[lab] = (idx[x], idx[g.map.sigma1(x)])
-    return len(vertices_of(g)), ends
-
-
-def _spanning_tree_cotree_sum(g) -> MultiPoly:
-    nv, ends = _edge_ends(g)
-    edges = sorted(g.edge_labels, key=str)
-    total = MultiPoly.zero()
-    for mask in range(1 << len(edges)):
-        keep = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        if len(keep) != nv - 1:
-            continue
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        cycle_free = True
-        for lab in keep:
-            u, w = find(ends[lab][0]), find(ends[lab][1])
-            if u == w:
-                cycle_free = False
-                break
-            parent[u] = w
-        if not cycle_free or len({find(v) for v in range(nv)}) != 1:
-            continue
-        term = MultiPoly.one()
-        for lab in edges:
-            if lab not in keep:
-                term = term * A(lab)
-        total = total + term
-    return total
-
-
 def test_7_limits(acceptance_report):
     t0 = time.monotonic()
 
@@ -576,7 +532,7 @@ def test_7_limits(acceptance_report):
         if structure_report(g).k != 1:
             continue
         assert (symanzik_commutative_limit(symanzik_u(g))
-                == _spanning_tree_cotree_sum(g)), name
+                == spanning_tree_cotree_sum(g)), name
         n_trees += 1
     _finish(acceptance_report, 7, t0, 30.0, True,
             "4 printed heat-kernel polynomials + banana/dumbbell limits "
@@ -617,35 +573,6 @@ def test_8_class_counts(acceptance_report):
 # ---------------------------------------------------------------------------
 # 9. property suites
 # ---------------------------------------------------------------------------
-
-def _quasi_tree_sets(g):
-    labs = g.sorted_edges()
-    out = set()
-    for mask in range(1 << len(labs)):
-        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
-        if face_count(spanning_subgraph(g, keep)) == 1:
-            out.add(frozenset(keep))
-    return out
-
-
-def _two_boundary_sets(gh, stub, leaf):
-    from rgp.maps import face_sets
-    labs = gh.sorted_edges()
-    out = set()
-    for mask in range(1 << len(labs)):
-        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
-        sub = spanning_subgraph(gh, keep)
-        if face_count(sub) != 2:
-            continue
-        faces = face_sets(sub)
-        where = {}
-        for name in (stub, leaf):
-            orb = sub.flag_labels[name]
-            where[name] = next((i for i, fs in enumerate(faces) if orb <= fs), -1)
-        if -1 not in where.values() and where[stub] != where[leaf]:
-            out.add(frozenset(keep))
-    return out
-
 
 def _random_poly(rng) -> MultiPoly:
     total = MultiPoly.const(rng.randint(-3, 3))
@@ -701,11 +628,11 @@ def test_9_property_suites(acceptance_report):
     for name, g in corpus.items():
         if g.flag_labels:
             continue
-        qt = _quasi_tree_sets(g)
+        qt = quasi_tree_sets(g)
         for e in g.sorted_edges():
             for end in (1, 2):
                 gh = half_edge_detached(g, e, end)
-                assert _two_boundary_sets(gh, f"{e}.stub", f"{e}.leaf") == qt, \
+                assert two_boundary_sets(gh, f"{e}.stub", f"{e}.leaf") == qt, \
                     (name, e, end)
                 n_bij += 1
 

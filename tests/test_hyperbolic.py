@@ -50,6 +50,8 @@ from rgp.maps import RotationSpec, from_rotation_system, structure_report
 from rgp.ops import cut, delete, delete_flag, disjoint_union, partial_dual
 from rgp.poly import MultiPoly, parse
 
+from reference_enumerators import spanning_tree_cotree_sum
+
 
 def T(lab) -> MultiPoly:
     return MultiPoly.variable("T", lab)
@@ -632,45 +634,10 @@ def test_symanzik_duality():
         assert symanzik_dual_check(g, subset)
 
 
-def _spanning_tree_cotree_sum(g) -> MultiPoly:
-    from rgp.qpoly import _incidences
-    flags_at, ends = _incidences(g)
-    nv = len(flags_at)
-    edges = sorted(g.edge_labels, key=str)
-    total = MultiPoly.zero()
-    for mask in range(1 << len(edges)):
-        keep = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        if len(keep) != nv - 1:
-            continue
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        cycle_free = True
-        for lab in keep:
-            u, w = find(ends[lab][0]), find(ends[lab][1])
-            if u == w:
-                cycle_free = False
-                break
-            parent[u] = w
-        if not cycle_free or len({find(v) for v in range(nv)}) != 1:
-            continue
-        term = MultiPoly.one()
-        for lab in edges:
-            if lab not in keep:
-                term = term * A(lab)
-        total = total + term
-    return total
-
-
 def test_symanzik_spanning_tree_limit():
     for g in (two_cycle(), banana(3), banana(3, planar=False), dumbbell(),
               triangle(), path_tree(3), double_tadpole()):
-        assert symanzik_commutative_limit(symanzik_u(g)) == _spanning_tree_cotree_sum(g)
+        assert symanzik_commutative_limit(symanzik_u(g)) == spanning_tree_cotree_sum(g)
 
 
 def test_hu_limit_errors():

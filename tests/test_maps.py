@@ -70,6 +70,60 @@ def test_shared_orbit_axiom_detected():
     assert any(v.axiom in ("A.3", "A.4") for v in bad)
 
 
+def test_one_vertex_with_many_loops_validates():
+    items = tuple(f"h{i}" for i in range(400))
+    g = from_rotation_system(RotationSpec(
+        vertices=(("v", items),),
+        edges=tuple((f"e{i}", f"h{2 * i}", f"h{2 * i + 1}", 0) for i in range(200))))
+    assert len(g.map.crosses) == 800
+    assert validate_map(g.map) == []
+
+
+def _a4_test_map(rng, n_pairs):
+    """Crosses 0..2n-1 with theta pairing 2i, 2i+1, a sigma1 that commutes
+    with theta, and sigma0-cycles that are either self-conjugate (breaking
+    A.4) or come as a conjugate pair, so A.1-A.3 hold."""
+    def th(x):
+        return x ^ 1
+
+    pairs = list(range(n_pairs))
+    rng.shuffle(pairs)
+    cycles = []
+    while pairs:
+        k = rng.randint(1, min(3, len(pairs)))
+        xs = [2 * i + rng.randint(0, 1) for i in pairs[:k]]
+        pairs = pairs[k:]
+        back = tuple(th(x) for x in reversed(xs))
+        if rng.random() < 0.5:
+            cycles.append(tuple(xs) + back)
+        else:
+            cycles += [tuple(xs), back]
+    dom = range(2 * n_pairs)
+    s1 = []
+    order = list(range(n_pairs))
+    rng.shuffle(order)
+    for i, j in zip(order[0::2], order[1::2]):
+        b = rng.randint(0, 1)
+        s1 += [(2 * i, 2 * j + b), (2 * i + 1, 2 * j + 1 - b)]
+    return CombinatorialMap(frozenset(dom), perm(dom, cycles),
+                            perm(dom, [(2 * i, 2 * i + 1) for i in range(n_pairs)]),
+                            perm(dom, s1))
+
+
+def test_shared_orbit_witnesses_match_per_cross_orbits():
+    rng = random.Random(41)
+    broken = 0
+    for _ in range(60):
+        m = _a4_test_map(rng, rng.randint(1, 12))
+        bad = validate_map(m)
+        assert all(v.axiom == "A.4" for v in bad)
+        expected = [(x, m.theta(x)) for x in sorted(m.crosses)
+                    if x in set(m.sigma0.orbit(m.theta(x)))]
+        assert [v.witnesses for v in bad] == expected
+        broken += bool(expected)
+    assert broken > 20
+
+
 def test_domain_mismatch_detected():
     m = CombinatorialMap(frozenset(range(4)),
                          Permutation.identity(range(4)),

@@ -15,6 +15,8 @@ from rgp.ops import (ClassCounts, class_counts, contract, cut, delete,
 from rgp.poly import MultiPoly, VarId
 from rgp.qpoly import RSequenceSpec, q_by_reduction
 
+from reference_enumerators import quasi_tree_sets, two_boundary_sets
+
 
 @pytest.fixture(scope="module")
 def fig2():
@@ -337,40 +339,15 @@ def test_colored_invariance_under_single_edge_duality():
         assert (d.cev, d.coddf, d.cevf) == (c.cev, c.coddf, c.cevf)
 
 
-def _quasi_tree_sets(g):
-    labs = g.sorted_edges()
-    out = set()
-    for mask in range(1 << len(labs)):
-        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
-        if face_count(spanning_subgraph(g, keep)) == 1:
-            out.add(frozenset(keep))
-    return out
-
-
-def _two_boundary_sets(gh, stub, leaf):
-    from rgp.corpus import _flag_faces
-    labs = gh.sorted_edges()
-    out = set()
-    for mask in range(1 << len(labs)):
-        keep = [lab for i, lab in enumerate(labs) if mask >> i & 1]
-        sub = spanning_subgraph(gh, keep)
-        if face_count(sub) != 2:
-            continue
-        ff = _flag_faces(sub)
-        if -1 not in (ff[stub], ff[leaf]) and ff[stub] != ff[leaf]:
-            out.add(frozenset(keep))
-    return out
-
-
 def test_half_edge_detached_structure_and_quasi_tree_sets():
     for g in (corpus.dumbbell(), corpus.two_cycle(), corpus.banana(3, planar=False)):
-        qt = _quasi_tree_sets(g)
+        qt = quasi_tree_sets(g)
         for e in g.sorted_edges():
             for end in (1, 2):
                 gh = corpus.half_edge_detached(g, e, end)
                 rep, rep0 = structure_report(gh), structure_report(g)
                 assert (rep.v, rep.e, rep.f) == (rep0.v + 1, rep0.e, 2)
-                assert _two_boundary_sets(gh, f"{e}.stub", f"{e}.leaf") == qt
+                assert two_boundary_sets(gh, f"{e}.stub", f"{e}.leaf") == qt
 
 
 def test_half_edge_detached_rejects_bad_input():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgp.poly import KINDS, MultiPoly, VarId, parse, substitute, to_string_canonical
-from rgp.errors import MissingVariable, ParseError
+from rgp.poly import KINDS, MultiPoly, VarId, parse, to_string_canonical
+from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
 
 def V(kind, label=None, exp=1):
@@ -15,11 +15,12 @@ def V(kind, label=None, exp=1):
 
 # --- hypothesis strategy: small random polynomials ------------------------
 
-_vars = st.sampled_from([
+_VAR_LIST = [
     VarId("X", "e1"), VarId("X", "e2"), VarId("Y", "e1"), VarId("Z", "e2"),
     VarId("W", "e1"), VarId("T", "e1"), VarId("OMEGA", "e2"),
     VarId("ALPHA", "e3"), VarId("BETA"), VarId("R", 0), VarId("R", 3),
-])
+]
+_vars = st.sampled_from(_VAR_LIST)
 
 
 @st.composite
@@ -69,6 +70,54 @@ def test_eval_is_homomorphism(a, b):
         sorted(a.variables() | b.variables(), key=lambda v: v.sort_key()))}
     assert (a * b).eval_rational(point) == a.eval_rational(point) * b.eval_rational(point)
     assert (a + b).eval_rational(point) == a.eval_rational(point) + b.eval_rational(point)
+
+
+# --- the monomial boundary: monomials / from_monomials / rename -------------
+
+def _as_substitution(mapping):
+    return {v: MultiPoly.variable(w.kind, w.label) for v, w in mapping.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys())
+def test_monomials_round_trip(p):
+    assert MultiPoly.from_monomials(p.monomials()) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.permutations(_VAR_LIST))
+def test_rename_injective_matches_substitute(p, images):
+    mapping = dict(zip(_VAR_LIST, images))
+    assert p.rename(mapping) == p.substitute(_as_substitution(mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.dictionaries(_vars, _vars, max_size=6))
+def test_rename_merging_matches_substitute(p, mapping):
+    assert p.rename(mapping) == p.substitute(_as_substitution(mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), _vars, _vars)
+def test_swap_twice_is_identity(p, a, b):
+    swap = {a: b, b: a}
+    assert p.rename(swap).rename(swap) == p
+
+
+def test_rename_merges_and_uses_the_mapping_objects():
+    r = VarId("R")
+    p = V("R", 1) * V("R", 2, 3) + V("R", 4) ** 4 + V("X", "e1")
+    q = p.rename({VarId("R", n): r for n in (1, 2, 4)})
+    assert q == MultiPoly.const(2) * V("R", exp=4) + V("X", "e1")
+    assert all(v is r for v in q.variables() if v.kind == "R")
+
+
+def test_from_monomials_merges_and_rejects_negative_exponents():
+    x = VarId("X", "e1")
+    assert MultiPoly.from_monomials([({x: 1}, 2), ({x: 1, VarId("BETA"): 0}, 3),
+                                     ({}, 0)]) == MultiPoly.const(5) * V("X", "e1")
+    with pytest.raises(InvalidArgument):
+        MultiPoly.from_monomials([({x: -1}, 1)])
 
 
 # --- pinned formatting ------------------------------------------------------
