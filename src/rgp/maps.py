@@ -366,6 +366,7 @@ def component_count(g: RibbonGraph) -> int:
 
 def cross_components(g: RibbonGraph) -> list[frozenset]:
     m = g.map
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
     seen: set[int] = set()
     comps = []
     for x in sorted(m.crosses):
@@ -375,7 +376,7 @@ def cross_components(g: RibbonGraph) -> list[frozenset]:
         stack = [x]
         while stack:
             y = stack.pop()
-            for img in (m.sigma0(y), m.theta(y), m.sigma1(y)):
+            for img in (s0[y], th[y], s1[y]):
                 if img not in comp:
                     comp.add(img)
                     stack.append(img)
@@ -562,43 +563,55 @@ class CanonicalForm(NamedTuple):
     flag_slots: dict
 
 
-def _bfs_serial(m: CombinatorialMap, comp: frozenset, start: int):
+def _bfs_serial(m: CombinatorialMap, start: int, best: Optional[tuple]):
+    """The BFS relabeling from `start` and its serialisation of (sigma0,
+    theta, sigma1), one row per cross in visiting order, or None if the
+    serial is not smaller than `best`.  A row is final once its cross is
+    visited, so the walk stops at the first row above `best`'s."""
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
     relabel = {start: 0}
     seq = [start]
-    head = 0
-    while head < len(seq):
-        x = seq[head]
-        head += 1
-        for img in (m.sigma0(x), m.theta(x), m.sigma1(x)):
+    rows = []
+    smaller = best is None
+    for x in seq:
+        a, b, c = s0[x], th[x], s1[x]
+        for img in (a, b, c):
             if img not in relabel:
                 relabel[img] = len(seq)
                 seq.append(img)
-    serial = tuple((relabel[m.sigma0(x)], relabel[m.theta(x)], relabel[m.sigma1(x)])
-                   for x in seq)
-    return serial, relabel
+        row = (relabel[a], relabel[b], relabel[c])
+        if not smaller:
+            other = best[len(rows)]
+            if row > other:
+                return None
+            smaller = row < other
+        rows.append(row)
+    if not smaller:
+        return None
+    return tuple(rows), relabel
 
 
 def canonical_form(g: RibbonGraph) -> CanonicalForm:
     """Label-independent canonical key plus the induced edge/flag slot maps.
 
     Per component, the serialisation of (sigma0, theta, sigma1) is minimised
-    over BFS relabelings from every start cross; components are then sorted by
-    their serialisations and concatenated (plus the bare-vertex count).  Two
-    graphs get equal keys iff they are isomorphic as labelled-forgetting maps.
-    The slot maps number edges/flags by first appearance in the winning
-    relabeling, blockwise in component order, so a memoised polynomial can be
-    transported along any isomorphism.
+    over BFS relabelings from every start cross (a start is abandoned at the
+    first row above the best serial so far; on a tie the earlier start wins);
+    components are then sorted by their serialisations and concatenated (plus
+    the bare-vertex count).  Two graphs get equal keys iff they are isomorphic
+    as labelled-forgetting maps.  The slot maps number edges/flags by first
+    appearance in the winning relabeling, blockwise in component order, so a
+    memoised polynomial can be transported along any isomorphism.
     """
     m = g.map
     comps = cross_components(g)
     entries = []
     for comp in comps:
-        best = None
-        best_relabel = None
+        best = best_relabel = None
         for start in sorted(comp):
-            serial, relabel = _bfs_serial(m, comp, start)
-            if best is None or serial < best:
-                best, best_relabel = serial, relabel
+            found = _bfs_serial(m, start, best)
+            if found is not None:
+                best, best_relabel = found
         entries.append((best, min(comp), best_relabel))
     entries.sort(key=lambda t: (t[0], t[1]))
 

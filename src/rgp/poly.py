@@ -19,6 +19,7 @@ through fractions.Fraction.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -70,21 +71,51 @@ Monomial = tuple
 _ONE_MONO: Monomial = ()
 
 
+# VarId.sort_key, computed once per variable.  The key is injective on
+# str | int | None labels, so comparing keys orders variables exactly as
+# comparing sort_key() does.
+_var_key = functools.lru_cache(maxsize=1 << 12)(VarId.sort_key)
+
+
 def _mono(exps: Mapping[VarId, int]) -> Monomial:
     """The monomial of {variable: exponent}, zero exponents dropped.  The one
     place the monomial sort rule is written."""
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: p[0].sort_key()))
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0])))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials: a merge of their sorted variables."""
     if not a:
         return b
     if not b:
         return a
-    exps: dict[VarId, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _mono(exps)
+    out = []
+    i = j = 0
+    ka, kb = _var_key(a[0][0]), _var_key(b[0][0])
+    while True:
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+            if i == len(a):
+                break
+            ka = _var_key(a[i][0])
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+            if j == len(b):
+                break
+            kb = _var_key(b[j][0])
+        else:
+            v, e = a[i]
+            out.append((v, e + b[j][1]))
+            i += 1
+            j += 1
+            if i == len(a) or j == len(b):
+                break
+            ka, kb = _var_key(a[i][0]), _var_key(b[j][0])
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -94,7 +125,7 @@ def _mono_degree(m: Monomial) -> int:
 def _mono_order_key(m: Monomial):
     # Graded order, highest total degree first; ties broken by the variable
     # sequence (earlier kinds/labels first, higher exponents first).
-    return (-_mono_degree(m), tuple((v.sort_key(), -e) for v, e in m))
+    return (-_mono_degree(m), tuple((_var_key(v), -e) for v, e in m))
 
 
 class MultiPoly:
@@ -251,7 +282,7 @@ class MultiPoly:
         variables pass through."""
         norm = {v: (p if isinstance(p, MultiPoly) else MultiPoly.const(p))
                 for v, p in mapping.items()}
-        total = MultiPoly.zero()
+        terms: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             term = MultiPoly.const(c)
             passthrough: list = []
@@ -262,8 +293,9 @@ class MultiPoly:
                     passthrough.append((v, e))
             if passthrough:
                 term = term * MultiPoly({tuple(passthrough): 1})
-            total = total + term
-        return total
+            for mono, k in term.terms.items():
+                terms[mono] = terms.get(mono, 0) + k
+        return MultiPoly(terms)
 
     def eval_rational(self, assignment: Mapping[VarId, "Fraction | int"]) -> Fraction:
         total = Fraction(0)

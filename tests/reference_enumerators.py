@@ -2,11 +2,13 @@
 
 Each walks every edge subset with nothing but vertex walks, spanning
 subgraphs and face counts, so the engines under test can be compared with a
-route that does not share their code.  Not a test module: pytest does not
-collect it.
+route that does not share their code.  `exhaustive_canonical_form` runs the
+canonical-form BFS to the end from every start cross, with no pruning.  Not a
+test module: pytest does not collect it.
 """
 
-from rgp.maps import face_count, face_sets, vertices_of
+from rgp.maps import (CanonicalForm, cross_components, face_count, face_sets,
+                      vertices_of)
 from rgp.ops import spanning_subgraph
 from rgp.poly import MultiPoly
 
@@ -87,3 +89,38 @@ def two_boundary_sets(gh, stub, leaf):
         if -1 not in where.values() and where[stub] != where[leaf]:
             out.add(frozenset(keep))
     return out
+
+
+def exhaustive_canonical_form(g) -> CanonicalForm:
+    """`canonical_form` with a full BFS serial from every start cross."""
+    m = g.map
+    entries = []
+    for comp in cross_components(g):
+        best = best_relabel = None
+        for start in sorted(comp):
+            relabel = {start: 0}
+            seq = [start]
+            for x in seq:
+                for img in (m.sigma0(x), m.theta(x), m.sigma1(x)):
+                    if img not in relabel:
+                        relabel[img] = len(seq)
+                        seq.append(img)
+            serial = tuple((relabel[m.sigma0(x)], relabel[m.theta(x)], relabel[m.sigma1(x)])
+                           for x in seq)
+            if best is None or serial < best:
+                best, best_relabel = serial, relabel
+        entries.append((best, min(comp), best_relabel))
+    entries.sort(key=lambda t: (t[0], t[1]))
+
+    edge_slots: dict = {}
+    flag_slots: dict = {}
+    for _serial, _, relabel in entries:
+        dom = set(relabel)
+        for labels, slots in ((g.edge_labels, edge_slots), (g.flag_labels, flag_slots)):
+            local = [lab for lab, orb in labels.items() if orb <= dom]
+            local.sort(key=lambda lab: min(relabel[c] for c in labels[lab]))
+            for lab in local:
+                slots[lab] = len(slots)
+
+    payload = (g.bare_vertices, tuple(e[0] for e in entries))
+    return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from reference_enumerators import exhaustive_canonical_form
 from rgp import corpus
 from rgp.errors import DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence
 from rgp.maps import (CombinatorialMap, Permutation, RotationSpec,
-                      boundary_components, canonical_form, face_count,
-                      from_rotation_system, isomorphic, make_graph,
+                      boundary_components, canonical_form, component_count,
+                      face_count, from_rotation_system, isomorphic, make_graph,
                       orientation_selection, relabel_crosses,
                       structure_report, validate_map, vertices_of)
+from rgp.ops import delete, partial_dual
 
 
 def perm(domain, cycles):
@@ -264,6 +266,40 @@ def test_canonical_form_relabel_invariance():
         for _ in range(25):
             h = relabel_crosses(g, _random_bijection(rng, g.map.crosses))
             assert canonical_form(h).key == key
+
+
+def _canonical_sweep():
+    """The corpus, 240 seeded random maps, and a partial dual and a
+    one-edge deletion of each random map that has edges."""
+    rng = random.Random(4)
+    randoms = [corpus.random_rotation_graph(rng, max_edges=6, max_flags=4)
+               for _ in range(240)]
+    derived = []
+    for g in randoms:
+        edges = g.sorted_edges()
+        if edges:
+            derived.append(partial_dual(g, [e for e in edges if rng.random() < 0.5]))
+            derived.append(delete(g, rng.choice(edges)))
+    return list(corpus.acceptance_corpus().values()) + randoms + derived
+
+
+def test_canonical_form_matches_exhaustive():
+    graphs = _canonical_sweep()
+    assert any(component_count(g) > 1 for g in graphs)
+    assert any(g.flag_labels for g in graphs)
+    assert not all(structure_report(g).orientable for g in graphs)
+    for g in graphs:
+        got, want = canonical_form(g), exhaustive_canonical_form(g)
+        assert got.key == want.key
+        assert list(got.edge_slots.items()) == list(want.edge_slots.items())
+        assert list(got.flag_slots.items()) == list(want.flag_slots.items())
+
+
+def test_canonical_key_survives_random_relabelling():
+    rng = random.Random(21)
+    for g in _canonical_sweep():
+        h = relabel_crosses(g, _random_bijection(rng, g.map.crosses))
+        assert canonical_form(h).key == canonical_form(g).key
 
 
 def test_canonical_form_distinguishes_twist():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgp.poly import KINDS, MultiPoly, VarId, parse, to_string_canonical
+from rgp.poly import (KINDS, MultiPoly, VarId, _mono, _mono_mul, parse,
+                      to_string_canonical)
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
 
@@ -118,6 +119,58 @@ def test_from_monomials_merges_and_rejects_negative_exponents():
                                      ({}, 0)]) == MultiPoly.const(5) * V("X", "e1")
     with pytest.raises(InvalidArgument):
         MultiPoly.from_monomials([({x: -1}, 1)])
+
+
+# --- substitute, the monomial product and the term order ---------------------
+
+def _substitute_by_sum(p, mapping):
+    """Substitution one term at a time, summed with `+`."""
+    total = MultiPoly.zero()
+    for exps, c in p.monomials():
+        term = MultiPoly.const(c)
+        for v, e in exps.items():
+            term = term * (mapping[v] ** e if v in mapping else V(v.kind, v.label, e))
+        total = total + term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), st.dictionaries(_vars, polys(), max_size=6))
+def test_substitute_matches_term_by_term_sum(p, mapping):
+    got = p.substitute(mapping)
+    assert got == _substitute_by_sum(p, mapping)
+    assert 0 not in got.terms.values()
+
+
+def test_substitute_cancelling_images_leave_no_zero_terms():
+    x, y = VarId("X", "e1"), VarId("Y", "e1")
+    p = V("X", "e1") * V("T", "e2") + V("Y", "e1") * V("T", "e2") + V("BETA")
+    got = p.substitute({x: V("OMEGA", "e2"), y: -V("OMEGA", "e2")})
+    assert got.terms == {((VarId("BETA"), 1),): 1}
+    assert p.substitute({x: 1, y: -1, VarId("BETA"): 0}).terms == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), polys())
+def test_mono_mul_matches_dict_route(a, b):
+    for ma in a.terms:
+        for mb in b.terms:
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            assert _mono_mul(ma, mb) == _mono(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys())
+def test_sorted_terms_match_sort_key_order(p):
+    def order(term):
+        m = term[0]
+        return (-sum(e for _, e in m), tuple((v.sort_key(), -e) for v, e in m))
+
+    assert p.sorted_terms() == sorted(p.terms.items(), key=order)
+    for m in p.terms:
+        assert [v.sort_key() for v, _ in m] == sorted(v.sort_key() for v, _ in m)
 
 
 # --- pinned formatting ------------------------------------------------------
