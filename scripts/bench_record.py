@@ -95,7 +95,7 @@ def summary(values: list, unit: str) -> dict:
     median = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"unit": unit, "median": median,
-            "spread": (q3 - q1) / median if median else 0.0, "runs": values}
+            "spread": (q3 - q1) / abs(median) if median else 0.0, "runs": values}
 
 
 def record(args) -> dict:
