@@ -1,11 +1,11 @@
 """Record perfbench figures for two revisions in one BENCH_<n>.json file.
 
     python3 scripts/bench_record.py --base HEAD~1 --out BENCH_15.json
-    python3 scripts/bench_record.py --base v1 --head v2 --seeds 1 2 3 --seconds 25
+    python3 scripts/bench_record.py --base v1 --head v2 --out BENCH_16.json
 
-Each revision is exported with `git archive` into a scratch directory, and the
-benchmark command of BENCHMARK.json runs there once per workload, seed and
-trace mode: `--trace 0` gives the end-to-end metrics, `--trace 1` the
+Each revision is exported with `git archive` into a temporary directory, and
+the benchmark command of BENCHMARK.json runs there for its `run_seconds` once
+per workload, seed (1, 2 and 3) and trace mode: `--trace 0` gives the end-to-end metrics, `--trace 1` the
 per-layer ones.  Base and head runs alternate, so drift of the host hits both
 alike.  The file holds, per revision and workload, the median and the spread
 (interquartile range / median) of every metric over the seeds, each run's
@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 
 
 class Refused(Exception):
@@ -106,15 +107,15 @@ def record(args) -> dict:
     workloads = [w["name"] for w in spec["workloads"]]
     shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     runs: dict = {side: {w: {} for w in workloads} for side in shas}
-    scratch = Path(tempfile.mkdtemp(prefix="bench_record-", dir=args.workdir))
+    scratch = Path(tempfile.mkdtemp(prefix="bench_record-"))
     try:
         checkouts = {side: export(sha, scratch / side) for side, sha in shas.items()}
-        for seed in args.seeds:
+        for seed in SEEDS:
             for workload in workloads:
                 for trace in (0, 1):
                     for side, checkout in checkouts.items():
                         got = run_once(checkout, spec["command"], workload, seed,
-                                       args.seconds, trace, wanted[trace])
+                                       spec["run_seconds"], trace, wanted[trace])
                         print(f"{side} {workload} seed {seed} trace {trace}: "
                               + (f"wall_s {got['wall_s']:.2f}" if trace == 0 else "ok"),
                               file=sys.stderr, flush=True)
@@ -124,8 +125,8 @@ def record(args) -> dict:
         shutil.rmtree(scratch, ignore_errors=True)
     return {
         "benchmark": spec["command"],
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "seconds": spec["run_seconds"],
         "spread": "interquartile range / median over the seeds",
         "machine": machine(),
         "revisions": {
@@ -141,13 +142,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision measured as 'before'")
     parser.add_argument("--head", default="HEAD", help="revision measured as 'after'")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workdir", help="where the checkouts go (default: system temp)")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if len(args.seeds) < 3:
-        parser.error("give at least three seeds")
     try:
         result = record(args)
     except Refused as ex:
