@@ -397,7 +397,7 @@ def _cmd_specialize(args) -> int:
 
 def _cmd_counts(args) -> int:
     g = read_graph_file(args.input)
-    counts = class_counts(g, max_size=args.max_size)
+    counts = class_counts(g)
     fields = [(name, getattr(counts, name))
               for name in ("odd", "even", "codd", "cev",
                            "oddf", "evf", "coddf", "cevf")]
@@ -476,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="br: one-variable Bollobas-Riordan slice; dimer: "
                          "perfect-matching generator; ising: high-temperature "
                          "edge weights")
-    cp = add("counts", _cmd_counts, "spanning/cutting subgraph class counts")
-    cp.add_argument("--max-size", type=int, default=24,
-                    help="guard on 2e+f for the exhaustive enumeration")
+    add("counts", _cmd_counts, "spanning/cutting subgraph class counts")
 
     return parser
 

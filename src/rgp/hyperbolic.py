@@ -14,12 +14,12 @@ independent computation routes, all cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (HasFlags, NotACycle, NotATree, NotConnected, NotOrientable,
                      SelfCheckFailed, UnknownMethod)
 from .maps import (
     RibbonGraph,
+    _UnionFind,
     _incidences,
     _subset_degrees,
     face_count,
@@ -84,20 +84,6 @@ def hu_partial_dual_transform(p: MultiPoly, edges) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # closed forms: trees and cycles
 # ---------------------------------------------------------------------------
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        self.parent[self.find(x)] = self.find(y)
-
 
 def _parity_split(factors) -> tuple[MultiPoly, MultiPoly]:
     """(even, odd) parts of the product of the (fe + fo) factors: the sums,
@@ -381,18 +367,17 @@ def symanzik_u(g: RibbonGraph) -> MultiPoly:
         raise NotConnected(f"{rep.k} components")
     edges = g.sorted_edges()
     ne = len(edges)
-    beta = MultiPoly.variable("BETA")
-    total = MultiPoly.zero()
+    beta = VarId("BETA")
+    alphas = [VarId("ALPHA", lab) for lab in edges]
+    terms = []
     for amask in range(1 << ne):
         keep = [edges[i] for i in range(ne) if amask >> i & 1]
         if face_count(spanning_subgraph(g, keep)) != 1:
             continue
-        term = beta ** (len(keep) - rep.v + 1)
-        for i, lab in enumerate(edges):
-            if not amask >> i & 1:
-                term = term * MultiPoly.variable("ALPHA", lab)
-        total = total + term
-    return total
+        mono = {a: 1 for i, a in enumerate(alphas) if not amask >> i & 1}
+        mono[beta] = len(keep) - rep.v + 1
+        terms.append((mono, 1))
+    return MultiPoly.from_monomials(terms)
 
 
 def symanzik_dual_check(g: RibbonGraph, edges) -> bool:

@@ -23,7 +23,7 @@ vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence)
@@ -287,10 +287,6 @@ def _vertex_index(verts: list[Vertex]) -> dict:
     return {x: i for i, v in enumerate(verts) for x in v.crosses}
 
 
-def vertex_index_of_cross(g: RibbonGraph) -> dict:
-    return _vertex_index(vertices_of(g))
-
-
 def _incidences(g: RibbonGraph):
     """Flags per vertex and, per edge label, its two endpoint vertex indices
     (a loop repeats its vertex).  Bare vertices are not included.  On the
@@ -305,6 +301,22 @@ def _incidences(g: RibbonGraph):
         x = min(orb)
         ends[lab] = (v_of[x], v_of[g.map.sigma1(x)])
     return flags_at, ends
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1, with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int):
+        self.parent[self.find(x)] = self.find(y)
 
 
 def _subset_degrees(base: list, pairs: list):

@@ -16,13 +16,12 @@ degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
-from .errors import DuplicateId, TooLarge, UnknownEdge
+from .errors import DuplicateId, UnknownEdge
 from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
                    make_graph, orientation_selection, vertices_of,
-                   _dual_triple, _incidences, _subset_degrees)
+                   _UnionFind, _dual_triple, _incidences)
 
 
 # ---------------------------------------------------------------------------
@@ -179,57 +178,51 @@ class ClassCounts:
     cevf: int
 
 
-def class_counts(g: RibbonGraph, max_size: int = 24) -> ClassCounts:
-    """Brute-force counts of the odd/even spanning subgraph classes.
+def class_counts(g: RibbonGraph) -> ClassCounts:
+    """Closed-form counts of the odd/even spanning subgraph classes.
 
-    odd/even range over edge subsets with all flags kept; the 'f' variants
-    range over subsets of half-edge slots (flags still forced), with a vertex
-    degree = chosen slots + flags there.  Colored counts multiply by 2 per
-    vertex.  Guarded by 2e+f <= max_size.
+    odd/even count the edge subsets (all flags kept) that make every vertex
+    degree odd / even.  That is a linear system over GF(2) whose incidence
+    matrix has rank v - c (a loop adds 2 to its vertex, so it is a free
+    column): it has 2^(e - v + c) solutions when each component's right-hand
+    sides sum to 0, and none otherwise.  A bare vertex is never odd.
+
+    The 'f' variants range over subsets of half-edge slots (flags still
+    forced), with a vertex degree = chosen slots + flags there.  Each vertex
+    owns its slots, so they count per vertex: 2^(s-1) for s > 0 slots, else
+    1 or 0 as its flag parity fits.  Colored counts multiply by 2 per vertex.
     """
-    e, f = len(g.edge_labels), len(g.flag_labels)
-    if 2 * e + f > max_size:
-        raise TooLarge(f"2e+f = {2 * e + f} exceeds {max_size}")
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
-    order = g.sorted_edges()
+    uf = _UnionFind(nv)
+    slots = [0] * nv
+    for u, w in ends.values():
+        uf.union(u, w)
+        slots[u] += 1
+        slots[w] += 1
+    odd_sum: dict = {}    # per component: parity of sum(1 + flags)
+    even_sum: dict = {}   # per component: parity of sum(flags)
+    for v, nf in enumerate(flags_at):
+        root = uf.find(v)
+        odd_sum[root] = odd_sum.get(root, 0) ^ (1 + nf) % 2
+        even_sum[root] = even_sum.get(root, 0) ^ nf % 2
+    solutions = 1 << (len(ends) - nv + len(odd_sum))
     bare = g.bare_vertices
-    v_total = nv + bare
+    odd = solutions if bare == 0 and not any(odd_sum.values()) else 0
+    even = solutions if not any(even_sum.values()) else 0
 
-    odd = even = 0
-    for _mask, deg in _subset_degrees(flags_at, [ends[lab] for lab in order]):
-        if all(d % 2 for d in deg) and bare == 0:
-            odd += 1
-        if all(d % 2 == 0 for d in deg):
-            even += 1
+    oddf = evf = 1
+    for s, nf in zip(slots, flags_at):
+        if s:
+            oddf <<= s - 1
+            evf <<= s - 1
+        else:
+            oddf *= nf % 2
+            evf *= 1 - nf % 2
+    if bare:
+        oddf = 0
 
-    # half-edge slots: two per edge, each attached to one endpoint
-    slot_vertex = []
-    for lab in order:
-        u, w = ends[lab]
-        slot_vertex.append(u)
-        slot_vertex.append(w)
-    vmask = [0] * nv
-    for s, v in enumerate(slot_vertex):
-        vmask[v] |= 1 << s
-    oddf = evf = 0
-    for mask in range(1 << (2 * e)):
-        ok_odd = bare == 0
-        ok_even = True
-        for v in range(nv):
-            parity = (bin(mask & vmask[v]).count("1") + flags_at[v]) % 2
-            if parity == 0:
-                ok_odd = False
-            else:
-                ok_even = False
-            if not (ok_odd or ok_even):
-                break
-        if ok_odd:
-            oddf += 1
-        if ok_even:
-            evf += 1
-
-    color = 1 << v_total
+    color = 1 << (nv + bare)
     return ClassCounts(odd=odd, even=even, codd=odd * color, cev=even * color,
                        oddf=oddf, evf=evf, coddf=oddf * color, cevf=evf * color)
 

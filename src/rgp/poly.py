@@ -378,12 +378,6 @@ class MultiPoly:
         return MultiPoly.from_json_obj(obj)
 
 
-# --- module-level operation aliases (the functional API) ----------------------
-
-def to_string_canonical(a: MultiPoly) -> str:
-    return a.to_string()
-
-
 # --- parsing -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_.:\-]*)|(?P<op>[-+*^()]))")
@@ -409,7 +403,7 @@ def _name_to_var(name: str, pos: int) -> VarId:
 
 def parse(text: str) -> MultiPoly:
     """Parse the canonical textual form (sums of '*'-joined factors with '^'
-    powers).  Inverse of to_string_canonical on its image."""
+    powers).  Inverse of MultiPoly.to_string on its image."""
     tokens: list[tuple[str, str, int]] = []
     pos = 0
     while pos < len(text):

@@ -114,14 +114,15 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
     if ne > max_edges:
         raise TooLarge(f"{ne} edges exceeds the expansion guard {max_edges}")
 
-    total = MultiPoly.zero()
+    # the class of edge i is "XWYZ"[2 [i in A] + [i in B]]
+    edge_vars = [[VarId(kind, lab) for kind in "XWYZ"] for lab in edges]
+    terms = []
     admissible = 0
     for amask in range(1 << ne):
         A = [edges[i] for i in range(ne) if amask >> i & 1]
         h = partial_dual(g, A)
         flags_at, ends = _incidences(h)
         r0_bare = r.weight(0) ** h.bare_vertices
-        in_a = [bool(amask >> i & 1) for i in range(ne)]
         for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
             weight = r0_bare
             for n in deg:
@@ -131,15 +132,12 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
             if weight.is_zero():
                 continue
             admissible += 1
-            mono = MultiPoly.one()
-            for i, lab in enumerate(edges):
-                in_b = bool(bmask >> i & 1)
-                if in_a[i]:
-                    mono = mono * _edge_var("Z" if in_b else "Y", lab)
-                else:
-                    mono = mono * _edge_var("W" if in_b else "X", lab)
-            total = total + weight * mono
-    return QResult(total, "EXPANSION", admissible)
+            mono = {kinds[2 * (amask >> i & 1) + (bmask >> i & 1)]: 1
+                    for i, kinds in enumerate(edge_vars)}
+            for rexps, c in weight.monomials():
+                rexps.update(mono)
+                terms.append((rexps, c))
+    return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)
 
 
 # ---------------------------------------------------------------------------

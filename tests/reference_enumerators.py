@@ -1,15 +1,17 @@
 """Brute-force reference enumerators shared by several test modules.
 
-Each walks every edge subset with nothing but vertex walks, spanning
-subgraphs and face counts, so the engines under test can be compared with a
-route that does not share their code.  `exhaustive_canonical_form` runs the
-canonical-form BFS to the end from every start cross, with no pruning.  Not a
-test module: pytest does not collect it.
+The subset sums walk every edge subset with nothing but vertex walks,
+spanning subgraphs and face counts, so the engines under test can be
+compared with a route that does not share their code.
+`exhaustive_canonical_form` runs the canonical-form BFS to the end from every
+start cross, with no pruning.  `exhaustive_class_counts` walks every edge
+subset and every half-edge slot subset, where `class_counts` uses a closed
+form.  Not a test module: pytest does not collect it.
 """
 
-from rgp.maps import (CanonicalForm, cross_components, face_count, face_sets,
-                      vertices_of)
-from rgp.ops import spanning_subgraph
+from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
+                      cross_components, face_count, face_sets, vertices_of)
+from rgp.ops import ClassCounts, spanning_subgraph
 from rgp.poly import MultiPoly
 
 
@@ -124,3 +126,56 @@ def exhaustive_canonical_form(g) -> CanonicalForm:
 
     payload = (g.bare_vertices, tuple(e[0] for e in entries))
     return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+
+
+def exhaustive_class_counts(g) -> ClassCounts:
+    """Brute-force counts of the odd/even spanning subgraph classes.
+
+    odd/even range over edge subsets with all flags kept; the 'f' variants
+    range over subsets of half-edge slots (flags still forced), with a vertex
+    degree = chosen slots + flags there.  Colored counts multiply by 2 per
+    vertex.  Costs 2^e + 2^(2e) steps.
+    """
+    e = len(g.edge_labels)
+    flags_at, ends = _incidences(g)
+    nv = len(flags_at)
+    order = g.sorted_edges()
+    bare = g.bare_vertices
+    v_total = nv + bare
+
+    odd = even = 0
+    for _mask, deg in _subset_degrees(flags_at, [ends[lab] for lab in order]):
+        if all(d % 2 for d in deg) and bare == 0:
+            odd += 1
+        if all(d % 2 == 0 for d in deg):
+            even += 1
+
+    # half-edge slots: two per edge, each attached to one endpoint
+    slot_vertex = []
+    for lab in order:
+        u, w = ends[lab]
+        slot_vertex.append(u)
+        slot_vertex.append(w)
+    vmask = [0] * nv
+    for s, v in enumerate(slot_vertex):
+        vmask[v] |= 1 << s
+    oddf = evf = 0
+    for mask in range(1 << (2 * e)):
+        ok_odd = bare == 0
+        ok_even = True
+        for v in range(nv):
+            parity = (bin(mask & vmask[v]).count("1") + flags_at[v]) % 2
+            if parity == 0:
+                ok_odd = False
+            else:
+                ok_even = False
+            if not (ok_odd or ok_even):
+                break
+        if ok_odd:
+            oddf += 1
+        if ok_even:
+            evf += 1
+
+    color = 1 << v_total
+    return ClassCounts(odd=odd, even=even, codd=odd * color, cev=even * color,
+                       oddf=oddf, evf=evf, coddf=oddf * color, cevf=evf * color)

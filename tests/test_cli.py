@@ -102,13 +102,19 @@ def test_unknown_edge(capsys):
     assert code == 1 and err.startswith("E-EDGE")
 
 
-def test_size_guard(capsys):
+def test_size_guard(capsys, tmp_path):
     code, out, err = run(capsys, "hu", str(EXAMPLES / "dumbbell.rg"),
                          "--method", "expansion", "--max-edges", "1")
     assert code == 1 and err.startswith("E-SIZE")
-    code, out, err = run(capsys, "counts", str(EXAMPLES / "dumbbell.rg"),
-                         "--max-size", "2")
-    assert code == 1 and err.startswith("E-SIZE")
+    # counts is a closed form: no guard, even at 2e+f = 26
+    path = tmp_path / "banana13.rg"
+    path.write_text(format_graph_file(banana(13)))
+    code, out, err = run(capsys, "counts", "--format", "json", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"odd": 2 ** 12, "even": 2 ** 12,
+                               "codd": 2 ** 14, "cev": 2 ** 14,
+                               "oddf": 2 ** 24, "evf": 2 ** 24,
+                               "coddf": 2 ** 26, "cevf": 2 ** 26}
 
 
 def test_usage_errors(capsys):

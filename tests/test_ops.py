@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rgp import corpus
-from rgp.errors import TooLarge, UnknownEdge
+from rgp.errors import UnknownEdge
 from rgp.maps import (Permutation, RotationSpec, canonical_form, face_count,
                       from_rotation_system, isomorphic, structure_report,
                       vertices_of)
@@ -15,7 +15,8 @@ from rgp.ops import (ClassCounts, class_counts, contract, cut, delete,
 from rgp.poly import MultiPoly, VarId
 from rgp.qpoly import RSequenceSpec, q_by_reduction
 
-from reference_enumerators import quasi_tree_sets, two_boundary_sets
+from reference_enumerators import (exhaustive_class_counts, quasi_tree_sets,
+                                   two_boundary_sets)
 
 
 @pytest.fixture(scope="module")
@@ -264,38 +265,29 @@ def test_class_counts_bare_vertex():
     assert (c.codd, c.cev) == (0, 2)
 
 
-def _closed_form_counts(g):
-    """Per-vertex product formulas for the cutting classes."""
-    from rgp.maps import vertex_index_of_cross
-    v_of = vertex_index_of_cross(g)
-    nv = len(vertices_of(g))
-    halves = [0] * nv
-    flags = [0] * nv
-    for orb in g.edge_labels.values():
-        x = min(orb)
-        halves[v_of[x]] += 1
-        halves[v_of[g.map.sigma1(x)]] += 1
-    for orb in g.flag_labels.values():
-        flags[v_of[min(orb)]] += 1
-    oddf = evf = 1
-    for h, f in zip(halves, flags):
-        if h:
-            oddf *= 1 << (h - 1)
-            evf *= 1 << (h - 1)
-        else:
-            oddf *= f % 2
-            evf *= 1 - f % 2
-    oddf *= 0 if g.bare_vertices else 1
-    return oddf, evf
+def test_class_counts_match_exhaustive():
+    # the closed form against the 2^e edge and 2^(2e) slot enumerations
+    graphs = list(corpus.acceptance_corpus().values())
+    rng = random.Random(17)
+    graphs += [corpus.random_rotation_graph(rng, max_edges=6, max_flags=4)
+               for _ in range(300)]
+    kinds = set()
+    for g in graphs:
+        c, ref = class_counts(g), exhaustive_class_counts(g)
+        assert c == ref, to_rotation_spec(g)
+        rep = structure_report(g)
+        kinds.update(kind for kind, seen in (
+            ("bare", g.bare_vertices), ("disconnected", rep.k > 1),
+            ("flagged", g.flag_labels), ("non-orientable", not rep.orientable))
+            if seen)
+    assert kinds == {"bare", "disconnected", "flagged", "non-orientable"}
 
 
-def test_cutting_counts_match_closed_form():
-    rng = random.Random(71)
-    for _ in range(25):
-        g = corpus.random_rotation_graph(rng, max_edges=4, max_flags=3)
-        c = class_counts(g)
-        oddf, evf = _closed_form_counts(g)
-        assert (c.oddf, c.evf) == (oddf, evf)
+def test_class_counts_banana40():
+    c = class_counts(corpus.banana(40))
+    assert c.odd == c.even == 2 ** 39
+    assert c.oddf == c.evf == 2 ** 78
+    assert c.coddf == c.cevf == 2 ** 80
 
 
 def _at_a_empty(g, p):
@@ -321,12 +313,6 @@ def test_class_counts_match_reduction():
         assert _at_a_empty(g, even) == MultiPoly.const(c.cev)
         nonzero += (c.codd != 0) + (c.cev != 0)
     assert nonzero > 30
-
-
-def test_class_counts_guard():
-    g = corpus.random_rotation_graph(random.Random(1), max_edges=4, min_edges=4)
-    with pytest.raises(TooLarge):
-        class_counts(g, max_size=7)
 
 
 def test_colored_invariance_under_single_edge_duality():

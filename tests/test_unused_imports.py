@@ -1,0 +1,37 @@
+"""Every module-level import in the package is used or re-exported.
+
+A use is any name read in the module's code; names inside quoted
+annotations are not read, so import what an annotation needs unquoted.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rgp"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_no_unused_module_imports():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[path.name] = names
+    assert unused == {}
