@@ -1,5 +1,5 @@
-"""Operations on ribbon graphs: deletion, cut, duality, contraction, unions,
-and the odd/even spanning-class counts.
+"""Operations on ribbon graphs: deletion, cut, duality, contraction, unions and
+components, and the odd/even spanning-class counts.
 
 Edge and flag deletion induce the permutations on the surviving crosses;
 cutting an edge turns it into two flags (labelled <e>.1 and <e>.2).  Partial
@@ -7,6 +7,10 @@ duality is the one permutation surgery `maps._dual_triple`; the natural dual
 is the partial dual along every edge.  The surgery keeps every edge's four
 crosses and every flag's two crosses intact, so labels survive all of these
 operations.  Contraction is deletion after dualising the one edge.
+
+These surgeries, and the restriction to a union of components, build valid
+maps from valid ones, so they skip `maps.validate_map`; the test suite checks
+their outputs against it on the corpus and on random maps.
 
 Vertices that lose all their crosses (deleting a bridge end, a flag removal)
 are kept as bare isolated vertices — the polynomial layer weights them by
@@ -39,7 +43,8 @@ def _remove_crosses(g: RibbonGraph, removed: set, edges: dict, flags: dict) -> R
         g.map.theta.induced_on(kept),
         g.map.sigma1.induced_on(kept),
     )
-    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices + newly_bare)
+    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices + newly_bare,
+                      check=False)
 
 
 def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
@@ -75,7 +80,7 @@ def cut(g: RibbonGraph, e) -> RibbonGraph:
             lab += "'"
         flags[lab] = half
     edges = {lab: o for lab, o in g.edge_labels.items() if lab != e}
-    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices)
+    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices, check=False)
 
 
 def delete_flag(g: RibbonGraph, flag) -> RibbonGraph:
@@ -104,7 +109,7 @@ def partial_dual(g: RibbonGraph, edges: Iterable) -> RibbonGraph:
     """
     Ep = set().union(*(g.edge_crosses(lab) for lab in set(edges)))
     return make_graph(_dual_triple(g.map, Ep), dict(g.edge_labels), dict(g.flag_labels),
-                      bare_vertices=g.bare_vertices)
+                      bare_vertices=g.bare_vertices, check=False)
 
 
 def contract(g: RibbonGraph, e) -> RibbonGraph:
@@ -121,8 +126,22 @@ def spanning_subgraph(g: RibbonGraph, keep: Iterable) -> RibbonGraph:
 
 
 # ---------------------------------------------------------------------------
-# disjoint union
+# disjoint union and components
 # ---------------------------------------------------------------------------
+
+def restrict(g: RibbonGraph, crosses: frozenset) -> RibbonGraph:
+    """The part of the graph on `crosses`, a union of its cross components
+    (closed under sigma0, theta and sigma1), with no bare vertices."""
+    m = g.map
+    part = CombinatorialMap(
+        crosses,
+        *(Permutation({x: p.mapping[x] for x in crosses})
+          for p in (m.sigma0, m.theta, m.sigma1)),
+    )
+    edges = {lab: orb for lab, orb in g.edge_labels.items() if orb <= crosses}
+    flags = {lab: orb for lab, orb in g.flag_labels.items() if orb <= crosses}
+    return make_graph(part, edges, flags, check=False)
+
 
 def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
     """Put two graphs side by side.  Labels are kept when the two label sets

@@ -13,6 +13,12 @@ four-term edge reduction
 
 with memoisation keyed by the canonical form (so isomorphic intermediate
 graphs are computed once and transported along the label bijection).
+
+The weights r_n are per vertex, so Q of a disjoint union is the product of
+the Q of its parts.  The reduction splits every disconnected graph into its
+components, so the memo holds connected maps without bare vertices only, and
+a branch whose bare or edgeless vertices weigh zero (r_0 = 0 under the odd
+rule) is dropped before it is reduced.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import TooLarge, UnknownMethod
-from .maps import RibbonGraph, _incidences, _subset_degrees, canonical_form
-from .ops import cut, delete, partial_dual
+from .maps import (RibbonGraph, _incidences, _subset_degrees, canonical_form,
+                   cross_components)
+from .ops import cut, delete, partial_dual, restrict
 from .poly import MultiPoly, VarId
 
 
@@ -90,17 +97,6 @@ def _edge_var(kind: str, label) -> MultiPoly:
     return MultiPoly.variable(kind, label)
 
 
-def _terminal_weight(g: RibbonGraph, r: RSequenceSpec) -> MultiPoly:
-    """Product of r_(flag count) over all vertices of an edgeless graph."""
-    flags_at, _ = _incidences(g)
-    total = MultiPoly.one()
-    for n in flags_at:
-        total = total * r.weight(n)
-    for _ in range(g.bare_vertices):
-        total = total * r.weight(0)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # strategy 1: subset expansion
 # ---------------------------------------------------------------------------
@@ -158,6 +154,12 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     graph (default: smallest label).  Results are independent of the order;
     the memo (shareable across calls) stores polynomials over canonical edge
     slots and rebrands them through each caller's slot bijection.
+
+    A disconnected or edgeless graph, or one with bare vertices, is the
+    product of its components: bare vertices and edgeless components fold
+    into one scalar weight, and a zero factor returns zero at once.  So only
+    connected graphs with edges and no bare vertex reach the canonical form
+    and the memo.
     """
     r = r or RSequenceSpec.symbolic()
     if memo is None:
@@ -165,8 +167,32 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     rkey = r.key()
 
     def rec(h: RibbonGraph) -> MultiPoly:
-        if not h.edge_labels:
-            return _terminal_weight(h, r)
+        """Q as the product over the components.  A component without edges
+        is one vertex carrying only flags, so it and the bare vertices fold
+        into one scalar, r_(flag count) each.  A zero factor ends the branch."""
+        comps = cross_components(h)
+        if len(comps) == 1 and h.edge_labels and not h.bare_vertices:
+            return connected(h)
+        s1 = h.map.sigma1.mapping
+        scalar = r.weight(0) ** h.bare_vertices
+        live = []
+        for comp in comps:
+            if any(s1[x] != x for x in comp):
+                live.append(comp)
+            else:
+                scalar = scalar * r.weight(len(comp) // 2)
+        if scalar.is_zero():
+            return scalar
+        p = scalar
+        for comp in live:
+            p = p * connected(restrict(h, comp))
+            if p.is_zero():
+                break
+        return p
+
+    def connected(h: RibbonGraph) -> MultiPoly:
+        """The memoised four-term step on a connected graph with edges and no
+        bare vertex."""
         cf = canonical_form(h)
         hit = memo.get((cf.key, rkey))
         if hit is not None:

@@ -1,4 +1,4 @@
-"""Deletion, cut, duality, contraction, unions, class counts."""
+"""Deletion, cut, duality, contraction, unions and components, class counts."""
 
 import random
 
@@ -6,12 +6,12 @@ import pytest
 
 from rgp import corpus
 from rgp.errors import UnknownEdge
-from rgp.maps import (Permutation, RotationSpec, canonical_form, face_count,
-                      from_rotation_system, isomorphic, structure_report,
-                      vertices_of)
+from rgp.maps import (Permutation, RotationSpec, canonical_form, cross_components,
+                      face_count, from_rotation_system, isomorphic,
+                      structure_report, validate_map, vertices_of)
 from rgp.ops import (ClassCounts, class_counts, contract, cut, delete,
                      delete_flag, disjoint_union, natural_dual, partial_dual,
-                     spanning_subgraph, to_rotation_spec)
+                     restrict, spanning_subgraph, to_rotation_spec)
 from rgp.poly import MultiPoly, VarId
 from rgp.qpoly import RSequenceSpec, q_by_reduction
 
@@ -228,6 +228,44 @@ def test_disjoint_union_label_collision_prefixes():
 def test_disjoint_union_commutes_up_to_iso():
     a, b = corpus.loop_graph(1, 0), corpus.bridge(0, 1)
     assert isomorphic(disjoint_union(a, b), disjoint_union(b, a))
+
+
+def test_restrict_recovers_the_parts():
+    a, b = corpus.loop_graph(1, 0), corpus.twisted_loop()
+    u = disjoint_union(disjoint_union(a, b), corpus.single_vertex(0))
+    parts = [restrict(u, comp) for comp in cross_components(u)]
+    assert [p.bare_vertices for p in parts] == [0, 0]
+    assert isomorphic(parts[0], a) and isomorphic(parts[1], b)
+
+
+# --- surgeries keep the map axioms -------------------------------------------------
+
+def _surgery_outputs(g, rng):
+    """The graphs that the unvalidated surgeries build from g."""
+    labels = g.sorted_edges()
+    subset = [e for e in labels if rng.random() < 0.5]
+    yield partial_dual(g, subset)
+    yield spanning_subgraph(g, subset)
+    for e in labels:
+        yield delete(g, e)
+        yield cut(g, e)
+        yield partial_dual(g, [e])
+    for f in sorted(g.flag_labels, key=str):
+        yield delete_flag(g, f)
+    for comp in cross_components(g):
+        yield restrict(g, comp)
+
+
+def test_surgery_outputs_validate():
+    graphs = list(corpus.acceptance_corpus().values())
+    rng = random.Random(1717)
+    graphs += [corpus.random_rotation_graph(rng, max_edges=4, max_flags=3)
+               for _ in range(60)]
+    assert any(not structure_report(g).orientable for g in graphs)
+    assert any(g.flag_labels for g in graphs)
+    for g in graphs:
+        for h in _surgery_outputs(g, rng):
+            assert validate_map(h.map) == []
 
 
 # --- rotation-spec export ---------------------------------------------------------

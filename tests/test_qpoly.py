@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rgp.qpoly
 from rgp.corpus import (
     acceptance_corpus,
     banana,
@@ -14,10 +15,12 @@ from rgp.corpus import (
     single_vertex,
     star,
     triangle,
+    twisted_loop,
     two_cycle,
 )
 from rgp.errors import TooLarge
-from rgp.maps import RibbonGraph, RotationSpec, from_rotation_system
+from rgp.maps import (RibbonGraph, RotationSpec, canonical_form, cross_components,
+                      from_rotation_system)
 from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
 from rgp.qpoly import (
@@ -83,6 +86,44 @@ def test_expansion_equals_reduction_random():
         g = random_rotation_graph(rng, max_edges=3, max_flags=3)
         rule = ALL_RULES[rng.randrange(len(ALL_RULES))]
         assert q_by_expansion(g, rule).poly == q_by_reduction(g, rule).poly
+
+
+def test_expansion_equals_reduction_disconnected_random():
+    rng = random.Random(4711)
+    for _ in range(40):
+        g = disjoint_union(random_rotation_graph(rng, max_edges=2, max_flags=3),
+                           random_rotation_graph(rng, max_edges=2, max_flags=3))
+        rule = ALL_RULES[rng.randrange(len(ALL_RULES))]
+        assert q_by_expansion(g, rule).poly == q_by_reduction(g, rule).poly
+
+
+def _recording_canonical_form(monkeypatch) -> list:
+    """Replace qpoly's canonical_form by a wrapper that records its graphs."""
+    seen = []
+
+    def record(h):
+        seen.append(h)
+        return canonical_form(h)
+
+    monkeypatch.setattr(rgp.qpoly, "canonical_form", record)
+    return seen
+
+
+def test_zero_weight_branches_are_pruned(monkeypatch):
+    seen = _recording_canonical_form(monkeypatch)
+    g = disjoint_union(cycle_graph(4), single_vertex(0))
+    assert q_by_reduction(g, RSequenceSpec.odd_two_even_zero()).poly == MultiPoly.zero()
+    assert seen == []
+
+
+def test_memo_sees_connected_graphs_only(monkeypatch):
+    seen = _recording_canonical_form(monkeypatch)
+    g = disjoint_union(disjoint_union(_flagged_cycle(), _flagged_bridge()),
+                       single_vertex(2))
+    assert q_by_reduction(g).poly == q_by_expansion(g).poly
+    assert seen
+    for h in seen:
+        assert len(cross_components(h)) == 1 and h.bare_vertices == 0
 
 
 def test_edge_order_independence():
@@ -197,18 +238,51 @@ def test_specialize_ising():
     assert specialize_ising(two_cycle()) == parse("4*x_e1*x_e2 + 4*w_e1*w_e2")
 
 
-def test_multiplicative_over_disjoint_union():
-    ga = from_rotation_system(RotationSpec(
+def _flagged_bridge() -> RibbonGraph:
+    return from_rotation_system(RotationSpec(
         vertices=(("u", ("p.1", "F")), ("v", ("p.2",))),
         edges=(("p", "p.1", "p.2", 0),),
         flags=("F",),
     ))
-    gb = from_rotation_system(RotationSpec(
+
+
+def _plain_loop() -> RibbonGraph:
+    return from_rotation_system(RotationSpec(
         vertices=(("s", ("q.1", "q.2")),),
         edges=(("q", "q.1", "q.2", 0),),
     ))
+
+
+def _flagged_cycle() -> RibbonGraph:
+    return from_rotation_system(RotationSpec(
+        vertices=(("a", ("c.1", "G", "d.2")), ("b", ("c.2", "H", "K", "d.1"))),
+        edges=(("c", "c.1", "c.2", 0), ("d", "d.1", "d.2", 0)),
+        flags=("G", "H", "K"),
+    ))
+
+
+def test_multiplicative_over_disjoint_union():
+    ga, gb = _flagged_bridge(), _plain_loop()
     u = disjoint_union(ga, gb)
     assert q_by_reduction(u).poly == q_by_reduction(ga).poly * q_by_reduction(gb).poly
+
+    # flagged, plain, bare and non-orientable parts, under every weight rule;
+    # the part labels are pairwise disjoint, so the union keeps them
+    parts = [ga, gb, single_vertex(0), twisted_loop(), _flagged_cycle()]
+    rules = ALL_RULES + [RSequenceSpec.constant(0), RSequenceSpec.constant(3)]
+    unions = [(a, b) for i, a in enumerate(parts) for b in parts[i + 1:]]
+    unions.append(tuple(parts[:4]))
+    for rule in rules:
+        q = {id(g): q_by_reduction(g, rule).poly for g in parts}
+        for group in unions:
+            u = group[0]
+            product = q[id(u)]
+            for g in group[1:]:
+                u = disjoint_union(u, g)
+                product = product * q[id(g)]
+            reduced = q_by_reduction(u, rule).poly
+            assert reduced == product, (rule, [sorted(g.edge_labels) for g in group])
+            assert reduced == q_by_expansion(u, rule).poly, rule
 
 
 def test_admissible_pair_counts():
