@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -270,19 +271,17 @@ def test_multiplicative_over_disjoint_union():
     # the part labels are pairwise disjoint, so the union keeps them
     parts = [ga, gb, single_vertex(0), twisted_loop(), _flagged_cycle()]
     rules = ALL_RULES + [RSequenceSpec.constant(0), RSequenceSpec.constant(3)]
-    unions = [(a, b) for i, a in enumerate(parts) for b in parts[i + 1:]]
-    unions.append(tuple(parts[:4]))
+    groups = list(itertools.combinations(range(len(parts)), 2)) + [(0, 1, 2, 3)]
     for rule in rules:
-        q = {id(g): q_by_reduction(g, rule).poly for g in parts}
-        for group in unions:
-            u = group[0]
-            product = q[id(u)]
-            for g in group[1:]:
-                u = disjoint_union(u, g)
-                product = product * q[id(g)]
+        q = [q_by_reduction(g, rule).poly for g in parts]
+        for group in groups:
+            u, product = parts[group[0]], q[group[0]]
+            for k in group[1:]:
+                u = disjoint_union(u, parts[k])
+                product = product * q[k]
             reduced = q_by_reduction(u, rule).poly
-            assert reduced == product, (rule, [sorted(g.edge_labels) for g in group])
-            assert reduced == q_by_expansion(u, rule).poly, rule
+            assert reduced == product, (rule, group)
+            assert reduced == q_by_expansion(u, rule).poly, (rule, group)
 
 
 def test_admissible_pair_counts():
