@@ -77,10 +77,29 @@ _ONE_MONO: Monomial = ()
 _var_key = functools.lru_cache(maxsize=1 << 12)(VarId.sort_key)
 
 
+# The (variable, exponent) pairs of monomials built from dicts, shared
+# process-wide the way `_mono_mul` products share their factors' pairs.  A
+# pair holding an equal but other VarId object is replaced, never handed out:
+# a monomial keeps the very variables it was given.  Oldest entries go first.
+_PAIRS: dict[tuple, tuple] = {}
+_PAIRS_MAXSIZE = 1 << 14
+
+
 def _mono(exps: Mapping[VarId, int]) -> Monomial:
     """The monomial of {variable: exponent}, zero exponents dropped.  The one
     place the monomial sort rule is written."""
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _var_key(p[0])))
+    out = []
+    for v in sorted(exps, key=_var_key):
+        e = exps[v]
+        if e:
+            pair = (v, e)
+            cached = _PAIRS.get(pair)
+            if cached is None or cached[0] is not v:
+                if cached is None and len(_PAIRS) >= _PAIRS_MAXSIZE:
+                    del _PAIRS[next(iter(_PAIRS))]
+                _PAIRS[pair] = cached = pair
+            out.append(cached)
+    return tuple(out)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -118,14 +137,23 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+@functools.lru_cache(maxsize=1 << 14)
+def _pair_order_key(pair: tuple) -> tuple:
+    v, e = pair
+    return (_var_key(v), -e)
 
 
 def _mono_order_key(m: Monomial):
     # Graded order, highest total degree first; ties broken by the variable
     # sequence (earlier kinds/labels first, higher exponents first).
-    return (-_mono_degree(m), tuple((_var_key(v), -e) for v, e in m))
+    return (-sum([e for _, e in m]), tuple(map(_pair_order_key, m)))
+
+
+@functools.lru_cache(maxsize=1 << 14, typed=True)
+def _json_var(kind: str, label: Label, exp: int) -> str:
+    """The JSON of one monomial variable, as json.dumps writes it in
+    MultiPoly.to_json_obj; typed, so a bool label never stands for an int."""
+    return json.dumps({"kind": kind, "label": label, "exp": exp})
 
 
 class MultiPoly:
@@ -213,10 +241,15 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise InvalidArgument("negative power")
-        result = MultiPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        result = None
+        base = self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return MultiPoly.one() if result is None else result
 
     def scale(self, c: int) -> "MultiPoly":
         if c == 0:
@@ -279,21 +312,42 @@ class MultiPoly:
 
     def substitute(self, mapping: Mapping[VarId, "MultiPoly | int"]) -> "MultiPoly":
         """Replace each mapped variable by a polynomial (or int); unmapped
-        variables pass through."""
-        norm = {v: (p if isinstance(p, MultiPoly) else MultiPoly.const(p))
-                for v, p in mapping.items()}
+        variables pass through.  An image with at most one term acts on
+        coefficients and exponents alone; images with several terms are
+        multiplied out."""
+        single: dict[VarId, tuple[Monomial, int]] = {}
+        multi: dict[VarId, MultiPoly] = {}
+        for v, p in mapping.items():
+            if not isinstance(p, MultiPoly):
+                p = MultiPoly.const(p)
+            if len(p.terms) > 1:
+                multi[v] = p
+            else:
+                single[v] = next(iter(p.terms.items()), (_ONE_MONO, 0))
         terms: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            term = MultiPoly.const(c)
-            passthrough: list = []
+            exps: dict[VarId, int] = {}
+            factors: list[MultiPoly] = []
             for v, e in m:
-                if v in norm:
-                    term = term * (norm[v] ** e)
+                image = single.get(v)
+                if image is not None:
+                    im, k = image
+                    if k != 1:
+                        c *= k ** e
+                        if not c:
+                            break
+                    for w, f in im:
+                        exps[w] = exps.get(w, 0) + f * e
+                elif v in multi:
+                    factors.append(multi[v] ** e)
                 else:
-                    passthrough.append((v, e))
-            if passthrough:
-                term = term * MultiPoly({tuple(passthrough): 1})
-            for mono, k in term.terms.items():
+                    exps[v] = exps.get(v, 0) + e
+            if not c:
+                continue
+            term = {_mono(exps): c}
+            for f in factors:
+                term = (MultiPoly(term) * f).terms
+            for mono, k in term.items():
                 terms[mono] = terms.get(mono, 0) + k
         return MultiPoly(terms)
 
@@ -311,7 +365,8 @@ class MultiPoly:
     # -- canonical text ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: _mono_order_key(t[0]))
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=_mono_order_key)]
 
     def to_string(self) -> str:
         if not self.terms:
@@ -343,7 +398,11 @@ class MultiPoly:
         ]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """json.dumps(self.to_json_obj()), joined from cached fragments."""
+        return "[" + ", ".join(
+            '{"coeff": "%d", "vars": [%s]}'
+            % (c, ", ".join([_json_var(v.kind, v.label, e) for v, e in m]))
+            for m, c in self.sorted_terms()) + "]"
 
     @staticmethod
     def from_json_obj(obj) -> "MultiPoly":

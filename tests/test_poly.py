@@ -1,5 +1,6 @@
 """Ring axioms, canonical strings, JSON and text round-trips for MultiPoly."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,18 @@ def test_rename_merges_and_uses_the_mapping_objects():
     assert all(v is r for v in q.variables() if v.kind == "R")
 
 
+def test_rename_keeps_the_mapping_objects_over_cached_equal_pairs():
+    earlier, r = VarId("R"), VarId("R")
+    assert earlier == r and earlier is not r
+    MultiPoly.from_monomials([({earlier: 1}, 1), ({earlier: 4}, 1), ({earlier: 5}, 1)])
+    p = V("R", 1) * V("R", 2, 3) + V("R", 4) ** 4 + V("R", 5)
+    q = p.rename({VarId("R", n): r for n in (1, 2, 4, 5)})
+    assert q == MultiPoly.const(2) * V("R", exp=4) + V("R")
+    assert all(v is r for m in q.terms for v, _ in m)
+    again = MultiPoly.from_monomials([({earlier: 4}, 1)])
+    assert all(v is earlier for m in again.terms for v, _ in m)
+
+
 def test_from_monomials_merges_and_rejects_negative_exponents():
     x = VarId("X", "e1")
     assert MultiPoly.from_monomials([({x: 1}, 2), ({x: 1, VarId("BETA"): 0}, 3),
@@ -136,6 +149,32 @@ def _substitute_by_sum(p, mapping):
 @settings(max_examples=300, deadline=None)
 @given(polys(), st.dictionaries(_vars, polys(), max_size=6))
 def test_substitute_matches_term_by_term_sum(p, mapping):
+    got = p.substitute(mapping)
+    assert got == _substitute_by_sum(p, mapping)
+    assert 0 not in got.terms.values()
+
+
+def _monomial_poly(coeff, factors):
+    term = MultiPoly.const(coeff)
+    for v, e in factors:
+        term = term * V(v.kind, v.label, e)
+    return term
+
+
+_T, _OMEGA = V("T", "e1"), V("OMEGA", "e2")
+_one_term_images = st.one_of(
+    st.sampled_from([3 * _T, -2, 0, _OMEGA * _T ** 2, MultiPoly.zero(), -_OMEGA]),
+    st.integers(-3, 3),
+    st.builds(_monomial_poly, st.integers(-3, 3),
+              st.lists(st.tuples(_vars, st.integers(1, 3)), max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), st.dictionaries(_vars, st.one_of(_one_term_images, polys()), max_size=8))
+def test_substitute_one_term_images_match_term_by_term_sum(p, mapping):
+    # The images use the polynomial's own variables, so a variable can pass
+    # through a term that also receives it from an image.
     got = p.substitute(mapping)
     assert got == _substitute_by_sum(p, mapping)
     assert 0 not in got.terms.values()
@@ -243,10 +282,19 @@ def test_eval_rational_missing_variable():
     assert p.eval_rational({VarId("X", "e1"): Fraction(1, 2)}) == Fraction(1, 2)
 
 
-def test_power():
+@settings(max_examples=100, deadline=None)
+@given(polys())
+def test_power(q):
     p = (V("X", "e1") + MultiPoly.const(1)) ** 3
     assert p.terms[()] == 1
     assert p.terms[((VarId("X", "e1"), 2),)] == 3
+    for base in (q, MultiPoly.zero()):
+        product = MultiPoly.one()
+        for n in range(7):
+            assert base ** n == product
+            product = product * base
+    with pytest.raises(InvalidArgument):
+        q ** -1
 
 
 def test_coefficient_of_kind_degree():
@@ -254,6 +302,40 @@ def test_coefficient_of_kind_degree():
     assert p.coefficient_of_kind_degree("BETA", 2) == V("T", "e1")
     assert p.coefficient_of_kind_degree("BETA", 1) == V("T", "e2")
     assert p.coefficient_of_kind_degree("BETA", 0) == V("T", "e3")
+
+
+_json_labels = st.one_of(
+    st.none(),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from(['"', "\\", 'a"b\\c', "é", "ω_1", "\u2603", "\n", ""]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def labelled_polys(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 3))):
+            v = VarId(draw(st.sampled_from(KINDS)), draw(_json_labels))
+            exps[v] = exps.get(v, 0) + draw(st.integers(1, 300))
+        terms.append((exps, draw(st.integers(-(2 ** 80), 2 ** 80))))
+    return MultiPoly.from_monomials(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(polys(), labelled_polys()))
+def test_to_json_writes_what_json_dumps_writes(p):
+    text = p.to_json()
+    assert text == json.dumps(p.to_json_obj())
+    assert MultiPoly.from_json(text) == p
+
+
+def test_to_json_tells_bool_labels_from_int_labels():
+    for label in (1, True, 1, 0, False):
+        p = MultiPoly({((VarId("X", label), 1),): -(2 ** 65)})
+        assert p.to_json() == json.dumps(p.to_json_obj())
 
 
 def test_json_rejects_garbage():

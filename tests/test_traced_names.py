@@ -1,0 +1,71 @@
+"""Every name the benchmark traces still resolves in the package.
+
+perfbench wraps `rgp` functions and `MultiPoly` methods by name when it runs
+with `--trace 1`, and reports a per-layer metric as absent when its name no
+longer resolves; a recorded run with an absent metric is refused.  This test
+reads the benchmark's metric table (`PER_LAYER` in perfbench/run.py) and its
+method table (`POLY_METHODS` in perfbench/tracer.py), without changing either,
+and checks every `calls`, `self` and `site` span against the package, so a
+rename fails here instead of in a traced run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+from types import FunctionType
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from run import PER_LAYER  # noqa: E402
+from tracer import POLY_METHODS, TERM_COUNTERS  # noqa: E402
+
+from rgp.poly import MultiPoly  # noqa: E402
+
+
+def _function(span: str):
+    """The function a span name wraps, or None when the name is gone."""
+    layer, _, name = span.partition(".")
+    if layer == "poly":
+        for attr, traced in POLY_METHODS.items():
+            fn = vars(MultiPoly).get(attr)
+            if traced == span and isinstance(fn, FunctionType):
+                return fn
+        return None
+    mod = importlib.import_module(f"rgp.{layer}")
+    fn = vars(mod).get(name)
+    if name.startswith("_") or not isinstance(fn, FunctionType) or fn.__module__ != mod.__name__:
+        return None
+    return fn
+
+
+def _spans():
+    """(metric, span, binding module or None) for every span-backed metric."""
+    out = []
+    for metric, _unit, how in PER_LAYER:
+        if how[0] in ("calls", "self"):
+            out.append((metric, how[1], None))
+        elif how[0] == "site":
+            out.append((metric, how[2], how[1]))
+        elif how[0] == "count" and how[1] in TERM_COUNTERS.values():
+            span = next(s for s, counter in TERM_COUNTERS.items() if counter == how[1])
+            out.append((metric, span, None))
+    return out
+
+
+def test_every_traced_span_resolves():
+    spans = _spans()
+    assert len(spans) >= 30
+    gone = [metric for metric, span, _site in spans if _function(span) is None]
+    assert gone == []
+
+
+def test_every_traced_site_binds_the_function():
+    sites = [(metric, span, site) for metric, span, site in _spans() if site is not None]
+    assert sites
+    unbound = []
+    for metric, span, site in sites:
+        fn = _function(span)
+        mod = importlib.import_module(f"rgp.{site}")
+        if not any(obj is fn for obj in vars(mod).values()):
+            unbound.append(metric)
+    assert unbound == []
