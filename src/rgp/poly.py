@@ -4,9 +4,19 @@ The polynomial ring used everywhere else in the package.  Variables are typed
 by *kind* (one kind per family of indeterminates: the four edge variables of
 the subset-expansion polynomial, the two hyperbolic families, Schwinger
 parameters, the loop-counting weight, the degree-weight sequence r_n, and two
-reserved scaling variables) plus a label.  Monomials are canonically sorted,
-so equal polynomials have equal dicts, equal canonical strings, and equal
-JSON payloads — all goldens in the test suite compare byte-exact strings.
+reserved scaling variables) plus a label.
+
+A polynomial keeps its own variable table, the variables in the order it met
+them, and maps each packed monomial to its nonzero coefficient: variable i
+holds its exponent in bits [16i, 16i + 16) of one int.  Bit 15 of every field
+is a guard, so an exponent is at most MAX_EXPONENT and adding two exponents
+never carries into the next variable; a result that sets a guard bit raises
+InvalidArgument.  Tables only grow by appending, so an operation repacks at
+most its smaller operand.  Equal polynomials may have different tables:
+equality, hashing and output compare values, and the canonical string and
+JSON list the terms by descending total degree, then by exponent vector in
+variable order (kind, then label) — all goldens in the test suite compare
+byte-exact strings.
 
 Only this module knows how a monomial is stored.  Elsewhere a monomial is a
 {VarId: exponent} dict: `monomials()` reads terms, `from_monomials()` builds
@@ -20,8 +30,11 @@ through fractions.Fraction.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 import re
+import struct
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -65,11 +78,13 @@ class VarId(NamedTuple):
         return f"{prefix}_{self.label}"
 
 
-# A monomial is a tuple of (VarId, exponent>0) sorted by VarId.sort_key.
-Monomial = tuple
-
-_ONE_MONO: Monomial = ()
-
+# A packed monomial gives each variable of its polynomial's table one field
+# of _BITS bits.  The top bit of a field is a guard: two exponents of at most
+# MAX_EXPONENT add up to less than 2**_BITS, so a product never carries into
+# the next field, and a set guard bit shows the overflow.
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 # VarId.sort_key, computed once per variable.  The key is injective on
 # str | int | None labels, so comparing keys orders variables exactly as
@@ -77,98 +92,139 @@ _ONE_MONO: Monomial = ()
 _var_key = functools.lru_cache(maxsize=1 << 12)(VarId.sort_key)
 
 
-# The (variable, exponent) pairs of monomials built from dicts, shared
-# process-wide the way `_mono_mul` products share their factors' pairs.  A
-# pair holding an equal but other VarId object is replaced, never handed out:
-# a monomial keeps the very variables it was given.  Oldest entries go first.
-_PAIRS: dict[tuple, tuple] = {}
-_PAIRS_MAXSIZE = 1 << 14
+@functools.lru_cache(maxsize=1 << 8)
+def _guard(n: int) -> int:
+    """The guard bits of n fields."""
+    return int.from_bytes(b"\x00\x80" * n, "little")
 
 
-def _mono(exps: Mapping[VarId, int]) -> Monomial:
-    """The monomial of {variable: exponent}, zero exponents dropped.  The one
-    place the monomial sort rule is written."""
-    out = []
-    for v in sorted(exps, key=_var_key):
-        e = exps[v]
-        if e:
-            pair = (v, e)
-            cached = _PAIRS.get(pair)
-            if cached is None or cached[0] is not v:
-                if cached is None and len(_PAIRS) >= _PAIRS_MAXSIZE:
-                    del _PAIRS[next(iter(_PAIRS))]
-                _PAIRS[pair] = cached = pair
-            out.append(cached)
-    return tuple(out)
+@functools.lru_cache(maxsize=1 << 9)
+def _struct(n: int, order: str = "little") -> struct.Struct:
+    return struct.Struct(("<" if order == "little" else ">") + "H" * n)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials: a merge of their sorted variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    ka, kb = _var_key(a[0][0]), _var_key(b[0][0])
-    while True:
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-            if i == len(a):
-                break
-            ka = _var_key(a[i][0])
-        elif kb < ka:
-            out.append(b[j])
-            j += 1
-            if j == len(b):
-                break
-            kb = _var_key(b[j][0])
-        else:
-            v, e = a[i]
-            out.append((v, e + b[j][1]))
-            i += 1
-            j += 1
-            if i == len(a) or j == len(b):
-                break
-            ka, kb = _var_key(a[i][0]), _var_key(b[j][0])
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _fields(m: int, n: int) -> tuple:
+    """The n exponents of a packed monomial, variable 0 first."""
+    return _struct(n).unpack(m.to_bytes(2 * n, "little"))
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _pair_order_key(pair: tuple) -> tuple:
-    v, e = pair
-    return (_var_key(v), -e)
+def _check(terms: dict, n: int) -> dict:
+    """`terms`, once no exponent in them overflowed its field."""
+    if terms and functools.reduce(operator.or_, terms) & _guard(n):
+        raise InvalidArgument(f"exponent above {MAX_EXPONENT}")
+    return terms
 
 
-def _mono_order_key(m: Monomial):
-    # Graded order, highest total degree first; ties broken by the variable
-    # sequence (earlier kinds/labels first, higher exponents first).
-    return (-sum([e for _, e in m]), tuple(map(_pair_order_key, m)))
+def _moved(terms: dict, pos: list) -> dict:
+    """`terms` with the field of variable i moved to field pos[i]; pos is
+    one-to-one, and None marks a variable that occurs in no term.  Fields
+    that move by the same distance move together."""
+    masks: dict[int, int] = {}
+    for i, p in enumerate(pos):
+        if p is not None:
+            masks[p - i] = masks.get(p - i, 0) | _FIELD << (_BITS * i)
+    if not masks or list(masks) == [0]:
+        return terms
+    if len(masks) == 1:
+        (shift,) = masks
+        if shift > 0:
+            return {m << (_BITS * shift): c for m, c in terms.items()}
+        return {m >> (-_BITS * shift): c for m, c in terms.items()}
+    up = [(mask, _BITS * d) for d, mask in masks.items() if d >= 0]
+    down = [(mask, -_BITS * d) for d, mask in masks.items() if d < 0]
+    out = {}
+    for m, c in terms.items():
+        k = 0
+        for mask, shift in up:
+            k |= (m & mask) << shift
+        for mask, shift in down:
+            k |= (m & mask) >> shift
+        out[k] = c
+    return out
 
 
-@functools.lru_cache(maxsize=1 << 14, typed=True)
-def _json_var(kind: str, label: Label, exp: int) -> str:
-    """The JSON of one monomial variable, as json.dumps writes it in
-    MultiPoly.to_json_obj; typed, so a bool label never stands for an int."""
-    return json.dumps({"kind": kind, "label": label, "exp": exp})
+def _new(terms: dict, vars_: tuple, index: dict) -> "MultiPoly":
+    """The polynomial of packed `terms` (no zero coefficients) over the table
+    `vars_`, whose index is {variable: position}.  Takes the objects as given:
+    tables and term dicts are shared between polynomials, never changed."""
+    p = object.__new__(MultiPoly)
+    p.terms, p._vars, p._index = terms, vars_, index
+    return p
+
+
+def _onto(vars_: tuple, index: dict, p: "MultiPoly") -> tuple:
+    """(table, index, p's terms over it): the table `vars_` extended by the
+    variables of p it lacks, so terms over `vars_` stay valid."""
+    pos = []
+    grown = False
+    for v in p._vars:
+        i = index.get(v)
+        if i is None:
+            if not grown:
+                vars_, index, grown = list(vars_), dict(index), True
+            i = index[v] = len(vars_)
+            vars_.append(v)
+        pos.append(i)
+    return (tuple(vars_) if grown else vars_), index, _moved(p.terms, pos)
+
+
+def _common(a: "MultiPoly", b: "MultiPoly") -> tuple:
+    """(table, index, a's terms, b's terms) over one table: the table of the
+    operand with more terms, extended by the other's variables, so only the
+    smaller operand is repacked."""
+    if a._vars is b._vars:
+        return a._vars, a._index, a.terms, b.terms
+    if len(a.terms) < len(b.terms):
+        vars_, index, ta = _onto(b._vars, b._index, a)
+        return vars_, index, ta, b.terms
+    vars_, index, tb = _onto(a._vars, a._index, b)
+    return vars_, index, a.terms, tb
+
+
+def _var_poly(v: VarId, exp: int) -> "MultiPoly":
+    if exp < 0:
+        raise InvalidArgument("negative exponent")
+    if exp > MAX_EXPONENT:
+        raise InvalidArgument(f"exponent {exp} above {MAX_EXPONENT}")
+    if exp == 0:
+        return MultiPoly.one()
+    return _new({exp: 1}, (v,), {v: 0})
+
+
+class _Fragments(dict):
+    """Exponent -> the JSON of `var` at that exponent, as json.dumps writes
+    it in MultiPoly.to_json_obj; each made on first use."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: VarId):
+        super().__init__()
+        self.var = var
+
+    def __missing__(self, exp: int) -> str:
+        text = self[exp] = json.dumps({"kind": self.var.kind, "label": self.var.label,
+                                       "exp": exp})
+        return text
 
 
 class MultiPoly:
-    """Immutable-by-convention sparse polynomial: {monomial: nonzero int}."""
+    """Immutable-by-convention sparse polynomial: {packed monomial: nonzero
+    int} over the variable table `_vars`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_vars", "_index")
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self):
+        """The zero polynomial; the others come from the constructors below
+        and the ring operations."""
+        self.terms: dict[int, int] = {}
+        self._vars: tuple = ()
+        self._index: dict = {}
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def const(c: int) -> "MultiPoly":
-        return MultiPoly({_ONE_MONO: int(c)} if c else {})
+        return _new({0: int(c)} if c else {}, (), {})
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -182,40 +238,51 @@ class MultiPoly:
     def variable(kind: str, label: Label = None, exp: int = 1) -> "MultiPoly":
         if kind not in _KIND_INDEX:
             raise InvalidArgument(f"unknown variable kind {kind!r}")
-        if exp < 0:
-            raise InvalidArgument("negative exponent")
-        if exp == 0:
-            return MultiPoly.one()
-        return MultiPoly({((VarId(kind, label), exp),): 1})
+        return _var_poly(VarId(kind, label), exp)
 
     @staticmethod
     def from_monomials(pairs: Iterable[tuple[Mapping[VarId, int], int]]) -> "MultiPoly":
         """Sum ({VarId: exponent}, coefficient) pairs; zero exponents are
         dropped and like terms merge."""
-        terms: dict[Monomial, int] = {}
+        vars_: list[VarId] = []
+        index: dict[VarId, int] = {}
+        terms: dict[int, int] = {}
         for exps, c in pairs:
-            if any(e < 0 for e in exps.values()):
-                raise InvalidArgument("negative exponent")
-            m = _mono(exps)
+            m = 0
+            for v, e in exps.items():
+                if not e:
+                    continue
+                if e < 0:
+                    raise InvalidArgument("negative exponent")
+                if e > MAX_EXPONENT:
+                    raise InvalidArgument(f"exponent {e} above {MAX_EXPONENT}")
+                i = index.get(v)
+                if i is None:
+                    i = index[v] = len(vars_)
+                    vars_.append(v)
+                m += e << (_BITS * i)
             terms[m] = terms.get(m, 0) + c
-        return MultiPoly(terms)
+        return _new({m: c for m, c in terms.items() if c}, tuple(vars_), index)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        vars_, index, ta, tb = _common(self, other)
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        out = dict(ta)
+        for m, c in tb.items():
             s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return MultiPoly(out)
+                del out[m]
+        return _new(out, vars_, index)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
+        return _new({m: -c for m, c in self.terms.items()}, self._vars, self._index)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -225,16 +292,29 @@ class MultiPoly:
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
+        vars_, index, ta, tb = _common(self, other)
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        if not tb:
+            return MultiPoly()
+        # The products with one term of the smaller factor are all distinct,
+        # so the first term's need no merging.
+        items = iter(tb.items())
+        mb, cb = next(items)
+        if cb == 1:
+            out = {m + mb: c for m, c in ta.items()}
+        else:
+            out = {m + mb: c * cb for m, c in ta.items()}
+        get = out.get
+        for mb, cb in items:
+            for ma, ca in ta.items():
+                m = ma + mb
+                s = get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return MultiPoly(out)
+                    del out[m]
+        return _new(_check(out, len(vars_)), vars_, index)
 
     __rmul__ = __mul__
 
@@ -254,17 +334,21 @@ class MultiPoly:
     def scale(self, c: int) -> "MultiPoly":
         if c == 0:
             return MultiPoly.zero()
-        return MultiPoly({m: c * k for m, k in self.terms.items()})
+        return _new({m: c * k for m, k in self.terms.items()}, self._vars, self._index)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == MultiPoly.const(other).terms
-        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(other)
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        if len(self.terms) != len(other.terms):
+            return False
+        _, _, ta, tb = _common(self, other)
+        return ta == tb
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        vars_, terms = self._canonical()
+        return hash((vars_, frozenset(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -274,108 +358,176 @@ class MultiPoly:
 
     # -- queries ----------------------------------------------------------
 
+    def _used(self) -> tuple:
+        """The exponents of the OR of all terms: nonzero exactly for the
+        variables that occur."""
+        return _fields(functools.reduce(operator.or_, self.terms, 0), len(self._vars))
+
     def variables(self) -> set[VarId]:
-        return {v for m in self.terms for v, _ in m}
+        return {v for v, e in zip(self._vars, self._used()) if e}
 
     def monomials(self) -> Iterable[tuple[dict[VarId, int], int]]:
         """Yield every term as ({VarId: exponent}, coefficient); each dict is
         fresh, so the caller may change it."""
+        vars_, n = self._vars, len(self._vars)
         for m, c in self.terms.items():
-            yield dict(m), c
+            yield {v: e for v, e in zip(vars_, _fields(m, n)) if e}, c
 
     def coefficient_of_kind_degree(self, kind: str, degree: int) -> "MultiPoly":
         """Collect terms whose total degree in `kind` equals `degree`,
         with those variables removed from the monomials."""
-        out: dict[Monomial, int] = {}
+        n = len(self._vars)
+        idx = [i for i, v in enumerate(self._vars) if v.kind == kind]
+        mask = sum(_FIELD << (_BITS * i) for i in idx)
+        out: dict[int, int] = {}
         for m, c in self.terms.items():
-            if sum(e for v, e in m if v.kind == kind) != degree:
+            fields = _fields(m, n)
+            if sum(fields[i] for i in idx) != degree:
                 continue
-            rest = tuple((v, e) for v, e in m if v.kind != kind)
+            rest = m & ~mask
             out[rest] = out.get(rest, 0) + c
-        return MultiPoly(out)
+        return _new({m: c for m, c in out.items() if c}, self._vars, self._index)
 
     # -- relabelling / substitution / evaluation ----------------------------
 
     def rename(self, mapping: Mapping[VarId, VarId]) -> "MultiPoly":
         """Replace each mapped variable by its image; unmapped variables pass
         through.  Variables sent to one image add their exponents and like
-        terms merge.  The images are the mapping's own VarId objects."""
-        terms: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            exps: dict[VarId, int] = {}
-            for v, e in m:
-                v = mapping.get(v, v)
-                exps[v] = exps.get(v, 0) + e
-            key = _mono(exps)
-            terms[key] = terms.get(key, 0) + c
-        return MultiPoly(terms)
+        terms merge.  The images are the mapping's own VarId objects.  A
+        mapping that is one-to-one on the table only relabels the table."""
+        images = [mapping.get(v, v) for v in self._vars]
+        index = {v: i for i, v in enumerate(images)}
+        if len(index) < len(images):
+            return self.substitute({v: _var_poly(w, 1) for v, w in mapping.items()
+                                    if v in self._index})
+        return _new(self.terms, tuple(images), index)
 
     def substitute(self, mapping: Mapping[VarId, "MultiPoly | int"]) -> "MultiPoly":
         """Replace each mapped variable by a polynomial (or int); unmapped
         variables pass through.  An image with at most one term acts on
         coefficients and exponents alone; images with several terms are
         multiplied out."""
-        single: dict[VarId, tuple[Monomial, int]] = {}
-        multi: dict[VarId, MultiPoly] = {}
-        for v, p in mapping.items():
-            if not isinstance(p, MultiPoly):
-                p = MultiPoly.const(p)
-            if len(p.terms) > 1:
-                multi[v] = p
+        n = len(self._vars)
+        # The result's table: the unmapped variables, then the images'.
+        # Tables only grow at the end, so each image stays valid on it.
+        vars_ = tuple(v for v in self._vars if v not in mapping)
+        index = {v: i for i, v in enumerate(vars_)}
+        images = {}
+        for v in self._vars:
+            if v in mapping:
+                p = mapping[v]
+                if not isinstance(p, MultiPoly):
+                    p = MultiPoly.const(p)
+                vars_, index, images[v] = _onto(vars_, index, p)
+        # Per variable of this table, (packed image, coefficient) when the
+        # image has at most one term, else (image polynomial, None).
+        acts = []
+        for v in self._vars:
+            terms = images.get(v)
+            if terms is None:
+                acts.append((1 << (_BITS * index[v]), 1))
+            elif len(terms) > 1:
+                acts.append((_new(terms, vars_, index), None))
             else:
-                single[v] = next(iter(p.terms.items()), (_ONE_MONO, 0))
-        terms: dict[Monomial, int] = {}
+                acts.append(next(iter(terms.items()), (0, 0)))
+        # A term's exponents add up to at most `degree`, and each lands in
+        # fields no larger than `widest`; past MAX_EXPONENT a field could
+        # carry, so the one-term images are multiplied out as well.
+        degree = sum(self._used())
+        widest = max([max(_fields(im, len(vars_)), default=1)
+                      for im, k in acts if k is not None], default=1)
+        if degree * widest > MAX_EXPONENT:
+            acts = [(_new({im: k} if k else {}, vars_, index), None) if k is not None
+                    else (im, k) for im, k in acts]
+        out: dict[int, int] = {}
         for m, c in self.terms.items():
-            exps: dict[VarId, int] = {}
-            factors: list[MultiPoly] = []
-            for v, e in m:
-                image = single.get(v)
-                if image is not None:
-                    im, k = image
-                    if k != 1:
-                        c *= k ** e
-                        if not c:
-                            break
-                    for w, f in im:
-                        exps[w] = exps.get(w, 0) + f * e
-                elif v in multi:
-                    factors.append(multi[v] ** e)
-                else:
-                    exps[v] = exps.get(v, 0) + e
+            mono = 0
+            factors = []
+            for e, (im, k) in zip(_fields(m, n), acts):
+                if not e:
+                    continue
+                if k is None:
+                    factors.append(im ** e)
+                    continue
+                mono += im * e
+                if k != 1:
+                    c *= k ** e
+                    if not c:
+                        break
             if not c:
                 continue
-            term = {_mono(exps): c}
+            if not factors:
+                out[mono] = out.get(mono, 0) + c
+                continue
+            term = _new({mono: c}, vars_, index)
             for f in factors:
-                term = (MultiPoly(term) * f).terms
-            for mono, k in term.items():
-                terms[mono] = terms.get(mono, 0) + k
-        return MultiPoly(terms)
+                term = term * f
+            for mono, ct in term.terms.items():
+                out[mono] = out.get(mono, 0) + ct
+        return _new({m: c for m, c in out.items() if c}, vars_, index)
 
     def eval_rational(self, assignment: Mapping[VarId, "Fraction | int"]) -> Fraction:
+        n = len(self._vars)
+        values = [Fraction(assignment[v]) if v in assignment else None for v in self._vars]
         total = Fraction(0)
         for m, c in self.terms.items():
             val = Fraction(c)
-            for v, e in m:
-                if v not in assignment:
-                    raise MissingVariable(f"no value for {v.name()}")
-                val *= Fraction(assignment[v]) ** e
+            for v, x, e in zip(self._vars, values, _fields(m, n)):
+                if e:
+                    if x is None:
+                        raise MissingVariable(f"no value for {v.name()}")
+                    val *= x ** e
             total += val
         return total
 
     # -- canonical text ----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(terms, key=_mono_order_key)]
+    def _canonical(self) -> tuple[tuple, dict]:
+        """(variables, terms): the variables that occur, in descending
+        `_var_key` order, and the terms repacked over them.  On this table
+        comparing packed ints compares exponent vectors in ascending key
+        order."""
+        vars_ = self._vars
+        used = [i for i, e in enumerate(self._used()) if e]
+        used.sort(key=lambda i: _var_key(vars_[i]), reverse=True)
+        pos: list = [None] * len(vars_)
+        for j, i in enumerate(used):
+            pos[i] = j
+        return tuple(vars_[i] for i in used), _moved(self.terms, pos)
+
+    def _rows(self) -> tuple:
+        """(variables in `_var_key` order, rows): the rows yield (exponents
+        in that order, coefficient) by descending total degree, then by
+        descending exponent vector — the canonical term order."""
+        vars_, terms = self._canonical()
+        n = len(vars_)
+        if sum(_fields(functools.reduce(operator.or_, terms, 0), n)) < _FIELD:
+            # 2**16 = 1 mod 2**16 - 1, so m % _FIELD is the total degree.
+            order = sorted(terms, key=lambda m: (m % _FIELD, m), reverse=True)
+        else:
+            order = sorted(terms, key=lambda m: (sum(_fields(m, n)), m), reverse=True)
+        unpack = _struct(n, "big").unpack
+        rows = ((unpack(m.to_bytes(2 * n, "big")), terms[m]) for m in order)
+        return vars_[::-1], rows
+
+    def sorted_terms(self) -> list[tuple[dict[VarId, int], int]]:
+        """Every term as ({VarId: exponent}, coefficient), in the canonical
+        term order; each dict lists its variables in `VarId.sort_key`
+        order."""
+        vars_, rows = self._rows()
+        return [({v: e for v, e in zip(vars_, exps) if e}, c) for exps, c in rows]
 
     def to_string(self) -> str:
         if not self.terms:
             return "0"
+        vars_, rows = self._rows()
+        names = [v.name() for v in vars_]
         chunks: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
+        for i, (exps, c) in enumerate(rows):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            factors = [f"{v.name()}^{e}" if e > 1 else v.name() for v, e in m]
+            factors = [f"{name}^{e}" if e > 1 else name
+                       for name, e in zip(names, exps) if e]
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
             body = "*".join(factors)
@@ -391,18 +543,22 @@ class MultiPoly:
     # -- JSON --------------------------------------------------------------
 
     def to_json_obj(self) -> list:
+        vars_, rows = self._rows()
         return [
             {"coeff": str(c),
-             "vars": [{"kind": v.kind, "label": v.label, "exp": e} for v, e in m]}
-            for m, c in self.sorted_terms()
+             "vars": [{"kind": v.kind, "label": v.label, "exp": e}
+                      for v, e in zip(vars_, exps) if e]}
+            for exps, c in rows
         ]
 
     def to_json(self) -> str:
-        """json.dumps(self.to_json_obj()), joined from cached fragments."""
+        """json.dumps(self.to_json_obj()), joined from per-variable fragments."""
+        vars_, rows = self._rows()
+        frags = [_Fragments(v) for v in vars_]
         return "[" + ", ".join(
             '{"coeff": "%d", "vars": [%s]}'
-            % (c, ", ".join([_json_var(v.kind, v.label, e) for v, e in m]))
-            for m, c in self.sorted_terms()) + "]"
+            % (c, ", ".join([f[e] for f, e in itertools.compress(zip(frags, exps), exps)]))
+            for exps, c in rows) + "]"
 
     @staticmethod
     def from_json_obj(obj) -> "MultiPoly":
@@ -489,7 +645,7 @@ def parse(text: str) -> MultiPoly:
         if kind == "int":
             base = MultiPoly.const(int(value))
         elif kind == "name":
-            base = MultiPoly({((_name_to_var(value, at), 1),): 1})
+            base = _var_poly(_name_to_var(value, at), 1)
         else:
             raise ParseError(f"expected a number or variable, got {value!r}", position=at)
         j += 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rgp.poly import KINDS, MultiPoly, VarId, _mono, _mono_mul, parse
+from rgp.poly import KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
 
@@ -33,7 +33,7 @@ def polys(draw):
         term = MultiPoly.const(coeff)
         for _ in range(draw(st.integers(0, 3))):
             v = draw(_vars)
-            term = term * MultiPoly({((v, draw(st.integers(1, 3))),): 1})
+            term = term * V(v.kind, v.label, draw(st.integers(1, 3)))
         p = p + term
     return p
 
@@ -120,9 +120,9 @@ def test_rename_keeps_the_mapping_objects_over_cached_equal_pairs():
     p = V("R", 1) * V("R", 2, 3) + V("R", 4) ** 4 + V("R", 5)
     q = p.rename({VarId("R", n): r for n in (1, 2, 4, 5)})
     assert q == MultiPoly.const(2) * V("R", exp=4) + V("R")
-    assert all(v is r for m in q.terms for v, _ in m)
+    assert all(v is r for mono, _ in q.monomials() for v in mono)
     again = MultiPoly.from_monomials([({earlier: 4}, 1)])
-    assert all(v is earlier for m in again.terms for v, _ in m)
+    assert all(v is earlier for mono, _ in again.monomials() for v in mono)
 
 
 def test_from_monomials_merges_and_rejects_negative_exponents():
@@ -184,31 +184,98 @@ def test_substitute_cancelling_images_leave_no_zero_terms():
     x, y = VarId("X", "e1"), VarId("Y", "e1")
     p = V("X", "e1") * V("T", "e2") + V("Y", "e1") * V("T", "e2") + V("BETA")
     got = p.substitute({x: V("OMEGA", "e2"), y: -V("OMEGA", "e2")})
-    assert got.terms == {((VarId("BETA"), 1),): 1}
-    assert p.substitute({x: 1, y: -1, VarId("BETA"): 0}).terms == {}
+    assert list(got.monomials()) == [({VarId("BETA"): 1}, 1)]
+    assert list(p.substitute({x: 1, y: -1, VarId("BETA"): 0}).monomials()) == []
 
 
 @settings(max_examples=300, deadline=None)
 @given(polys(), polys())
 def test_mono_mul_matches_dict_route(a, b):
-    for ma in a.terms:
-        for mb in b.terms:
+    for ma, _ in a.monomials():
+        for mb, _ in b.monomials():
             exps = dict(ma)
-            for v, e in mb:
+            for v, e in mb.items():
                 exps[v] = exps.get(v, 0) + e
-            assert _mono_mul(ma, mb) == _mono(exps)
+            product = MultiPoly.from_monomials([(ma, 1)]) * MultiPoly.from_monomials([(mb, 1)])
+            assert list(product.monomials()) == [(exps, 1)]
+            assert product == MultiPoly.from_monomials([(exps, 1)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(polys())
 def test_sorted_terms_match_sort_key_order(p):
     def order(term):
-        m = term[0]
-        return (-sum(e for _, e in m), tuple((v.sort_key(), -e) for v, e in m))
+        exps = term[0]
+        return (-sum(exps.values()),
+                tuple((v.sort_key(), -exps[v]) for v in sorted(exps, key=VarId.sort_key)))
 
-    assert p.sorted_terms() == sorted(p.terms.items(), key=order)
-    for m in p.terms:
-        assert [v.sort_key() for v, _ in m] == sorted(v.sort_key() for v, _ in m)
+    assert p.sorted_terms() == sorted(p.monomials(), key=order)
+    for mono, _ in p.sorted_terms():
+        assert [v.sort_key() for v in mono] == sorted(v.sort_key() for v in mono)
+
+
+# --- packed exponents and per-polynomial variable tables ---------------------
+
+def test_exponent_fields_hold_max_exponent_and_refuse_more():
+    x, y = VarId("X", "e1"), VarId("Y", "e1")
+    assert MAX_EXPONENT == 32767
+    top = V("X", "e1", MAX_EXPONENT) * V("Y", "e1")
+    assert MultiPoly.from_json(top.to_json()) == top
+    assert list(MultiPoly.from_json(top.to_json()).monomials()) == [({x: 32767, y: 1}, 1)]
+    assert parse(top.to_string()) == top
+    with pytest.raises(InvalidArgument):
+        MultiPoly.variable("X", "e1", 32768)
+    with pytest.raises(InvalidArgument):
+        MultiPoly.from_monomials([({x: 32768}, 1)])
+    with pytest.raises(InvalidArgument):
+        parse("x_e1^32768")
+    # y sits in the field just above x, where a carry out of x would land.
+    p = MultiPoly.from_monomials([({x: 20000}, 1), ({x: 20000, y: 1}, 1)])
+    with pytest.raises(InvalidArgument):
+        p * V("X", "e1", 20000)
+    with pytest.raises(InvalidArgument):
+        V("X", "e1", 20000) * V("X", "e1", 20000)
+    assert sorted(((m.get(x), m.get(y, 0)), c) for m, c in (p * V("X", "e1", 12767)).monomials()) \
+        == [((32767, 0), 1), ((32767, 1), 1)]
+
+
+def test_renames_and_substitutions_that_overflow_raise():
+    x, y, t = VarId("X", "e1"), VarId("Y", "e1"), VarId("T", "e1")
+    with pytest.raises(InvalidArgument):
+        (V("X", "e1", 20000) * V("Y", "e1", 20000)).rename({y: x})
+    with pytest.raises(InvalidArgument):
+        V("X", "e1", 20000).substitute({x: V("T", "e1", 2)})
+    with pytest.raises(InvalidArgument):
+        (V("X", "e1", 20000) * V("T", "e1", 20000)).substitute({x: V("T", "e1")})
+    # Exponents that only look wide together still substitute exactly.
+    wide = V("X", "e1", 30000) + V("Y", "e1", 30000)
+    assert wide.rename({y: x}) == 2 * V("X", "e1", 30000)
+    assert wide.substitute({x: V("T", "e1")}) == V("T", "e1", 30000) + V("Y", "e1", 30000)
+    assert wide.substitute({x: -3 * V("T", "e1")}) == \
+        (-3) ** 30000 * V("T", "e1", 30000) + V("Y", "e1", 30000)
+    assert wide.substitute({t: 5}) == wide
+
+
+def test_equality_and_hash_do_not_depend_on_the_variable_table():
+    x, y, t = VarId("X", "e1"), VarId("Y", "e2"), VarId("T", "e3")
+    p = MultiPoly.from_monomials([({x: 1, y: 1}, 2), ({t: 2}, -1), ({}, 4)])
+    q = MultiPoly.from_monomials([({t: 2}, -1), ({}, 4), ({y: 1, x: 1}, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert p.to_json() == q.to_json() and p.to_string() == q.to_string()
+    assert {p: "found"}[q] == "found"
+    left = (V("X", "e1") + V("Y", "e2")) - V("Y", "e2")
+    assert left == V("X", "e1") and hash(left) == hash(V("X", "e1"))
+    assert left.variables() == {x}
+    assert left.to_json() == V("X", "e1").to_json()
+    assert left != V("X", "e1") + V("Y", "e2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys())
+def test_rebuilding_over_another_table_keeps_value_hash_and_output(p):
+    q = MultiPoly.from_monomials(reversed(list(p.monomials())))
+    assert q == p and hash(q) == hash(p)
+    assert q.to_json() == p.to_json() and q.to_string() == p.to_string()
 
 
 # --- pinned formatting ------------------------------------------------------
@@ -286,8 +353,9 @@ def test_eval_rational_missing_variable():
 @given(polys())
 def test_power(q):
     p = (V("X", "e1") + MultiPoly.const(1)) ** 3
-    assert p.terms[()] == 1
-    assert p.terms[((VarId("X", "e1"), 2),)] == 3
+    coeffs = {frozenset(mono.items()): c for mono, c in p.monomials()}
+    assert coeffs[frozenset()] == 1
+    assert coeffs[frozenset({(VarId("X", "e1"), 2)})] == 3
     for base in (q, MultiPoly.zero()):
         product = MultiPoly.one()
         for n in range(7):
@@ -334,7 +402,7 @@ def test_to_json_writes_what_json_dumps_writes(p):
 
 def test_to_json_tells_bool_labels_from_int_labels():
     for label in (1, True, 1, 0, False):
-        p = MultiPoly({((VarId("X", label), 1),): -(2 ** 65)})
+        p = MultiPoly.from_monomials([({VarId("X", label): 1}, -(2 ** 65))])
         assert p.to_json() == json.dumps(p.to_json_obj())
 
 

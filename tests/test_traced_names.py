@@ -17,9 +17,9 @@ from types import FunctionType
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from run import PER_LAYER  # noqa: E402
-from tracer import POLY_METHODS, TERM_COUNTERS  # noqa: E402
+from tracer import POLY_METHODS, TERM_COUNTERS, Tracer  # noqa: E402
 
-from rgp.poly import MultiPoly  # noqa: E402
+from rgp.poly import MultiPoly, VarId  # noqa: E402
 
 
 def _function(span: str):
@@ -69,3 +69,24 @@ def test_every_traced_site_binds_the_function():
         if not any(obj is fn for obj in vars(mod).values()):
             unbound.append(metric)
     assert unbound == []
+
+
+def test_term_counters_count_one_entry_per_term():
+    """The tracer sums `len(receiver.terms)` into each TERM_COUNTERS counter,
+    so `terms` must hold exactly one entry per term."""
+    x, y = MultiPoly.variable("X", "e1"), MultiPoly.variable("Y", "e2")
+    one = MultiPoly.one()
+    polys = [MultiPoly.zero(), one, (x + y) ** 3, (x + y) - y,
+             ((x + one) * (y - one)).rename({VarId("Y", "e2"): VarId("X", "e1")})]
+    sizes = [sum(1 for _ in p.monomials()) for p in polys]
+    assert sizes == [0, 1, 4, 1, 2]
+    assert [len(p.terms) for p in polys] == sizes
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for p in polys:
+            p.substitute({VarId("X", "e1"): 2})
+            p + x
+    finally:
+        tracer.uninstall()
+    assert tracer.counts == {counter: sum(sizes) for counter in TERM_COUNTERS.values()}
