@@ -81,7 +81,8 @@ class VarId(NamedTuple):
 # A packed monomial gives each variable of its polynomial's table one field
 # of _BITS bits.  The top bit of a field is a guard: two exponents of at most
 # MAX_EXPONENT add up to less than 2**_BITS, so a product never carries into
-# the next field, and a set guard bit shows the overflow.
+# the next field, and a set guard bit shows the overflow.  _guard and
+# _struct read the fields as 16-bit words.
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1
@@ -106,13 +107,6 @@ def _struct(n: int, order: str = "little") -> struct.Struct:
 def _fields(m: int, n: int) -> tuple:
     """The n exponents of a packed monomial, variable 0 first."""
     return _struct(n).unpack(m.to_bytes(2 * n, "little"))
-
-
-def _check(terms: dict, n: int) -> dict:
-    """`terms`, once no exponent in them overflowed its field."""
-    if terms and functools.reduce(operator.or_, terms) & _guard(n):
-        raise InvalidArgument(f"exponent above {MAX_EXPONENT}")
-    return terms
 
 
 def _moved(terms: dict, pos: list) -> dict:
@@ -314,7 +308,9 @@ class MultiPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return _new(_check(out, len(vars_)), vars_, index)
+        if out and functools.reduce(operator.or_, out) & _guard(len(vars_)):
+            raise InvalidArgument(f"exponent above {MAX_EXPONENT}")
+        return _new(out, vars_, index)
 
     __rmul__ = __mul__
 
