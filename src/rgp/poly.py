@@ -291,8 +291,8 @@ class MultiPoly:
             ta, tb = tb, ta
         if not tb:
             return MultiPoly()
-        # The products with one term of the smaller factor are all distinct,
-        # so the first term's need no merging.
+        # Multiplying by one term never merges terms, so the products with
+        # the smaller factor's first term are built at once.
         items = iter(tb.items())
         mb, cb = next(items)
         if cb == 1:
