@@ -3,6 +3,7 @@
 The package is organised bottom-up:
 
 - ``poly``: exact sparse multivariate polynomials over the integers.
+- ``gf2``: rank over GF(2) on int bitmask rows.
 - ``maps``: combinatorial maps (permutation triples), ribbon graphs with
   labelled edges and flags, validation, structure reports, rotation
   systems, canonical forms.

@@ -11,6 +11,7 @@ E-PARSE (unreadable input), E-MAP (invalid or unsuitable map), E-EDGE
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -313,13 +314,14 @@ def _r_rule(text: str) -> RSequenceSpec:
         "delta1, or const:<n>)")
 
 
-def _agreed(results: dict) -> MultiPoly:
-    """The reduction result, once every strategy gave the same polynomial."""
+def _agreed(results: dict, default: str) -> MultiPoly:
+    """The default method's result, once every strategy gave the same
+    polynomial."""
     if len({p.to_string() for p in results.values()}) != 1:
         raise RgpError("strategy disagreement: "
                        + "; ".join(f"{m}={p.to_string()}"
                                    for m, p in sorted(results.items())))
-    return results["reduction"]
+    return results[default]
 
 
 def _cmd_q(args) -> int:
@@ -328,7 +330,7 @@ def _cmd_q(args) -> int:
     if args.check_all:
         results = {m: q_polynomial(g, rule, method=m, max_edges=args.max_edges).poly
                    for m in ("expansion", "reduction")}
-        return _emit_poly(_agreed(results), args)
+        return _emit_poly(_agreed(results, args.default_method), args)
     res = q_polynomial(g, rule, method=args.method, max_edges=args.max_edges)
     return _emit_poly(res.poly, args)
 
@@ -345,7 +347,8 @@ def _cmd_hu(args) -> int:
         methods = ["expansion", "reduction"]
         if structure_report(g).orientable:
             methods.append("critical")
-        return _emit_poly(_agreed({m: compute(m) for m in methods}), args)
+        return _emit_poly(_agreed({m: compute(m) for m in methods},
+                                  args.default_method), args)
     return _emit_poly(compute(args.method), args)
 
 
@@ -376,7 +379,13 @@ def _cmd_hu_critical(args) -> int:
 
 
 def _cmd_symanzik(args) -> int:
-    return _emit_poly(symanzik_u(read_graph_file(args.input)), args)
+    g = read_graph_file(args.input)
+    if args.check_all:
+        results = {m: symanzik_u(g, method=m, max_edges=args.max_edges)
+                   for m in ("faces", "rank")}
+        return _emit_poly(_agreed(results, args.default_method), args)
+    return _emit_poly(symanzik_u(g, method=args.method, max_edges=args.max_edges),
+                      args)
 
 
 def _cmd_limit(args) -> int:
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
     def add(name: str, func, help_text: str, *, edges=False, emit=False,
-            method=None, fmt=True):
+            method=None, default=None, max_edges=None, fmt=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("input", help="ribbon-graph file")
@@ -431,12 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit", choices=("graph", "dot"), default="graph",
                            help="output form (default: graph file)")
         if method:
-            p.add_argument("--method", choices=method, default="reduction",
-                           help="computation strategy (default: reduction)")
+            p.set_defaults(default_method=default)
+            p.add_argument("--method", choices=method, default=default,
+                           help="computation strategy (default: %(default)s)")
             p.add_argument("--check-all", action="store_true",
                            help="run every strategy and fail on disagreement")
-            p.add_argument("--max-edges", type=int, default=10,
-                           help="enumeration guard override (default: 10)")
+            p.add_argument("--max-edges", type=int, default=max_edges,
+                           help="enumeration guard override (default: %(default)s)")
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text",
                            help="polynomial/report encoding (default: text)")
@@ -456,15 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
         emit=True, fmt=False)
 
     qp = add("q", _cmd_q, "topological polynomial Q",
-             method=("expansion", "reduction"))
+             method=("expansion", "reduction"), default="reduction", max_edges=10)
     qp.add_argument("--r-rule", type=_r_rule, default=RSequenceSpec.symbolic(),
                     help="vertex-weight rule: symbolic, even2odd0, odd2even0, "
                          "delta1, const:<n> (default: symbolic)")
     add("hu", _cmd_hu, "first hyperbolic polynomial",
-        method=("expansion", "reduction", "critical"))
+        method=("expansion", "reduction", "critical"), default="reduction",
+        max_edges=10)
     add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)")
     add("hu-critical", _cmd_hu_critical, "face-factorized value at Omega=1")
-    add("symanzik-u", _cmd_symanzik, "heat-kernel (quasi-tree) polynomial U")
+    add("symanzik-u", _cmd_symanzik, "heat-kernel (quasi-tree) polynomial U",
+        method=("faces", "rank"), default="rank", max_edges=20)
     lim = add("limit", _cmd_limit,
               "limits: --commutative for the Mehler limit of hu, "
               "--heat-kernel for U; both together give the spanning-tree "
@@ -481,10 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         code = ex.code
         return 2 if code not in (0, None) else int(code or 0)

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (HasFlags, NotACycle, NotATree, NotConnected, NotOrientable,
-                     SelfCheckFailed, UnknownMethod)
+                     SelfCheckFailed, TooLarge, UnknownMethod)
+from .gf2 import rank
 from .maps import (
     RibbonGraph,
     _UnionFind,
     _incidences,
+    _interlace,
     _subset_degrees,
     face_count,
     orientation_selection,
@@ -358,8 +360,15 @@ def hv(g: RibbonGraph) -> QuadraticForm:
 # heat-kernel limit: the Symanzik polynomial
 # ---------------------------------------------------------------------------
 
-def symanzik_u(g: RibbonGraph) -> MultiPoly:
-    """Sum over spanning quasi-trees: b^(|A| - v + 1) * prod_{e not in A} a_e."""
+def symanzik_u(g: RibbonGraph, method: str = "rank", max_edges: int = 20) -> MultiPoly:
+    """Sum over spanning quasi-trees: b^(|A| - v + 1) * prod_{e not in A} a_e.
+
+    A quasi-tree is an edge subset A whose spanning subgraph has one face.
+    rank: the face count is read off the interlace matrix (`maps._interlace`),
+    one GF(2) rank per A; faces: each spanning subgraph is built and its faces
+    walked (the reference route).  Both visit all 2^e subsets, so more than
+    max_edges edges raise TooLarge.
+    """
     if g.flag_labels:
         raise HasFlags("the heat-kernel limit is defined for flagless graphs")
     rep = structure_report(g)
@@ -367,15 +376,29 @@ def symanzik_u(g: RibbonGraph) -> MultiPoly:
         raise NotConnected(f"{rep.k} components")
     edges = g.sorted_edges()
     ne = len(edges)
+    if ne > max_edges:
+        raise TooLarge(f"{ne} edges exceeds the symanzik guard {max_edges}")
+    if method == "rank":
+        rows, tree_mask, base_vertices = _interlace(g)
+
+        def faces(amask: int) -> int:
+            x = amask ^ tree_mask
+            return base_vertices + x.bit_count() - rank(
+                rows[i] & x for i in range(ne) if x >> i & 1)
+    elif method == "faces":
+        def faces(amask: int) -> int:
+            return face_count(spanning_subgraph(
+                g, [edges[i] for i in range(ne) if amask >> i & 1]))
+    else:
+        raise UnknownMethod(f"unknown method {method!r}")
     beta = VarId("BETA")
     alphas = [VarId("ALPHA", lab) for lab in edges]
     terms = []
     for amask in range(1 << ne):
-        keep = [edges[i] for i in range(ne) if amask >> i & 1]
-        if face_count(spanning_subgraph(g, keep)) != 1:
+        if faces(amask) != 1:
             continue
         mono = {a: 1 for i, a in enumerate(alphas) if not amask >> i & 1}
-        mono[beta] = len(keep) - rep.v + 1
+        mono[beta] = amask.bit_count() - rep.v + 1
         terms.append((mono, 1))
     return MultiPoly.from_monomials(terms)
 

@@ -371,6 +371,53 @@ def face_sets(g: RibbonGraph) -> list[frozenset]:
     return [frozenset(cyc) | frozenset(partner) for cyc, partner in _faces(g)]
 
 
+def _interlace(g: RibbonGraph) -> tuple[list, int, int]:
+    """(rows, tree_mask, base_vertices): the GF(2) interlace matrix of the
+    bouquet G^T, with rows and masks as int bitmasks over `sorted_edges()`.
+
+    T (bits of tree_mask) is the spanning forest that takes each edge joining
+    two components of the edges before it.  The partial dual G^T has one
+    vertex per component and every edge is a loop there.  Bit j of rows[i]
+    (j != i) is set iff the ends of loops i and j alternate in their vertex's
+    rotation word; bit i iff loop i is twisted.  base_vertices is the vertex
+    count of G^T plus the bare vertices.
+
+    For every edge subset A, with X = A ^ tree_mask, the spanning subgraph on
+    A has base_vertices + |X| - rank(rows of X, restricted to X) faces: the
+    vertices of G^A (Bouchet's binary delta-matroid of the map).
+    """
+    edges = g.sorted_edges()
+    flags_at, ends = _incidences(g)
+    uf = _UnionFind(len(flags_at))
+    tree_mask = 0
+    tree_crosses: set[int] = set()
+    for i, lab in enumerate(edges):
+        u, w = (uf.find(v) for v in ends[lab])
+        if u != w:
+            uf.union(u, w)
+            tree_mask |= 1 << i
+            tree_crosses |= g.edge_labels[lab]
+    bouquet = _dual_triple(g.map, tree_crosses)
+    edge_of = {x: i for i, lab in enumerate(edges) for x in g.edge_labels[lab]}
+    rows = [0] * len(edges)
+    pairs = _conjugate_pairs(bouquet)
+    for cyc, _partner in pairs:
+        word = set(cyc)
+        spans: dict = {}    # loop -> its two positions in the rotation word
+        for p, x in enumerate(cyc):
+            i = edge_of.get(x)
+            if i is None:
+                continue    # a flag
+            if i not in spans and bouquet.sigma1(x) in word:
+                rows[i] |= 1 << i
+            spans.setdefault(i, []).append(p)
+        for i, (p, q) in spans.items():
+            for j, (r, s) in spans.items():
+                if (p < r < q) != (p < s < q):
+                    rows[i] |= 1 << j
+    return rows, tree_mask, len(pairs) + g.bare_vertices
+
+
 def component_count(g: RibbonGraph) -> int:
     """Connected components (orbits of the full group, plus bare vertices)."""
     return len(cross_components(g)) + g.bare_vertices

@@ -106,6 +106,12 @@ def test_size_guard(capsys, tmp_path):
     code, out, err = run(capsys, "hu", str(EXAMPLES / "dumbbell.rg"),
                          "--method", "expansion", "--max-edges", "1")
     assert code == 1 and err.startswith("E-SIZE")
+    path = tmp_path / "banana3.rg"
+    path.write_text(format_graph_file(banana(3)))
+    for method in ("rank", "faces"):
+        code, out, err = run(capsys, "symanzik-u", "--method", method,
+                             "--max-edges", "2", str(path))
+        assert (code, out) == (1, "") and err.startswith("E-SIZE")
     # counts is a closed form: no guard, even at 2e+f = 26
     path = tmp_path / "banana13.rg"
     path.write_text(format_graph_file(banana(13)))
@@ -115,6 +121,26 @@ def test_size_guard(capsys, tmp_path):
                                "codd": 2 ** 14, "cev": 2 ** 14,
                                "oddf": 2 ** 24, "evf": 2 ** 24,
                                "coddf": 2 ** 26, "cevf": 2 ** 26}
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "info", str(EXAMPLES / "two_cycle.rg"))[0] == 0
+        assert run(capsys, "frobnicate", "x.rg")[0] == 2
+        assert run(capsys, "info", str(EXAMPLES / "two_cycle.rg"))[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls == [1]
 
 
 def test_usage_errors(capsys):
@@ -148,11 +174,15 @@ def test_check_all(capsys):
     code2, out2, _ = run(capsys, "q", str(EXAMPLES / "two_cycle.rg"),
                          "--check-all", "--r-rule", "delta1")
     assert code2 == 0
+    want = symanzik_u(banana(3, planar=False)).to_string() + "\n"
+    for flags in (["--check-all"], ["--method", "faces"], []):
+        got = run(capsys, "symanzik-u", *flags, str(EXAMPLES / "banana3_nonplanar.rg"))
+        assert got == (0, want, ""), flags
 
 
 def test_check_all_reports_disagreement(monkeypatch, capsys):
     # one strategy off by one: --check-all must refuse, not pick a winner
-    real_q, real_hu = cli.q_polynomial, cli.hu
+    real_q, real_hu, real_u = cli.q_polynomial, cli.hu, cli.symanzik_u
 
     def wrong_q(g, rule, method, max_edges):
         res = real_q(g, rule, method=method, max_edges=max_edges)
@@ -164,9 +194,14 @@ def test_check_all_reports_disagreement(monkeypatch, capsys):
         p = real_hu(g, method=method, max_edges=max_edges)
         return p if method == "reduction" else p + MultiPoly.one()
 
+    def wrong_u(g, method, max_edges):
+        p = real_u(g, method=method, max_edges=max_edges)
+        return p if method == "rank" else p + MultiPoly.one()
+
     monkeypatch.setattr(cli, "q_polynomial", wrong_q)
     monkeypatch.setattr(cli, "hu", wrong_hu)
-    for verb in ("q", "hu"):
+    monkeypatch.setattr(cli, "symanzik_u", wrong_u)
+    for verb in ("q", "hu", "symanzik-u"):
         code, out, err = run(capsys, verb, str(EXAMPLES / "two_cycle.rg"), "--check-all")
         assert (code, out) == (1, "")
         assert err.startswith("E-MAP strategy disagreement: ")

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from rgp.corpus import (
+    acceptance_corpus,
     banana,
     bridge,
     broken_cycle3,
@@ -30,6 +31,7 @@ from rgp.errors import (
     NotConnected,
     NotOrientable,
     SelfCheckFailed,
+    TooLarge,
     UnknownMethod,
 )
 from rgp import hyperbolic
@@ -47,7 +49,8 @@ from rgp.hyperbolic import (
     symanzik_u,
 )
 from rgp.maps import RotationSpec, from_rotation_system, structure_report
-from rgp.ops import cut, delete, delete_flag, disjoint_union, partial_dual
+from rgp.ops import (cut, delete, delete_flag, disjoint_union, partial_dual,
+                     to_rotation_spec)
 from rgp.poly import MultiPoly, parse
 
 from reference_enumerators import spanning_tree_cotree_sum
@@ -446,6 +449,8 @@ def test_unknown_method_is_typed():
         hu(g, method="nope")
     with pytest.raises(UnknownMethod):
         hu_commutative_limit(g, method="nope")
+    with pytest.raises(UnknownMethod):
+        symanzik_u(g, method="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +607,10 @@ def test_symanzik_errors():
         symanzik_u(bridge(1, 0))
     with pytest.raises(NotConnected):
         symanzik_u(disjoint_union(bridge(0, 0), loop_graph(0, 0)))
+    for method in ("rank", "faces"):
+        with pytest.raises(TooLarge):
+            symanzik_u(banana(3), method=method, max_edges=2)
+        assert symanzik_u(banana(3), method=method, max_edges=3) == symanzik_u(banana(3))
 
 
 def test_symanzik_values():
@@ -616,6 +625,22 @@ def test_symanzik_values():
     assert symanzik_u(dumbbell()) == A("e2") * A("e3")
     assert symanzik_u(loop_graph(0, 0)) == A("e1")
     assert symanzik_u(twisted_loop()) == A("e1") + B()
+
+
+def test_symanzik_rank_matches_faces():
+    graphs = [g for g in acceptance_corpus().values()
+              if not g.flag_labels and structure_report(g).k == 1]
+    graphs += [banana(n, planar) for n in range(1, 11) for planar in (True, False)]
+    graphs += [cycle_graph(n) for n in range(1, 9)]
+    rng = random.Random(9)
+    randoms = []
+    while len(randoms) < 150:
+        g = random_rotation_graph(rng, max_edges=6, max_flags=0)
+        if structure_report(g).k == 1:
+            randoms.append(g)
+    assert any(tw for g in randoms for *_e, tw in to_rotation_spec(g).edges)
+    for g in graphs + randoms:
+        assert symanzik_u(g) == symanzik_u(g, method="faces")
 
 
 def test_symanzik_duality():

@@ -7,12 +7,13 @@ import pytest
 from reference_enumerators import exhaustive_canonical_form
 from rgp import corpus
 from rgp.errors import DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence
-from rgp.maps import (CombinatorialMap, Permutation, RotationSpec,
+from rgp.gf2 import rank
+from rgp.maps import (CombinatorialMap, Permutation, RotationSpec, _interlace,
                       boundary_components, canonical_form, component_count,
                       face_count, from_rotation_system, isomorphic, make_graph,
                       orientation_selection, relabel_crosses,
                       structure_report, validate_map, vertices_of)
-from rgp.ops import delete, partial_dual
+from rgp.ops import delete, partial_dual, spanning_subgraph
 
 
 def perm(domain, cycles):
@@ -198,6 +199,31 @@ def test_face_count_is_dual_vertex_count(fig2):
         dual = natural_dual(g)
         assert face_count(g) == structure_report(dual).v
         assert face_count(dual) == structure_report(g).v
+
+
+def test_interlace_rank_counts_faces():
+    # for every A, with X = A ^ T: faces of the spanning subgraph on A =
+    # vertices of G^A = base + |X| - rank M[X]
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(200):
+        g = corpus.random_rotation_graph(rng, max_edges=5, max_flags=3)
+        rows, tree_mask, base = _interlace(g)
+        edges = g.sorted_edges()
+        for amask in range(1 << len(edges)):
+            x = amask ^ tree_mask
+            faces = base + x.bit_count() - rank(
+                rows[i] & x for i in range(len(edges)) if x >> i & 1)
+            keep = [lab for i, lab in enumerate(edges) if amask >> i & 1]
+            assert face_count(spanning_subgraph(g, keep)) == faces
+            h = partial_dual(g, keep)
+            assert len(vertices_of(h)) + h.bare_vertices == faces
+        rep = structure_report(g)
+        kinds.update(kind for kind, seen in (
+            ("disconnected", rep.k > 1), ("flagged", rep.f > 0),
+            ("non-orientable", not rep.orientable),
+            ("bare vertex", g.bare_vertices > 0)) if seen)
+    assert kinds == {"disconnected", "flagged", "non-orientable", "bare vertex"}
 
 
 # --- rotation systems ----------------------------------------------------------
