@@ -408,7 +408,7 @@ def _interlace(g: RibbonGraph) -> tuple[list, int, int]:
             i = edge_of.get(x)
             if i is None:
                 continue    # a flag
-            if i not in spans and bouquet.sigma1(x) in word:
+            if bouquet.sigma1(x) in word:     # both ends on this cycle: a twist
                 rows[i] |= 1 << i
             spans.setdefault(i, []).append(p)
         for i, (p, q) in spans.items():
