@@ -49,6 +49,7 @@ from .ops import (
 from .poly import MultiPoly
 from .qpoly import (
     RSequenceSpec,
+    q_default_method,
     q_polynomial,
     specialize_br,
     specialize_dimer,
@@ -330,7 +331,7 @@ def _cmd_q(args) -> int:
     if args.check_all:
         results = {m: q_polynomial(g, rule, method=m, max_edges=args.max_edges).poly
                    for m in ("expansion", "reduction")}
-        return _emit_poly(_agreed(results, args.default_method), args)
+        return _emit_poly(_agreed(results, q_default_method(rule)), args)
     res = q_polynomial(g, rule, method=args.method, max_edges=args.max_edges)
     return _emit_poly(res.poly, args)
 
@@ -442,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         if method:
             p.set_defaults(default_method=default)
             p.add_argument("--method", choices=method, default=default,
-                           help="computation strategy (default: %(default)s)")
+                           help="computation strategy (default: "
+                                + (default or "by --r-rule, see above") + ")")
             p.add_argument("--check-all", action="store_true",
                            help="run every strategy and fail on disagreement")
             p.add_argument("--max-edges", type=int, default=max_edges,
@@ -466,7 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
         emit=True, fmt=False)
 
     qp = add("q", _cmd_q, "topological polynomial Q",
-             method=("expansion", "reduction"), default="reduction", max_edges=10)
+             method=("expansion", "reduction"), max_edges=10)
+    qp.description = ("Q by subset expansion when no vertex weight can be zero "
+                      "(symbolic, const:<n> with n != 0), else by the "
+                      "four-term reduction.  The expansion stops above "
+                      "--max-edges with E-SIZE; --method reduction has no "
+                      "edge guard.")
     qp.add_argument("--r-rule", type=_r_rule, default=RSequenceSpec.symbolic(),
                     help="vertex-weight rule: symbolic, even2odd0, odd2even0, "
                          "delta1, const:<n> (default: symbolic)")

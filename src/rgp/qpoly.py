@@ -14,11 +14,19 @@ four-term edge reduction
 with memoisation keyed by the canonical form (so isomorphic intermediate
 graphs are computed once and transported along the label bijection).
 
+Every r_n is an int times at most one variable (`RSequenceSpec.scalar`), so
+the enumeration weighs each pair with int products and variable counts, and
+hands the monomials to `MultiPoly.from_monomials` once.
+
 The weights r_n are per vertex, so Q of a disjoint union is the product of
 the Q of its parts.  The reduction splits every disconnected graph into its
 components, so the memo holds connected maps without bare vertices only, and
 a branch whose bare or edgeless vertices weigh zero (r_0 = 0 under the odd
 rule) is dropped before it is reduced.
+
+`q_polynomial` enumerates by default when no weight can be zero (every pair
+then survives, and the reduction has nothing to prune), and reduces
+otherwise.  Both routes stay, as independent checks of each other.
 """
 
 from __future__ import annotations
@@ -69,18 +77,24 @@ class RSequenceSpec:
     def constant(c: int) -> "RSequenceSpec":
         return RSequenceSpec(RSequenceSpec.CONSTANT, c)
 
-    def weight(self, n: int) -> MultiPoly:
+    def scalar(self, n: int) -> tuple[int, Optional[VarId]]:
+        """r_n as a coefficient times at most one variable (None: no
+        variable)."""
         if self.rule == self.SYMBOLIC:
-            return MultiPoly.variable("R", n)
+            return 1, VarId("R", n)
         if self.rule == self.EVEN_TWO_ODD_ZERO:
-            return MultiPoly.const(2 if n % 2 == 0 else 0)
+            return (2 if n % 2 == 0 else 0), None
         if self.rule == self.ODD_TWO_EVEN_ZERO:
-            return MultiPoly.const(2 if n % 2 == 1 else 0)
+            return (2 if n % 2 == 1 else 0), None
         if self.rule == self.DELTA_ONE:
-            return MultiPoly.const(1 if n == 1 else 0)
+            return (1 if n == 1 else 0), None
         if self.rule == self.CONSTANT:
-            return MultiPoly.const(self.constant)
+            return self.constant, None
         raise UnknownMethod(f"unknown r-rule {self.rule!r}")
+
+    def weight(self, n: int) -> MultiPoly:
+        c, v = self.scalar(n)
+        return MultiPoly.variable(v.kind, v.label) if v else MultiPoly.const(c)
 
     def key(self):
         return (self.rule, self.constant)
@@ -103,36 +117,51 @@ def _edge_var(kind: str, label) -> MultiPoly:
 
 def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
                    max_edges: int = 10) -> QResult:
-    """Enumerate all (A, B) pairs.  Guarded by e(G) <= max_edges."""
+    """Enumerate all (A, B) pairs.  Guarded by e(G) <= max_edges.
+
+    Every r_n is a coefficient times at most one variable, so the weight of
+    a pair is an int times a product of R variables: the loop multiplies the
+    ints, counts the variables, and stops at the first zero factor."""
     r = r or RSequenceSpec.symbolic()
     edges = g.sorted_edges()
     ne = len(edges)
     if ne > max_edges:
         raise TooLarge(f"{ne} edges exceeds the expansion guard {max_edges}")
 
-    # the class of edge i is "XWYZ"[2 [i in A] + [i in B]]
-    edge_vars = [[VarId(kind, lab) for kind in "XWYZ"] for lab in edges]
+    # r_n for every count of flags and edge ends a vertex can carry
+    weights = [r.scalar(n) for n in range(len(g.flag_labels) + 2 * ne + 1)]
+    c0, r0 = weights[0]
+    # the variable of edge i is edge_vars[i][i in A][i in B]
+    edge_vars = [((VarId("X", lab), VarId("W", lab)), (VarId("Y", lab), VarId("Z", lab)))
+                 for lab in edges]
     terms = []
     admissible = 0
     for amask in range(1 << ne):
         A = [edges[i] for i in range(ne) if amask >> i & 1]
         h = partial_dual(g, A)
+        bare = h.bare_vertices
+        c_bare = c0 ** bare
+        if not c_bare:
+            continue
+        base = {r0: bare} if r0 and bare else {}
+        kinds = [ev[amask >> i & 1] for i, ev in enumerate(edge_vars)]
         flags_at, ends = _incidences(h)
-        r0_bare = r.weight(0) ** h.bare_vertices
         for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
-            weight = r0_bare
+            c = c_bare
+            mono = base.copy()
             for n in deg:
-                weight = weight * r.weight(n)
-                if weight.is_zero():
+                cn, v = weights[n]
+                c *= cn
+                if not c:
                     break
-            if weight.is_zero():
+                if v is not None:
+                    mono[v] = mono.get(v, 0) + 1
+            if not c:
                 continue
             admissible += 1
-            mono = {kinds[2 * (amask >> i & 1) + (bmask >> i & 1)]: 1
-                    for i, kinds in enumerate(edge_vars)}
-            for rexps, c in weight.monomials():
-                rexps.update(mono)
-                terms.append((rexps, c))
+            for i, kv in enumerate(kinds):
+                mono[kv[bmask >> i & 1]] = 1
+            terms.append((mono, c))
     return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)
 
 
@@ -217,8 +246,28 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     return QResult(rec(g), "REDUCTION", None)
 
 
+def q_default_method(r: RSequenceSpec | None = None) -> str:
+    """The route `q_polynomial` takes when no method is given: "expansion"
+    when no r_n can be zero, "reduction" otherwise."""
+    r = r or RSequenceSpec.symbolic()
+    if r.rule == r.SYMBOLIC or (r.rule == r.CONSTANT and r.constant != 0):
+        return "expansion"
+    return "reduction"
+
+
 def q_polynomial(g: RibbonGraph, r: RSequenceSpec | None = None,
-                 method: str = "reduction", max_edges: int = 10) -> QResult:
+                 method: Optional[str] = None, max_edges: int = 10) -> QResult:
+    """Q of g by `method`, "expansion" or "reduction".
+
+    The default is `q_default_method(r)`.  When no weight can be zero (the
+    symbolic rule, or a nonzero constant) every (A, B) pair is admissible,
+    so Q has 4^e terms and the reduction has nothing to prune: the expansion
+    builds them directly and is faster, but stops above `max_edges` with
+    `TooLarge`.  Under the parity and delta rules the reduction drops every
+    branch whose weight vanishes, which wins on larger maps, so it stays the
+    default there.  The reduction has no size guard.
+    """
+    method = method or q_default_method(r)
     if method == "expansion":
         return q_by_expansion(g, r, max_edges=max_edges)
     if method == "reduction":

@@ -6,13 +6,15 @@ compared with a route that does not share their code.
 `exhaustive_canonical_form` runs the canonical-form BFS to the end from every
 start cross, with no pruning.  `exhaustive_class_counts` walks every edge
 subset and every half-edge slot subset, where `class_counts` uses a closed
-form.  Not a test module: pytest does not collect it.
+form.  `exhaustive_q` multiplies the vertex weights of every (A, B) pair as
+polynomials, where `q_by_expansion` multiplies ints and counts variables.  Not a test module: pytest does not collect it.
 """
 
 from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
                       cross_components, face_count, face_sets, vertices_of)
-from rgp.ops import ClassCounts, spanning_subgraph
-from rgp.poly import MultiPoly
+from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
+from rgp.poly import MultiPoly, VarId
+from rgp.qpoly import QResult, RSequenceSpec
 
 
 def _edge_ends(g):
@@ -179,3 +181,36 @@ def exhaustive_class_counts(g) -> ClassCounts:
     color = 1 << v_total
     return ClassCounts(odd=odd, even=even, codd=odd * color, cev=even * color,
                        oddf=oddf, evf=evf, coddf=oddf * color, cevf=evf * color)
+
+
+def exhaustive_q(g, r=None) -> QResult:
+    """Q by enumerating all (A, B) pairs, each weight a `MultiPoly` product
+    of the vertex weights r_n."""
+    r = r or RSequenceSpec.symbolic()
+    edges = g.sorted_edges()
+    ne = len(edges)
+
+    # the class of edge i is "XWYZ"[2 [i in A] + [i in B]]
+    edge_vars = [[VarId(kind, lab) for kind in "XWYZ"] for lab in edges]
+    terms = []
+    admissible = 0
+    for amask in range(1 << ne):
+        A = [edges[i] for i in range(ne) if amask >> i & 1]
+        h = partial_dual(g, A)
+        flags_at, ends = _incidences(h)
+        r0_bare = r.weight(0) ** h.bare_vertices
+        for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
+            weight = r0_bare
+            for n in deg:
+                weight = weight * r.weight(n)
+                if weight.is_zero():
+                    break
+            if weight.is_zero():
+                continue
+            admissible += 1
+            mono = {kinds[2 * (amask >> i & 1) + (bmask >> i & 1)]: 1
+                    for i, kinds in enumerate(edge_vars)}
+            for rexps, c in weight.monomials():
+                rexps.update(mono)
+                terms.append((rexps, c))
+    return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)

@@ -112,6 +112,19 @@ def test_size_guard(capsys, tmp_path):
         code, out, err = run(capsys, "symanzik-u", "--method", method,
                              "--max-edges", "2", str(path))
         assert (code, out) == (1, "") and err.startswith("E-SIZE")
+    # symbolic q enumerates by default, so it stops at 10 edges: 4^11 terms
+    path = tmp_path / "banana11.rg"
+    path.write_text(format_graph_file(banana(11)))
+    code, out, err = run(capsys, "q", str(path))
+    assert (code, out) == (1, "") and err.startswith("E-SIZE")
+    # --method reduction has no edge guard
+    path = tmp_path / "banana3.rg"
+    code, out, err = run(capsys, "q", "--max-edges", "2", str(path))
+    assert (code, out) == (1, "") and err.startswith("E-SIZE")
+    code, out, err = run(capsys, "q", "--method", "reduction", "--max-edges", "2",
+                         str(path))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "q", "--max-edges", "3", str(path))[1]
     # counts is a closed form: no guard, even at 2e+f = 26
     path = tmp_path / "banana13.rg"
     path.write_text(format_graph_file(banana(13)))

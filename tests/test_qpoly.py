@@ -1,9 +1,11 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import rgp.qpoly
+from rgp import cli
 from rgp.corpus import (
     acceptance_corpus,
     banana,
@@ -21,6 +23,7 @@ from rgp.corpus import (
 )
 from rgp.errors import TooLarge
 from rgp.maps import (RibbonGraph, RotationSpec, canonical_form, cross_components,
+                      structure_report,
                       from_rotation_system)
 from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
@@ -36,12 +39,18 @@ from rgp.qpoly import (
     specialize_ising,
 )
 
+from reference_enumerators import exhaustive_q
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
 ALL_RULES = [
     RSequenceSpec.symbolic(),
     RSequenceSpec.even_two_odd_zero(),
     RSequenceSpec.odd_two_even_zero(),
     RSequenceSpec.delta_one(),
 ]
+# the rules above and two constants: one that never vanishes, one that always does
+SIX_RULES = ALL_RULES + [RSequenceSpec.constant(3), RSequenceSpec.constant(0)]
 
 
 def test_bridge_golden():
@@ -79,6 +88,29 @@ def test_expansion_equals_reduction_corpus():
             a = q_by_expansion(g, rule).poly
             b = q_by_reduction(g, rule).poly
             assert a == b, (name, rule.rule)
+
+
+def test_expansion_matches_polynomial_products():
+    # the scalar weights against MultiPoly products of r_n, pair by pair
+    def check(g):
+        for rule in SIX_RULES:
+            got, ref = q_by_expansion(g, rule), exhaustive_q(g, rule)
+            assert got.poly == ref.poly, rule
+            assert got.admissible_pairs == ref.admissible_pairs, rule
+
+    for g in acceptance_corpus().values():
+        check(g)
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(40):
+        g = random_rotation_graph(rng, max_edges=5, max_flags=3)
+        check(g)
+        rep = structure_report(g)
+        kinds.update(kind for kind, seen in (
+            ("disconnected", rep.k > 1), ("flagged", rep.f > 0),
+            ("non-orientable", not rep.orientable),
+            ("bare vertex", g.bare_vertices > 0)) if seen)
+    assert kinds == {"disconnected", "flagged", "non-orientable", "bare vertex"}
 
 
 def test_expansion_equals_reduction_random():
@@ -165,6 +197,48 @@ def test_q_polynomial_dispatch():
     assert (a.method, b.method) == ("EXPANSION", "REDUCTION")
     with pytest.raises(ValueError):
         q_polynomial(g, method="magic")
+
+
+def _recording_routes(monkeypatch) -> list:
+    """Replace qpoly's two routes by wrappers that record which one ran."""
+    seen = []
+    for name in ("q_by_expansion", "q_by_reduction"):
+        def record(*args, _name=name, _real=getattr(rgp.qpoly, name), **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rgp.qpoly, name, record)
+    return seen
+
+
+# the route `q_polynomial` and `rgp q` take by default: enumerate when no
+# weight can vanish, so that every pair is admissible; reduce when one can
+DEFAULT_ROUTES = {
+    "symbolic": "q_by_expansion",
+    "const:3": "q_by_expansion",
+    "even2odd0": "q_by_reduction",
+    "odd2even0": "q_by_reduction",
+    "delta1": "q_by_reduction",
+    "const:0": "q_by_reduction",
+}
+
+
+def test_default_route_per_rule(monkeypatch, capsys):
+    seen = _recording_routes(monkeypatch)
+    g = two_cycle()
+    path = str(EXAMPLES / "two_cycle.rg")
+    for text, route in DEFAULT_ROUTES.items():
+        rule = cli._r_rule(text)
+        seen.clear()
+        assert q_polynomial(g, rule).poly == exhaustive_q(g, rule).poly
+        assert seen == [route], text
+        seen.clear()
+        assert cli.main(["q", "--r-rule", text, path]) == 0
+        assert seen == [route], text
+        assert capsys.readouterr().out == exhaustive_q(g, rule).poly.to_string() + "\n"
+    seen.clear()
+    q_polynomial(g)
+    assert seen == ["q_by_expansion"]
 
 
 def _scaled(p: MultiPoly, g: RibbonGraph) -> MultiPoly:
