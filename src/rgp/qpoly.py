@@ -263,9 +263,9 @@ def q_polynomial(g: RibbonGraph, r: RSequenceSpec | None = None,
     symbolic rule, or a nonzero constant) every (A, B) pair is admissible,
     so Q has 4^e terms and the reduction has nothing to prune: the expansion
     builds them directly and is faster, but stops above `max_edges` with
-    `TooLarge`.  Under the parity and delta rules the reduction drops every
-    branch whose weight vanishes, which wins on larger maps, so it stays the
-    default there.  The reduction has no size guard.
+    `TooLarge`.  Under the parity and delta rules the reduction stays the
+    default: it drops every branch whose weight vanishes, and it has no size
+    guard, so `q` keeps its reach there.
     """
     method = method or q_default_method(r)
     if method == "expansion":

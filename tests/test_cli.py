@@ -117,7 +117,7 @@ def test_size_guard(capsys, tmp_path):
     path.write_text(format_graph_file(banana(11)))
     code, out, err = run(capsys, "q", str(path))
     assert (code, out) == (1, "") and err.startswith("E-SIZE")
-    # --method reduction has no edge guard
+    # on a small map: --method reduction has no edge guard
     path = tmp_path / "banana3.rg"
     code, out, err = run(capsys, "q", "--max-edges", "2", str(path))
     assert (code, out) == (1, "") and err.startswith("E-SIZE")

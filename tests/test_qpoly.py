@@ -23,8 +23,7 @@ from rgp.corpus import (
 )
 from rgp.errors import TooLarge
 from rgp.maps import (RibbonGraph, RotationSpec, canonical_form, cross_components,
-                      structure_report,
-                      from_rotation_system)
+                      from_rotation_system, structure_report)
 from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
 from rgp.qpoly import (
