@@ -127,6 +127,32 @@ def test_shared_orbit_witnesses_match_per_cross_orbits():
     assert broken > 20
 
 
+def test_make_graph_rejects_label_tables_off_the_orbits(fig2):
+    # fig2: edges {1,2,5,6} and {3,4,7,8}, flags {9,10} and {11,12}
+    e1, e2 = fig2.edge_labels["e1"], fig2.edge_labels["e2"]
+    f1, f2 = fig2.flag_labels["f1"], fig2.flag_labels["f2"]
+    bad_tables = [
+        ({"e1": frozenset({1, 2, 5, 7}), "e2": frozenset({3, 4, 6, 8})},
+         {"f1": f1, "f2": f2}),                                   # non-orbit edges
+        ({"e1": e1, "e2": e2}, {"f1": frozenset({9, 11}),
+                                "f2": frozenset({10, 12})}),      # non-orbit flags
+        ({"e1": e1, "e2": e2, "e3": e1}, {"f1": f1, "f2": f2}),   # two labels, one orbit
+        ({"e1": e1, "e2": e2}, {"f1": f1, "f2": f2, "f3": f1}),
+        ({"e1": e1}, {"f1": f1, "f2": f2}),                       # a missing orbit
+        ({"e1": e1, "e2": e2}, {"f1": f1}),
+        ({"e1": e1}, {"f1": f1, "f2": f2, "e2": e2}),             # edge orbit as a flag
+        ({"e1": e1}, {"f1": f1, "f2": f2, "e2.1": frozenset({3, 4}),
+                      "e2.2": frozenset({7, 8})}),
+        ({"e1": e1, "e2": e2, "f2": f2}, {"f1": f1}),             # flag orbit as an edge
+        ({"e1": e1, "e2": e2, "f": f1 | f2}, {}),
+    ]
+    for edges, flags in bad_tables:
+        with pytest.raises(InvalidMap):
+            make_graph(fig2.map, edges, flags)
+    g = make_graph(fig2.map, {"a": e2, "b": e1}, {"c": f2, "d": f1})
+    assert (g.edge_labels, g.flag_labels) == ({"a": e2, "b": e1}, {"c": f2, "d": f1})
+
+
 def test_domain_mismatch_detected():
     m = CombinatorialMap(frozenset(range(4)),
                          Permutation.identity(range(4)),
