@@ -12,7 +12,9 @@ on an even set of integer "crosses" (quarter-edges):
 
 Vertices and faces are walked the same way: a face is a vertex of the dual,
 the partial dual along every edge (`_dual_triple`, the one duality surgery),
-so both are conjugate sigma0-cycle pairs (`_conjugate_pairs`).
+so both are conjugate sigma0-cycle pairs (`_conjugate_pairs`).  The
+canonical form searches only the edge crosses, with each corner's flags
+folded into a count (`_fold`).
 
 Everything downstream (duality, the polynomials, the CLI) works on the
 RibbonGraph wrapper, which adds stable edge/flag labels and a count of bare
@@ -26,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence)
+from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence,
+                     UnknownEdge)
 
 
 # ---------------------------------------------------------------------------
@@ -71,29 +74,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation({v: k for k, v in self.mapping.items()})
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Right-to-left: (self.compose(other))(x) == self(other(x))."""
-        return Permutation({x: self.mapping[y] for x, y in other.mapping.items()})
-
-    def piecewise(self, subset: Iterable[int]) -> "Permutation":
-        """Act as self on `subset`, identity elsewhere.  The subset must be
-        closed under self, otherwise the result is not a permutation."""
-        sub = set(subset)
-        out = {x: (self.mapping[x] if x in sub else x) for x in self.mapping}
-        return Permutation(out)
-
-    def induced_on(self, kept: Iterable[int]) -> "Permutation":
-        """The permutation on `kept` sending x to its first iterate in `kept`
-        (cycle structure with the removed elements skipped)."""
-        ks = set(kept)
-        out = {}
-        for x in ks:
-            y = self.mapping[x]
-            while y not in ks:
-                y = self.mapping[y]
-            out[x] = y
-        return Permutation(out)
 
     def orbit(self, x: int) -> list[int]:
         out = [x]
@@ -195,7 +175,6 @@ class RibbonGraph:
     bare_vertices: int = 0
 
     def edge_crosses(self, label) -> frozenset:
-        from .errors import UnknownEdge
         try:
             return self.edge_labels[label]
         except KeyError:
@@ -218,15 +197,13 @@ def make_graph(m: CombinatorialMap,
         violations = validate_map(m)
         if violations:
             raise InvalidMap("; ".join(f"{v.axiom}: {v.message} {v.witnesses}" for v in violations))
-    flag_orbits, edge_orbits = _classify_orbits(m)
-    if edge_labels is None:
-        edge_labels = {f"e{i + 1}": orb for i, orb in enumerate(edge_orbits)}
-    else:
-        _check_labels(edge_labels, edge_orbits, "edge")
-    if flag_labels is None:
-        flag_labels = {f"f{i + 1}": orb for i, orb in enumerate(flag_orbits)}
-    else:
-        _check_labels(flag_labels, flag_orbits, "flag")
+    if edge_labels is None or flag_labels is None:
+        flag_orbits, edge_orbits = _classify_orbits(m)
+        if edge_labels is None:
+            edge_labels = {f"e{i + 1}": orb for i, orb in enumerate(edge_orbits)}
+        if flag_labels is None:
+            flag_labels = {f"f{i + 1}": orb for i, orb in enumerate(flag_orbits)}
+    _check_labels(m, edge_labels, flag_labels)
     return RibbonGraph(m, dict(edge_labels), dict(flag_labels), bare_vertices)
 
 
@@ -250,10 +227,24 @@ def _classify_orbits(m: CombinatorialMap):
     return flags, edges
 
 
-def _check_labels(labels: dict, orbits: list, kind: str):
-    given = sorted(labels.values(), key=lambda s: min(s))
-    if given != orbits:
-        raise InvalidMap(f"{kind} label table does not match the {kind} orbits")
+def _check_labels(m: CombinatorialMap, edge_labels: dict, flag_labels: dict):
+    """Each edge label is one 4-cross <theta, sigma1> orbit with sigma1 != id,
+    each flag label one sigma1-fixed theta pair, and the labels cover the
+    crosses once: orbits are equal or disjoint, so distinct ones that add up
+    to the cross count do."""
+    th, s1 = m.theta.mapping, m.sigma1.mapping
+    for lab, orb in edge_labels.items():
+        x = next(iter(orb), None)
+        if x not in s1 or s1[x] == x or len(orb) != 4 or orb != {x, th[x], s1[x], s1[th[x]]}:
+            raise InvalidMap(f"edge label {lab!r} is not on an edge orbit")
+    for lab, orb in flag_labels.items():
+        x = next(iter(orb), None)
+        if x not in s1 or s1[x] != x or orb != {x, th[x]}:
+            raise InvalidMap(f"flag label {lab!r} is not on a flag orbit")
+    n = len(edge_labels) + len(flag_labels)
+    if (4 * len(edge_labels) + 2 * len(flag_labels) != len(m.crosses)
+            or len({*edge_labels.values(), *flag_labels.values()}) != n):
+        raise InvalidMap("the label tables do not cover every orbit exactly once")
 
 
 def _conjugate_pairs(m: CombinatorialMap) -> list[tuple[tuple, tuple]]:
@@ -334,19 +325,16 @@ def _subset_degrees(base: list, pairs: list):
 
 def _dual_triple(m: CombinatorialMap, edge_crosses: set[int]) -> CombinatorialMap:
     """The partial dual along the edges with crosses E', E'c the rest:
-    (sigma0 theta_{E'} sigma1_{E'}, sigma1_{E'} theta_{E'c}, sigma1_{E'c} theta_{E'}).
-    Along every edge it is the natural dual; applied twice it is the identity."""
-    rest = set(m.crosses) - edge_crosses
-    th_p = m.theta.piecewise(edge_crosses)
-    th_c = m.theta.piecewise(rest)
-    s1_p = m.sigma1.piecewise(edge_crosses)
-    s1_c = m.sigma1.piecewise(rest)
-    return CombinatorialMap(
-        m.crosses,
-        m.sigma0.compose(th_p).compose(s1_p),
-        s1_p.compose(th_c),
-        s1_c.compose(th_p),
-    )
+    (sigma0 theta_{E'} sigma1_{E'}, sigma1_{E'} theta_{E'c}, sigma1_{E'c} theta_{E'}),
+    which moves only E': sigma0 theta sigma1, sigma1 and theta there.  Along
+    every edge it is the natural dual; applied twice it is the identity."""
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    d0, dt, d1 = dict(s0), dict(th), dict(s1)
+    for x in edge_crosses:
+        d0[x] = s0[th[s1[x]]]
+        dt[x] = s1[x]
+        d1[x] = th[x]
+    return CombinatorialMap(m.crosses, Permutation(d0), Permutation(dt), Permutation(d1))
 
 
 def _faces(g: RibbonGraph) -> list[tuple[tuple, tuple]]:
@@ -622,23 +610,50 @@ class CanonicalForm(NamedTuple):
     flag_slots: dict
 
 
-def _bfs_serial(m: CombinatorialMap, start: int, best: Optional[tuple]):
-    """The BFS relabeling from `start` and its serialisation of (sigma0,
-    theta, sigma1), one row per cross in visiting order, or None if the
-    serial is not smaller than `best`.  A row is final once its cross is
-    visited, so the walk stops at the first row above `best`'s."""
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+def _fold(m: CombinatorialMap):
+    """The map seen from its edge crosses, from one walk of each sigma0-cycle:
+    per edge cross x, the next edge cross s0e(x) around its vertex and
+    corner[x], the number of flag crosses passed on the way.  Also the
+    vertices with only flags, as (flag count, sigma0-cycle from the smallest
+    cross), sorted."""
+    th, s1 = m.theta.mapping, m.sigma1.mapping
+    nxt, corner = {}, {}
+    flag_vertices = []
+    seen: set[int] = set()
+    for x in sorted(m.crosses):
+        if x in seen:
+            continue
+        cyc = m.sigma0.orbit(x)
+        seen.update(cyc)
+        at = [i for i, y in enumerate(cyc) if s1[y] != y]
+        if not at:
+            flag_vertices.append((len(cyc), cyc))
+            seen.update(m.sigma0.orbit(th[x]))
+        for i, j in zip(at, at[1:] + at[:1]):
+            nxt[cyc[i]] = cyc[j]
+            corner[cyc[i]] = (j - i - 1) % len(cyc)
+    flag_vertices.sort()
+    return nxt, corner, flag_vertices
+
+
+def _bfs_serial(nxt: dict, th: dict, s1: dict, corner: dict, start: int,
+                best: Optional[tuple]):
+    """The BFS relabeling of the edge crosses from `start` and its serial, one
+    row (s0e, theta, sigma1, corner) per cross in visiting order, as (serial,
+    visiting order), or None if the serial is not smaller than `best`.  A row
+    is final once its cross is visited, so the walk stops at the first row
+    above `best`'s."""
     relabel = {start: 0}
     seq = [start]
     rows = []
     smaller = best is None
     for x in seq:
-        a, b, c = s0[x], th[x], s1[x]
+        a, b, c = nxt[x], th[x], s1[x]
         for img in (a, b, c):
             if img not in relabel:
                 relabel[img] = len(seq)
                 seq.append(img)
-        row = (relabel[a], relabel[b], relabel[c])
+        row = (relabel[a], relabel[b], relabel[c], corner[x])
         if not smaller:
             other = best[len(rows)]
             if row > other:
@@ -647,47 +662,60 @@ def _bfs_serial(m: CombinatorialMap, start: int, best: Optional[tuple]):
         rows.append(row)
     if not smaller:
         return None
-    return tuple(rows), relabel
+    return tuple(rows), seq
 
 
 def canonical_form(g: RibbonGraph) -> CanonicalForm:
     """Label-independent canonical key plus the induced edge/flag slot maps.
 
-    Per component, the serialisation of (sigma0, theta, sigma1) is minimised
-    over BFS relabelings from every start cross (a start is abandoned at the
-    first row above the best serial so far; on a tie the earlier start wins);
-    components are then sorted by their serialisations and concatenated (plus
-    the bare-vertex count).  Two graphs get equal keys iff they are isomorphic
-    as labelled-forgetting maps.  The slot maps number edges/flags by first
-    appearance in the winning relabeling, blockwise in component order, so a
-    memoised polynomial can be transported along any isomorphism.
+    The key is taken on the folded map (`_fold`): the edge crosses under
+    (s0e, theta, sigma1), each with its corner's flag count.  Folding loses
+    nothing: theta sigma0 theta = sigma0^-1 puts the theta partners of a
+    corner's flags in the conjugate corner.  Per component, the serial is
+    minimised over BFS relabelings from every edge cross (a start is dropped
+    at the first row above the best so far; on a tie the earlier start
+    wins).  The key holds the bare-vertex count, the sorted flag counts of
+    the flag-only vertices and the sorted serials, so two graphs get equal
+    keys iff they are isomorphic as labelled-forgetting maps.  A flagless
+    map folds nothing, so its search costs what the unfolded one did.
+    Edge slots follow first appearance in the winning relabelings, in
+    component order, and flag slots the corners in that order, then the
+    flag-only vertices: a memoised polynomial transports along any
+    isomorphism.
     """
     m = g.map
-    comps = cross_components(g)
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    nxt, corner, flag_vertices = _fold(m)
     entries = []
-    for comp in comps:
-        best = best_relabel = None
-        for start in sorted(comp):
-            found = _bfs_serial(m, start, best)
+    seen: set[int] = set()
+    for first in sorted(nxt):
+        if first in seen:
+            continue
+        best, best_seq = _bfs_serial(nxt, th, s1, corner, first, None)
+        seen.update(best_seq)
+        for start in sorted(best_seq)[1:]:
+            found = _bfs_serial(nxt, th, s1, corner, start, best)
             if found is not None:
-                best, best_relabel = found
-        entries.append((best, min(comp), best_relabel))
+                best, best_seq = found
+        entries.append((best, first, best_seq))
     entries.sort(key=lambda t: (t[0], t[1]))
 
-    edge_slots: dict = {}
-    flag_slots: dict = {}
-    for serial, _, relabel in entries:
-        dom = set(relabel)
-        local_edges = [lab for lab, orb in g.edge_labels.items() if orb <= dom]
-        local_edges.sort(key=lambda lab: min(relabel[c] for c in g.edge_labels[lab]))
-        for lab in local_edges:
-            edge_slots[lab] = len(edge_slots)
-        local_flags = [lab for lab, orb in g.flag_labels.items() if orb <= dom]
-        local_flags.sort(key=lambda lab: min(relabel[c] for c in g.flag_labels[lab]))
-        for lab in local_flags:
-            flag_slots[lab] = len(flag_slots)
+    edge_of = {c: lab for lab, orb in g.edge_labels.items() for c in orb}
+    flag_of = {c: lab for lab, orb in g.flag_labels.items() for c in orb}
+    edge_slots, flag_slots = {}, {}
+    for _serial, _first, seq in entries:
+        for x in seq:
+            edge_slots.setdefault(edge_of[x], len(edge_slots))
+            y = x
+            for _ in range(corner[x]):
+                y = s0[y]
+                flag_slots.setdefault(flag_of[y], len(flag_slots))
+    for _count, cyc in flag_vertices:
+        for x in cyc:
+            flag_slots.setdefault(flag_of[x], len(flag_slots))
 
-    payload = (g.bare_vertices, tuple(e[0] for e in entries))
+    payload = (g.bare_vertices, tuple(count for count, _ in flag_vertices),
+               tuple(e[0] for e in entries))
     return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
 
 

@@ -10,7 +10,9 @@ operations.  Contraction is deletion after dualising the one edge.
 
 These surgeries, and the restriction to a union of components, build valid
 maps from valid ones, so they skip `maps.validate_map`; the test suite checks
-their outputs against it on the corpus and on random maps.
+their outputs against it on the corpus and on random maps.  Each is a local
+edit of copies of the three permutation dicts (deletion induces sigma0 in one
+pass), and `make_graph` checks the label tables one label at a time.
 
 Vertices that lose all their crosses (deleting a bridge end, a flag removal)
 are kept as bare isolated vertices — the polynomial layer weights them by
@@ -33,18 +35,28 @@ from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
 # ---------------------------------------------------------------------------
 
 def _remove_crosses(g: RibbonGraph, removed: set, edges: dict, flags: dict) -> RibbonGraph:
-    """Induce the permutations on the crosses outside `removed`; vertices
-    that lose every cross stay behind as bare vertices."""
-    kept = set(g.map.crosses) - removed
-    newly_bare = sum(1 for v in vertices_of(g) if v.crosses <= removed)
-    m = CombinatorialMap(
-        frozenset(kept),
-        g.map.sigma0.induced_on(kept),
-        g.map.theta.induced_on(kept),
-        g.map.sigma1.induced_on(kept),
-    )
-    return make_graph(m, edges, flags, bare_vertices=g.bare_vertices + newly_bare,
-                      check=False)
+    """Induce the permutations on the crosses outside `removed`, whole edges
+    and flags, so theta and sigma1 just restrict.  A sigma0-cycle inside
+    `removed` is half of a vertex that stays behind bare."""
+    m, s0 = g.map, g.map.sigma0.mapping
+    sigma0 = {}
+    for x, y in s0.items():
+        if x not in removed:
+            while y in removed:
+                y = s0[y]
+            sigma0[x] = y
+    cycles_inside, left = 0, set(removed)
+    while left:
+        x = y = left.pop()
+        while (y := s0[y]) in left:
+            left.discard(y)
+        cycles_inside += y == x
+    theta, sigma1 = ({x: y for x, y in p.mapping.items() if x not in removed}
+                     for p in (m.theta, m.sigma1))
+    kept = CombinatorialMap(frozenset(sigma0), Permutation(sigma0),
+                            Permutation(theta), Permutation(sigma1))
+    return make_graph(kept, edges, flags,
+                      bare_vertices=g.bare_vertices + cycles_inside // 2, check=False)
 
 
 def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
@@ -67,9 +79,8 @@ def cut(g: RibbonGraph, e) -> RibbonGraph:
     """Replace the edge by two flags, one per half-ribbon: sigma1 becomes the
     identity on the edge's crosses, everything else is untouched."""
     orb = g.edge_crosses(e)
-    rest = set(g.map.crosses) - orb
-    m = CombinatorialMap(g.map.crosses, g.map.sigma0, g.map.theta,
-                         g.map.sigma1.piecewise(rest))
+    sigma1 = Permutation({**g.map.sigma1.mapping, **{x: x for x in orb}})
+    m = CombinatorialMap(g.map.crosses, g.map.sigma0, g.map.theta, sigma1)
     x = min(orb)
     first = frozenset((x, g.map.theta(x)))
     second = frozenset(orb - first)

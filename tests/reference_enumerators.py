@@ -96,7 +96,65 @@ def two_boundary_sets(gh, stub, leaf):
 
 
 def exhaustive_canonical_form(g) -> CanonicalForm:
-    """`canonical_form` with a full BFS serial from every start cross."""
+    """`canonical_form` with a full serial from every edge cross, walked
+    over edge crosses only: each row is (next edge cross around the vertex,
+    theta, sigma1, flag crosses skipped on the way there)."""
+    m = g.map
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    nxt, corner = {}, {}
+    for x in m.crosses:
+        if s1[x] != x:
+            y, skipped = s0[x], 0
+            while s1[y] == y:
+                y, skipped = s0[y], skipped + 1
+            nxt[x], corner[x] = y, skipped
+    entries = []
+    flag_vertices = []
+    for comp in cross_components(g):
+        starts = sorted(x for x in comp if x in nxt)
+        if not starts:
+            x = min(comp)
+            flag_vertices.append((len(comp) // 2, x, m.sigma0.orbit(x)))
+            continue
+        best = best_seq = None
+        for start in starts:
+            seq = [start]
+            for x in seq:
+                for img in (nxt[x], th[x], s1[x]):
+                    if img not in seq:
+                        seq.append(img)
+            serial = tuple((seq.index(nxt[x]), seq.index(th[x]), seq.index(s1[x]), corner[x])
+                           for x in seq)
+            if best is None or serial < best:
+                best, best_seq = serial, seq
+        entries.append((best, starts[0], best_seq))
+    entries.sort(key=lambda t: (t[0], t[1]))
+    flag_vertices.sort(key=lambda t: t[:2])
+
+    edge_of = {c: lab for lab, orb in g.edge_labels.items() for c in orb}
+    flag_of = {c: lab for lab, orb in g.flag_labels.items() for c in orb}
+    edge_slots: dict = {}
+    flag_slots: dict = {}
+    for _serial, _, seq in entries:
+        for x in seq:
+            edge_slots.setdefault(edge_of[x], len(edge_slots))
+        for x in seq:
+            y = s0[x]
+            while y not in nxt:
+                flag_slots.setdefault(flag_of[y], len(flag_slots))
+                y = s0[y]
+    for _count, _, walk in flag_vertices:
+        for y in walk:
+            flag_slots.setdefault(flag_of[y], len(flag_slots))
+
+    payload = (g.bare_vertices, tuple(t[0] for t in flag_vertices),
+               tuple(e[0] for e in entries))
+    return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+
+
+def exhaustive_cross_serial_form(g) -> CanonicalForm:
+    """The canonical form over every cross: per component, the smallest
+    (sigma0, theta, sigma1) serial of a full BFS from each start cross."""
     m = g.map
     entries = []
     for comp in cross_components(g):
@@ -128,6 +186,91 @@ def exhaustive_canonical_form(g) -> CanonicalForm:
 
     payload = (g.bare_vertices, tuple(e[0] for e in entries))
     return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+
+
+def _compose(p, q):
+    """Right-to-left: x -> p[q[x]], on dict permutations."""
+    return {x: p[y] for x, y in q.items()}
+
+
+def _piecewise(p, subset):
+    """p on `subset` (closed under p), the identity elsewhere."""
+    return {x: (y if x in subset else x) for x, y in p.items()}
+
+
+def _induced_on(p, kept):
+    """x in `kept` -> its first iterate under p in `kept`."""
+    out = {}
+    for x in kept:
+        y = p[x]
+        while y not in kept:
+            y = p[y]
+        out[x] = y
+    return out
+
+
+def reference_dual_triple(m, edge_crosses):
+    """The partial dual along the edges with crosses E', E'c the rest, as
+    compositions of permutations: (sigma0 theta_E' sigma1_E',
+    sigma1_E' theta_E'c, sigma1_E'c theta_E'), each a dict."""
+    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    rest = set(m.crosses) - set(edge_crosses)
+    th_p, th_c = _piecewise(th, edge_crosses), _piecewise(th, rest)
+    s1_p, s1_c = _piecewise(s1, edge_crosses), _piecewise(s1, rest)
+    return (_compose(_compose(s0, th_p), s1_p), _compose(s1_p, th_c),
+            _compose(s1_c, th_p))
+
+
+def _surgery(s0, th, s1, edges, flags, bare):
+    return s0, th, s1, list(edges.items()), list(flags.items()), bare
+
+
+def reference_partial_dual(g, labels):
+    """`ops.partial_dual` as (sigma0, theta, sigma1, edge table items, flag
+    table items, bare vertices), the form of every reference surgery."""
+    ep = set().union(*(g.edge_labels[lab] for lab in labels))
+    return _surgery(*reference_dual_triple(g.map, ep), g.edge_labels,
+                    g.flag_labels, g.bare_vertices)
+
+
+def _reference_remove(g, removed, edges, flags):
+    """Induce the permutations on the crosses outside `removed`; a vertex
+    whose crosses all lie in `removed` becomes bare."""
+    kept = set(g.map.crosses) - removed
+    newly_bare = sum(1 for v in vertices_of(g) if v.crosses <= removed)
+    return _surgery(*(_induced_on(p.mapping, kept)
+                      for p in (g.map.sigma0, g.map.theta, g.map.sigma1)),
+                    edges, flags, g.bare_vertices + newly_bare)
+
+
+def reference_delete_edges(g, labels):
+    removed = set().union(*(g.edge_labels[lab] for lab in labels))
+    edges = {lab: orb for lab, orb in g.edge_labels.items() if lab not in labels}
+    return _reference_remove(g, removed, edges, g.flag_labels)
+
+
+def reference_delete_flag(g, flag):
+    flags = {lab: orb for lab, orb in g.flag_labels.items() if lab != flag}
+    return _reference_remove(g, set(g.flag_labels[flag]), g.edge_labels, flags)
+
+
+def reference_cut(g, e):
+    """sigma1 becomes the identity on the edge; its half-ribbon through the
+    smallest cross is the flag <e>.1, the other <e>.2 (primed on a clash)."""
+    orb = g.edge_labels[e]
+    rest = set(g.map.crosses) - orb
+    x = min(orb)
+    first = frozenset((x, g.map.theta(x)))
+    flags = dict(g.flag_labels)
+    for suffix, half in ((1, first), (2, orb - first)):
+        lab = f"{e}.{suffix}"
+        while lab in flags:
+            lab += "'"
+        flags[lab] = half
+    edges = {lab: o for lab, o in g.edge_labels.items() if lab != e}
+    return _surgery(g.map.sigma0.mapping, g.map.theta.mapping,
+                    _piecewise(g.map.sigma1.mapping, rest), edges, flags,
+                    g.bare_vertices)
 
 
 def exhaustive_class_counts(g) -> ClassCounts:

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from reference_enumerators import exhaustive_canonical_form
+from reference_enumerators import (exhaustive_canonical_form,
+                                   exhaustive_cross_serial_form,
+                                   reference_cut, reference_delete_edges,
+                                   reference_delete_flag, reference_partial_dual)
 from rgp import corpus
 from rgp.errors import DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence
 from rgp.gf2 import rank
@@ -13,7 +16,8 @@ from rgp.maps import (CombinatorialMap, Permutation, RotationSpec, _interlace,
                       face_count, from_rotation_system, isomorphic, make_graph,
                       orientation_selection, relabel_crosses,
                       structure_report, validate_map, vertices_of)
-from rgp.ops import delete, partial_dual, spanning_subgraph
+from rgp.ops import (cut, delete, delete_edges, delete_flag, partial_dual,
+                     spanning_subgraph)
 
 
 def perm(domain, cycles):
@@ -348,6 +352,40 @@ def test_canonical_form_matches_exhaustive():
         assert got.key == want.key
         assert list(got.edge_slots.items()) == list(want.edge_slots.items())
         assert list(got.flag_slots.items()) == list(want.flag_slots.items())
+
+
+def test_folded_key_classes_are_the_cross_serial_classes():
+    # folding the flags into corner counts loses no isomorphism class
+    pairs = {(canonical_form(g).key, exhaustive_cross_serial_form(g).key)
+             for g in _canonical_sweep()}
+    folded = {k for k, _ in pairs}
+    assert len(folded) == len({k for _, k in pairs}) == len(pairs)
+    assert len(pairs) < len(_canonical_sweep())
+
+
+def _surgery(h):
+    m = h.map
+    return (m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping,
+            list(h.edge_labels.items()), list(h.flag_labels.items()),
+            h.bare_vertices)
+
+
+def test_surgeries_match_reference():
+    rng = random.Random(23)
+    cases = 0
+    for g in _canonical_sweep():
+        edges = g.sorted_edges()
+        some = [e for e in edges if rng.random() < 0.5]
+        assert _surgery(partial_dual(g, some)) == reference_partial_dual(g, some)
+        assert _surgery(delete_edges(g, some)) == reference_delete_edges(g, some)
+        for e in edges:
+            assert _surgery(delete(g, e)) == reference_delete_edges(g, [e])
+            assert _surgery(cut(g, e)) == reference_cut(g, e)
+            assert _surgery(partial_dual(g, [e])) == reference_partial_dual(g, [e])
+        for f in g.flag_labels:
+            assert _surgery(delete_flag(g, f)) == reference_delete_flag(g, f)
+        cases += 1 + 3 * len(edges) + len(g.flag_labels)
+    assert cases > 5000
 
 
 def test_canonical_form_distinguishes_twist():
