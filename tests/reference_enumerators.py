@@ -3,11 +3,16 @@
 The subset sums walk every edge subset with nothing but vertex walks,
 spanning subgraphs and face counts, so the engines under test can be
 compared with a route that does not share their code.
-`exhaustive_canonical_form` runs the canonical-form BFS to the end from every
-start cross, with no pruning.  `exhaustive_class_counts` walks every edge
-subset and every half-edge slot subset, where `class_counts` uses a closed
-form.  `exhaustive_q` multiplies the vertex weights of every (A, B) pair as
-polynomials, where `q_by_expansion` multiplies ints and counts variables.  Not a test module: pytest does not collect it.
+`exhaustive_canonical_form` runs the folded canonical-form serial to the end
+from every edge cross, with no pruning; `exhaustive_cross_serial_form` is the
+older key over every cross, which must split graphs into the same classes.
+The `reference_*` surgeries compose whole permutations and induce them on
+the kept crosses, where `rgp.ops` edits only the crosses it touches.
+`exhaustive_class_counts` walks every edge subset and every half-edge slot
+subset, where `class_counts` uses a closed form.  `exhaustive_q` multiplies
+the vertex weights of every (A, B) pair as polynomials, where
+`q_by_expansion` multiplies ints and counts variables.  Not a test module:
+pytest does not collect it.
 """
 
 from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
