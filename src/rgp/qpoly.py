@@ -22,7 +22,9 @@ The weights r_n are per vertex, so Q of a disjoint union is the product of
 the Q of its parts.  The reduction splits every disconnected graph into its
 components, so the memo holds connected maps without bare vertices only, and
 a branch whose bare or edgeless vertices weigh zero (r_0 = 0 under the odd
-rule) is dropped before it is reduced.
+rule) is dropped before it is reduced.  Likewise a branch whose edge weight is
+zero (`zero_kinds`) is never built: the specialisations that set two of x, y,
+z, w to 0 run a two-term reduction.
 
 `q_polynomial` enumerates by default when no weight can be zero (every pair
 then survives, and the reduction has nothing to prune), and reduces
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import TooLarge, UnknownMethod
+from .errors import InvalidArgument, TooLarge, UnknownMethod
 from .maps import (RibbonGraph, _incidences, _subset_degrees, canonical_form,
                    cross_components)
 from .ops import cut, delete, partial_dual, restrict
@@ -176,7 +178,8 @@ def _edge_relabelling(labels: dict) -> dict:
 
 def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
                    edge_order: Optional[list] = None,
-                   memo: Optional[dict] = None) -> QResult:
+                   memo: Optional[dict] = None,
+                   zero_kinds: Iterable[str] = "") -> QResult:
     """Recursive four-term reduction with canonical-form memoisation.
 
     The reduction edge is the first entry of edge_order present in the current
@@ -189,11 +192,21 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     into one scalar weight, and a zero factor returns zero at once.  So only
     connected graphs with edges and no bare vertex reach the canonical form
     and the memo.
+
+    `zero_kinds`, a subset of "XYZW", sets those edge variables to 0 on every
+    edge: their branches are never built, and the partial dual is skipped
+    when neither Y nor Z is left.  The children's Q hold only the other
+    edges' variables, so the pruned result is the full one with those
+    variables at 0.  The zero kinds are part of the memo key.
     """
     r = r or RSequenceSpec.symbolic()
     if memo is None:
         memo = {}
-    rkey = r.key()
+    zero = set(zero_kinds)
+    if not zero <= set("XYZW"):
+        raise InvalidArgument(f"zero kinds {sorted(zero)} are not a subset of XYZW")
+    kept = "".join(kind for kind in "XYZW" if kind not in zero)
+    rkey = (r.key(), kept)
 
     def rec(h: RibbonGraph) -> MultiPoly:
         """Q as the product over the components.  A component without edges
@@ -235,11 +248,13 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
                     break
         if e is None:
             e = h.sorted_edges()[0]
-        hd = partial_dual(h, [e])
-        p = (_edge_var("X", e) * rec(delete(h, e))
-             + _edge_var("Y", e) * rec(delete(hd, e))
-             + _edge_var("Z", e) * rec(cut(hd, e))
-             + _edge_var("W", e) * rec(cut(h, e)))
+        hd = partial_dual(h, [e]) if "Y" in kept or "Z" in kept else None
+        branches = (("X", delete, h), ("Y", delete, hd), ("Z", cut, hd), ("W", cut, h))
+        terms = (_edge_var(kind, e) * rec(op(base, e))
+                 for kind, op, base in branches if kind in kept)
+        # summed as they come: at most one child's Q waits beside the sum
+        first = next(terms, None)
+        p = MultiPoly.zero() if first is None else sum(terms, first)
         memo[(cf.key, rkey)] = p.rename(_edge_relabelling(cf.edge_slots))
         return p
 
@@ -304,20 +319,23 @@ def _sub_per_edge(g: RibbonGraph, p: MultiPoly, x=None, y=None, z=None, w=None) 
 
 def specialize_br(g: RibbonGraph) -> MultiPoly:
     """x=1, z=w=0 and a single symbolic vertex weight r: the edge-subset sum
-    of y^A r^(vertex count of the partial dual)."""
-    p = q_by_reduction(g, RSequenceSpec.symbolic()).poly
+    of y^A r^(vertex count of the partial dual).  The reduction drops the z
+    and w branches, so it is the two-term deletion-contraction."""
+    p = q_by_reduction(g, RSequenceSpec.symbolic(), zero_kinds="ZW").poly
     p = _sub_per_edge(g, p, x=1, z=0, w=0)
     rvar = VarId("R")
     return p.rename({v: rvar for v in p.variables() if v.kind == "R" and v.label is not None})
 
 
 def specialize_dimer(g: RibbonGraph) -> MultiPoly:
-    """x=1, y=z=0 with the delta-at-one weight: the perfect-matching sum in w."""
-    p = q_by_reduction(g, RSequenceSpec.delta_one()).poly
+    """x=1, y=z=0 with the delta-at-one weight: the perfect-matching sum in w.
+    The reduction drops the y and z branches and never dualises."""
+    p = q_by_reduction(g, RSequenceSpec.delta_one(), zero_kinds="YZ").poly
     return _sub_per_edge(g, p, x=1, y=0, z=0)
 
 
 def specialize_ising(g: RibbonGraph) -> MultiPoly:
-    """y=z=0 with even-degree weight 2: the even-subgraph (Ising) sum in x, w."""
-    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero()).poly
+    """y=z=0 with even-degree weight 2: the even-subgraph (Ising) sum in x, w.
+    The reduction drops the y and z branches and never dualises."""
+    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero(), zero_kinds="YZ").poly
     return _sub_per_edge(g, p, y=0, z=0)

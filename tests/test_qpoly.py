@@ -21,7 +21,7 @@ from rgp.corpus import (
     twisted_loop,
     two_cycle,
 )
-from rgp.errors import TooLarge
+from rgp.errors import InvalidArgument, TooLarge
 from rgp.maps import (RibbonGraph, RotationSpec, canonical_form, cross_components,
                       from_rotation_system, structure_report)
 from rgp.ops import disjoint_union, partial_dual
@@ -29,6 +29,7 @@ from rgp.poly import MultiPoly, VarId, parse
 from rgp.qpoly import (
     QResult,
     RSequenceSpec,
+    _sub_per_edge,
     q_by_expansion,
     q_by_reduction,
     q_partial_dual_transform,
@@ -310,6 +311,73 @@ def test_specialize_ising():
     assert specialize_ising(bridge(0, 0)) == parse("4*x_e1")
     assert specialize_ising(single_vertex(0)) == parse("2")
     assert specialize_ising(two_cycle()) == parse("4*x_e1*x_e2 + 4*w_e1*w_e2")
+
+
+# each specialisation, its weight rule and the constants it sets on every edge
+SPECIALIZATIONS = [
+    (specialize_br, RSequenceSpec.symbolic(), dict(x=1, z=0, w=0)),
+    (specialize_dimer, RSequenceSpec.delta_one(), dict(x=1, y=0, z=0)),
+    (specialize_ising, RSequenceSpec.even_two_odd_zero(), dict(y=0, z=0)),
+]
+
+
+def test_specializations_match_unpruned_expansion():
+    # the pruned two-term reductions against every (A, B) pair, then the
+    # same constants (and for BR the same single r)
+    graphs = [g for g in acceptance_corpus().values() if len(g.edge_labels) <= 5]
+    rng = random.Random(24)
+    for i in range(60):
+        if i % 4:
+            graphs.append(random_rotation_graph(rng, max_edges=5, max_flags=3))
+        else:
+            graphs.append(disjoint_union(random_rotation_graph(rng, max_edges=2, max_flags=3),
+                                         random_rotation_graph(rng, max_edges=3, max_flags=3)))
+    rvar = VarId("R")
+    for g in graphs:
+        for specialize, rule, constants in SPECIALIZATIONS:
+            ref = _sub_per_edge(g, q_by_expansion(g, rule).poly, **constants)
+            if specialize is specialize_br:
+                ref = ref.rename({v: rvar for v in ref.variables() if v.kind == "R"})
+            assert specialize(g) == ref, specialize.__name__
+
+
+def test_pruned_reduction_skips_the_dual(monkeypatch):
+    duals = []
+    real_partial_dual = rgp.qpoly.partial_dual
+
+    def record(h, edges):
+        duals.append(h)
+        return real_partial_dual(h, edges)
+
+    monkeypatch.setattr(rgp.qpoly, "partial_dual", record)
+    seen = _recording_canonical_form(monkeypatch)
+    g = cycle_graph(5)
+    rule = RSequenceSpec.even_two_odd_zero()
+    pruned = q_by_reduction(g, rule, zero_kinds="YZ").poly
+    assert duals == []
+    pruned_nodes = len(seen)
+    seen.clear()
+    full = q_by_reduction(g, rule).poly
+    assert duals and 0 < pruned_nodes < len(seen)
+    assert pruned == _sub_per_edge(g, full, y=0, z=0)
+
+
+def test_memo_keeps_pruned_and_full_entries_apart():
+    g = fig_two_vertex()
+    full = q_by_reduction(g).poly
+    pruned = _sub_per_edge(g, full, z=0, w=0)
+    assert pruned != full
+    for order in ((None, "ZW"), ("ZW", None)):
+        memo = {}
+        for zero_kinds in order:
+            got = q_by_reduction(g, memo=memo, zero_kinds=zero_kinds or "").poly
+            assert got == (pruned if zero_kinds else full), order
+
+
+def test_unknown_zero_kind_is_rejected():
+    for zero_kinds in ("YQ", "y", ["YZ"]):
+        with pytest.raises(InvalidArgument):
+            q_by_reduction(two_cycle(), zero_kinds=zero_kinds)
 
 
 def _flagged_bridge() -> RibbonGraph:
