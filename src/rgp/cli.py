@@ -214,7 +214,8 @@ def format_dot(g: RibbonGraph) -> str:
 
 def _emit_poly(p: MultiPoly, args) -> int:
     if args.format == "json":
-        print(p.to_json())
+        p.to_json(sys.stdout)
+        sys.stdout.write("\n")
     else:
         print(p.to_string())
     return 0
@@ -353,18 +354,34 @@ def _cmd_hu(args) -> int:
     return _emit_poly(compute(args.method), args)
 
 
+def _write_hv_json(form) -> None:
+    """Write what json.dumps(payload, sort_keys=True) writes for hv's
+    payload of flags and diag, sym and antisym tables, streaming each
+    polynomial with `MultiPoly.to_json` instead of building a tree and
+    encoding it again."""
+    out = sys.stdout
+
+    def table(polys: dict) -> None:
+        out.write("{")
+        for n, (key, p) in enumerate(sorted(polys.items())):
+            out.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            p.to_json(out, sort_keys=True)
+        out.write("}")
+
+    out.write('{"antisym": ')
+    table({f"{i},{j}": p for (i, j), p in form.antisym.items()})
+    out.write(', "diag": ')
+    table({str(i): form.diag[i] for i in form.flags})
+    out.write(f', "flags": {json.dumps(list(form.flags))}, "sym": ')
+    table({f"{i},{j}": p for (i, j), p in form.sym.items()})
+    out.write("}\n")
+
+
 def _cmd_hv(args) -> int:
     g = read_graph_file(args.input)
     form = hv(g)
     if args.format == "json":
-        payload = {
-            "flags": list(form.flags),
-            "diag": {str(i): form.diag[i].to_json_obj() for i in form.flags},
-            "sym": {f"{i},{j}": p.to_json_obj() for (i, j), p in form.sym.items()},
-            "antisym": {f"{i},{j}": p.to_json_obj()
-                        for (i, j), p in form.antisym.items()},
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _write_hv_json(form)
         return 0
     for i in form.flags:
         print(f"diag[{i}] = {form.diag[i].to_string()}")

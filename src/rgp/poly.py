@@ -18,9 +18,19 @@ JSON list the terms by descending total degree, then by exponent vector in
 variable order (kind, then label) — all goldens in the test suite compare
 byte-exact strings.
 
+Every writer orders the terms through `_order`.  A table whose occurring
+variables sit in descending key order, as `from_rows` builds them, already
+compares that way as packed ints; any other table is permuted with one
+struct unpack, itemgetter and pack per term.  The terms are then sorted on
+one int each, the total degree above the packed vector.  The JSON writer
+streams its text to a file _BATCH terms at a time, and joins each term's
+variable list from the cached texts of _CHUNK-variable chunks of its packed
+vector, so it never holds the whole output.
+
 Only this module knows how a monomial is stored.  Elsewhere a monomial is a
 {VarId: exponent} dict: `monomials()` reads terms, `from_monomials()` builds
-them, and `rename()` relabels variables; `substitute` is for images that are
+them, `from_rows()` builds them from rows of exponents over one fixed table,
+and `rename()` relabels variables; `substitute` is for images that are
 general polynomials.
 
 Coefficients are Python ints (arbitrary precision); rational evaluation goes
@@ -30,13 +40,12 @@ through fractions.Fraction.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import operator
 import re
 import struct
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import InvalidArgument, MissingVariable, ParseError
 
@@ -185,20 +194,48 @@ def _var_poly(v: VarId, exp: int) -> "MultiPoly":
     return _new({exp: 1}, (v,), {v: 0})
 
 
+# Terms per piece of streamed JSON, and variables per cached chunk text.
+_BATCH = 2048
+_CHUNK = 4
+
+
 class _Fragments(dict):
     """Exponent -> the JSON of `var` at that exponent, as json.dumps writes
     it in MultiPoly.to_json_obj; each made on first use."""
 
-    __slots__ = ("var",)
+    __slots__ = ("var", "sort_keys")
 
-    def __init__(self, var: VarId):
+    def __init__(self, var: VarId, sort_keys: bool):
         super().__init__()
-        self.var = var
+        self.var, self.sort_keys = var, sort_keys
 
     def __missing__(self, exp: int) -> str:
         text = self[exp] = json.dumps({"kind": self.var.kind, "label": self.var.label,
-                                       "exp": exp})
+                                       "exp": exp}, sort_keys=self.sort_keys)
         return text
+
+
+class _Chunks(dict):
+    """Big-endian exponent fields of `vars_` -> the ", "-joined JSON of the
+    variables with a nonzero exponent; each made on first use."""
+
+    __slots__ = ("fragments", "unpack")
+
+    def __init__(self, vars_: tuple, sort_keys: bool):
+        super().__init__()
+        self.fragments = [_Fragments(v, sort_keys) for v in vars_]
+        self.unpack = _struct(len(vars_), "big").unpack
+
+    def __missing__(self, fields: bytes) -> str:
+        text = self[fields] = ", ".join([f[e] for f, e in zip(self.fragments,
+                                                              self.unpack(fields)) if e])
+        return text
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _splitter(whole: int, rest: int) -> struct.Struct:
+    """Splits the bytes of `whole` chunks of _CHUNK fields and one of `rest`."""
+    return struct.Struct(f"{2 * _CHUNK}s" * whole + (f"{2 * rest}s" if rest else ""))
 
 
 class MultiPoly:
@@ -257,6 +294,33 @@ class MultiPoly:
                 m += e << (_BITS * i)
             terms[m] = terms.get(m, 0) + c
         return _new({m: c for m, c in terms.items() if c}, tuple(vars_), index)
+
+    @staticmethod
+    def from_rows(table: Sequence[VarId],
+                  rows: Iterable[tuple[Sequence[int], int]]) -> "MultiPoly":
+        """Sum (exponents, coefficient) rows over one table of distinct
+        variables: the i-th exponent of a row is that of table[i].  Like
+        terms merge.  A table in `VarId.sort_key` order is packed as it
+        stands, in the order the writers read; any other is permuted per
+        row."""
+        n = len(table)
+        if len(set(table)) < n:
+            raise InvalidArgument("a variable occurs twice in the table")
+        order = sorted(range(n), key=lambda i: _var_key(table[i]))
+        pick = operator.itemgetter(*order) if order != list(range(n)) else None
+        pack = _struct(n, "big").pack
+        terms: dict[int, int] = {}
+        try:
+            for exps, c in rows:
+                m = int.from_bytes(pack(*(pick(exps) if pick else exps)), "big")
+                terms[m] = terms.get(m, 0) + c
+        except struct.error as exc:
+            raise InvalidArgument(f"exponent outside 0..{MAX_EXPONENT}: {exc}") from exc
+        if functools.reduce(operator.or_, terms, 0) & _guard(n):
+            raise InvalidArgument(f"exponent above {MAX_EXPONENT}")
+        vars_ = tuple(table[i] for i in reversed(order))
+        return _new({m: c for m, c in terms.items() if c}, vars_,
+                    {v: i for i, v in enumerate(vars_)})
 
     # -- ring operations -------------------------------------------------
 
@@ -343,8 +407,7 @@ class MultiPoly:
         return ta == tb
 
     def __hash__(self):
-        vars_, terms = self._canonical()
-        return hash((vars_, frozenset(terms.items())))
+        return hash(tuple((tuple(mono.items()), c) for mono, c in self.sorted_terms()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -476,35 +539,50 @@ class MultiPoly:
             total += val
         return total
 
-    # -- canonical text ----------------------------------------------------
+    # -- canonical order and text ------------------------------------------
 
-    def _canonical(self) -> tuple[tuple, dict]:
-        """(variables, terms): the variables that occur, in descending
-        `_var_key` order, and the terms repacked over them.  On this table
-        comparing packed ints compares exponent vectors in ascending key
-        order."""
-        vars_ = self._vars
-        used = [i for i, e in enumerate(self._used()) if e]
-        used.sort(key=lambda i: _var_key(vars_[i]), reverse=True)
-        pos: list = [None] * len(vars_)
-        for j, i in enumerate(used):
-            pos[i] = j
-        return tuple(vars_[i] for i in used), _moved(self.terms, pos)
+    def _order(self) -> tuple:
+        """(variables, n, order, terms): `terms` maps packed ints of n fields
+        to coefficients, and the big-endian 16-bit words of each int are its
+        exponents of `variables` (in `_var_key` order; a variable that occurs
+        in no term may sit among them, with exponent 0 everywhere).  `order`
+        lists the packed ints in the canonical term order: by descending
+        total degree, then by descending exponent vector.
+
+        A table whose occurring variables sit in descending key order already
+        packs that way; any other is permuted field by field, one struct
+        unpack, itemgetter and pack per term."""
+        vars_, terms = self._vars, self.terms
+        used_fields = self._used()
+        used = [i for i, e in enumerate(used_fields) if e]
+        keys = [_var_key(vars_[i]) for i in used]
+        if any(a < b for a, b in zip(keys, keys[1:])):
+            used.sort(key=lambda i: _var_key(vars_[i]), reverse=True)
+            width = 2 * len(vars_)
+            unpack, pick = _struct(len(vars_)).unpack, operator.itemgetter(*used)
+            pack = _struct(len(used)).pack
+            terms = {int.from_bytes(pack(*pick(unpack(m.to_bytes(width, "little")))), "little"): c
+                     for m, c in terms.items()}
+            vars_ = tuple(vars_[i] for i in used)
+        else:
+            vars_ = vars_[:used[-1] + 1] if used else ()
+        n = len(vars_)
+        shift = _BITS * n
+        if sum(used_fields) < _FIELD:
+            # 2**16 = 1 mod 2**16 - 1, so m % _FIELD is the total degree.
+            order = [(m % _FIELD) << shift | m for m in terms]
+        else:
+            order = [sum(_fields(m, n)) << shift | m for m in terms]
+        order.sort(reverse=True)
+        mask = (1 << shift) - 1
+        return vars_[::-1], n, [k & mask for k in order], terms
 
     def _rows(self) -> tuple:
         """(variables in `_var_key` order, rows): the rows yield (exponents
-        in that order, coefficient) by descending total degree, then by
-        descending exponent vector — the canonical term order."""
-        vars_, terms = self._canonical()
-        n = len(vars_)
-        if sum(_fields(functools.reduce(operator.or_, terms, 0), n)) < _FIELD:
-            # 2**16 = 1 mod 2**16 - 1, so m % _FIELD is the total degree.
-            order = sorted(terms, key=lambda m: (m % _FIELD, m), reverse=True)
-        else:
-            order = sorted(terms, key=lambda m: (sum(_fields(m, n)), m), reverse=True)
+        in that order, coefficient) in the canonical term order."""
+        vars_, n, order, terms = self._order()
         unpack = _struct(n, "big").unpack
-        rows = ((unpack(m.to_bytes(2 * n, "big")), terms[m]) for m in order)
-        return vars_[::-1], rows
+        return vars_, ((unpack(m.to_bytes(2 * n, "big")), terms[m]) for m in order)
 
     def sorted_terms(self) -> list[tuple[dict[VarId, int], int]]:
         """Every term as ({VarId: exponent}, coefficient), in the canonical
@@ -547,14 +625,28 @@ class MultiPoly:
             for exps, c in rows
         ]
 
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_obj()), joined from per-variable fragments."""
-        vars_, rows = self._rows()
-        frags = [_Fragments(v) for v in vars_]
-        return "[" + ", ".join(
-            '{"coeff": "%d", "vars": [%s]}'
-            % (c, ", ".join([f[e] for f, e in itertools.compress(zip(frags, exps), exps)]))
-            for exps, c in rows) + "]"
+    def to_json(self, out: Optional[TextIO] = None, sort_keys: bool = False) -> Optional[str]:
+        """json.dumps(self.to_json_obj(), sort_keys=sort_keys).  With a text
+        stream `out`, the text is written to it _BATCH terms at a time and
+        None is returned; without one, the text is returned.  A term's
+        "vars" list is joined from the cached texts of the _CHUNK-variable
+        chunks of its packed vector."""
+        vars_, n, order, terms = self._order()
+        pieces: list[str] = []
+        write = pieces.append if out is None else out.write
+        width = 2 * n
+        split = _splitter(*divmod(n, _CHUNK)).unpack
+        texts = [_Chunks(vars_[i:i + _CHUNK], sort_keys) for i in range(0, n, _CHUNK)]
+        getitem, join = operator.getitem, ", ".join
+        write("[")
+        for start in range(0, len(order), _BATCH):
+            write((", " if start else "") + join([
+                '{"coeff": "%d", "vars": [%s]}'
+                % (terms[m], join(filter(None, map(getitem, texts,
+                                                   split(m.to_bytes(width, "big"))))))
+                for m in order[start:start + _BATCH]]))
+        write("]")
+        return "".join(pieces) if out is None else None
 
     @staticmethod
     def from_json_obj(obj) -> "MultiPoly":

@@ -16,7 +16,8 @@ graphs are computed once and transported along the label bijection).
 
 Every r_n is an int times at most one variable (`RSequenceSpec.scalar`), so
 the enumeration weighs each pair with int products and variable counts, and
-hands the monomials to `MultiPoly.from_monomials` once.
+hands its exponent rows over one fixed variable table to
+`MultiPoly.from_rows`.
 
 The weights r_n are per vertex, so Q of a disjoint union is the product of
 the Q of its parts.  The reduction splits every disconnected graph into its
@@ -131,40 +132,51 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
         raise TooLarge(f"{ne} edges exceeds the expansion guard {max_edges}")
 
     # r_n for every count of flags and edge ends a vertex can carry
-    weights = [r.scalar(n) for n in range(len(g.flag_labels) + 2 * ne + 1)]
+    scalars = [r.scalar(n) for n in range(len(g.flag_labels) + 2 * ne + 1)]
+    # One table for every term: x, y, z, w of each edge, then the r_n; each
+    # term is a row of exponents over it.
+    table = [VarId(kind, lab) for kind in "XYZW" for lab in edges]
+    table += dict.fromkeys(v for _, v in scalars if v is not None)
+    column = {v: i for i, v in enumerate(table)}
+    weights = [(c, None if v is None else column[v]) for c, v in scalars]
     c0, r0 = weights[0]
-    # the variable of edge i is edge_vars[i][i in A][i in B]
-    edge_vars = [((VarId("X", lab), VarId("W", lab)), (VarId("Y", lab), VarId("Z", lab)))
-                 for lab in edges]
-    terms = []
+    # the column of edge i's variable is edge_columns[i][i in A][i in B]
+    edge_columns = [((i, 3 * ne + i), (ne + i, 2 * ne + i)) for i in range(ne)]
     admissible = 0
-    for amask in range(1 << ne):
-        A = [edges[i] for i in range(ne) if amask >> i & 1]
-        h = partial_dual(g, A)
-        bare = h.bare_vertices
-        c_bare = c0 ** bare
-        if not c_bare:
-            continue
-        base = {r0: bare} if r0 and bare else {}
-        kinds = [ev[amask >> i & 1] for i, ev in enumerate(edge_vars)]
-        flags_at, ends = _incidences(h)
-        for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
-            c = c_bare
-            mono = base.copy()
-            for n in deg:
-                cn, v = weights[n]
-                c *= cn
-                if not c:
-                    break
-                if v is not None:
-                    mono[v] = mono.get(v, 0) + 1
-            if not c:
+
+    def rows():
+        nonlocal admissible
+        for amask in range(1 << ne):
+            A = [edges[i] for i in range(ne) if amask >> i & 1]
+            h = partial_dual(g, A)
+            bare = h.bare_vertices
+            c_bare = c0 ** bare
+            if not c_bare:
                 continue
-            admissible += 1
-            for i, kv in enumerate(kinds):
-                mono[kv[bmask >> i & 1]] = 1
-            terms.append((mono, c))
-    return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)
+            base = [0] * len(table)
+            if r0 is not None:
+                base[r0] = bare
+            columns = [ec[amask >> i & 1] for i, ec in enumerate(edge_columns)]
+            flags_at, ends = _incidences(h)
+            for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
+                c = c_bare
+                row = base.copy()
+                for n in deg:
+                    cn, i = weights[n]
+                    c *= cn
+                    if not c:
+                        break
+                    if i is not None:
+                        row[i] += 1
+                if not c:
+                    continue
+                admissible += 1
+                for i, ec in enumerate(columns):
+                    row[ec[bmask >> i & 1]] = 1
+                yield row, c
+
+    q = MultiPoly.from_rows(table, rows())
+    return QResult(q, "EXPANSION", admissible)
 
 
 # ---------------------------------------------------------------------------

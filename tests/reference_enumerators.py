@@ -11,14 +11,21 @@ the kept crosses, where `rgp.ops` edits only the crosses it touches.
 `exhaustive_class_counts` walks every edge subset and every half-edge slot
 subset, where `class_counts` uses a closed form.  `exhaustive_q` multiplies
 the vertex weights of every (A, B) pair as polynomials, where
-`q_by_expansion` multiplies ints and counts variables.  Not a test module:
-pytest does not collect it.
+`q_by_expansion` multiplies ints and counts variables.  The `reference_*`
+writers repack every polynomial into key order with `_moved` and sort it on
+a (degree, vector) tuple, where `MultiPoly` permutes fields and sorts one
+int per term; `reference_to_json` encodes every variable with json.dumps.
+Not a test module: pytest does not collect it.
 """
+
+import functools
+import json
+import operator
 
 from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
                       cross_components, face_count, face_sets, vertices_of)
 from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
-from rgp.poly import MultiPoly, VarId
+from rgp.poly import _FIELD, MultiPoly, VarId, _fields, _moved, _struct, _var_key
 from rgp.qpoly import QResult, RSequenceSpec
 
 
@@ -362,3 +369,76 @@ def exhaustive_q(g, r=None) -> QResult:
                 rexps.update(mono)
                 terms.append((rexps, c))
     return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)
+
+
+def _reference_canonical(p) -> tuple:
+    """(variables, terms): the variables that occur, in descending
+    `_var_key` order, and the terms repacked over them.  On this table
+    comparing packed ints compares exponent vectors in ascending key
+    order."""
+    vars_ = p._vars
+    used = [i for i, e in enumerate(p._used()) if e]
+    used.sort(key=lambda i: _var_key(vars_[i]), reverse=True)
+    pos = [None] * len(vars_)
+    for j, i in enumerate(used):
+        pos[i] = j
+    return tuple(vars_[i] for i in used), _moved(p.terms, pos)
+
+
+def reference_rows(p) -> tuple:
+    """(variables in `_var_key` order, rows): the rows yield (exponents in
+    that order, coefficient) by descending total degree, then by descending
+    exponent vector."""
+    vars_, terms = _reference_canonical(p)
+    n = len(vars_)
+    if sum(_fields(functools.reduce(operator.or_, terms, 0), n)) < _FIELD:
+        order = sorted(terms, key=lambda m: (m % _FIELD, m), reverse=True)
+    else:
+        order = sorted(terms, key=lambda m: (sum(_fields(m, n)), m), reverse=True)
+    unpack = _struct(n, "big").unpack
+    rows = ((unpack(m.to_bytes(2 * n, "big")), terms[m]) for m in order)
+    return vars_[::-1], rows
+
+
+def reference_sorted_terms(p) -> list:
+    vars_, rows = reference_rows(p)
+    return [({v: e for v, e in zip(vars_, exps) if e}, c) for exps, c in rows]
+
+
+def reference_to_string(p) -> str:
+    if not p.terms:
+        return "0"
+    vars_, rows = reference_rows(p)
+    names = [v.name() for v in vars_]
+    chunks = []
+    for i, (exps, c) in enumerate(rows):
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        factors = [f"{name}^{e}" if e > 1 else name
+                   for name, e in zip(names, exps) if e]
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if i == 0:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f" {sign} {body}")
+    return "".join(chunks)
+
+
+def reference_to_json_obj(p) -> list:
+    vars_, rows = reference_rows(p)
+    return [{"coeff": str(c),
+             "vars": [{"kind": v.kind, "label": v.label, "exp": e}
+                      for v, e in zip(vars_, exps) if e]}
+            for exps, c in rows]
+
+
+def reference_to_json(p) -> str:
+    """json.dumps(reference_to_json_obj(p)), one json.dumps per variable."""
+    vars_, rows = reference_rows(p)
+    return "[" + ", ".join(
+        '{"coeff": "%d", "vars": [%s]}'
+        % (c, ", ".join(json.dumps({"kind": v.kind, "label": v.label, "exp": e})
+                        for v, e in zip(vars_, exps) if e))
+        for exps, c in rows) + "]"

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -17,14 +19,20 @@ from rgp.corpus import (
     double_tadpole,
     dumbbell,
     fig_two_vertex,
+    random_rotation_graph,
     sunset,
     twisted_loop,
     two_cycle,
 )
-from rgp.hyperbolic import hu, hu_commutative_limit, symanzik_u
+from rgp.errors import RgpError
+from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hv,
+                            symanzik_commutative_limit, symanzik_u)
 from rgp.maps import isomorphic
 from rgp.ops import contract, cut, delete, natural_dual
 from rgp.poly import MultiPoly, parse
+from rgp.qpoly import (RSequenceSpec, q_polynomial, specialize_br, specialize_dimer,
+                       specialize_ising)
+from reference_enumerators import reference_to_json, reference_to_json_obj
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -303,3 +311,88 @@ def test_examples_match_corpus():
     want = fig_two_vertex()
     assert raw.map == want.map
     assert (raw.edge_labels, raw.flag_labels) == (want.edge_labels, want.flag_labels)
+
+
+# Every verb that prints polynomials, with the library call it prints.
+_POLY_VERBS = [
+    (["q"], lambda g: q_polynomial(g, RSequenceSpec.symbolic()).poly),
+    (["q", "--r-rule", "even2odd0"],
+     lambda g: q_polynomial(g, RSequenceSpec.even_two_odd_zero()).poly),
+    (["hu"], hu),
+    (["hu-critical"], hu_critical),
+    (["symanzik-u"], symanzik_u),
+    (["limit", "--commutative"], hu_commutative_limit),
+    (["limit", "--heat-kernel"], symanzik_u),
+    (["limit", "--commutative", "--heat-kernel"],
+     lambda g: symanzik_commutative_limit(symanzik_u(g))),
+    (["specialize", "--to", "br"], specialize_br),
+    (["specialize", "--to", "dimer"], specialize_dimer),
+    (["specialize", "--to", "ising"], specialize_ising),
+]
+
+
+def _reference_hv_json(form) -> str:
+    """What the CLI printed when it encoded the whole hv payload at once."""
+    payload = {
+        "flags": list(form.flags),
+        "diag": {str(i): reference_to_json_obj(form.diag[i]) for i in form.flags},
+        "sym": {f"{i},{j}": reference_to_json_obj(p) for (i, j), p in form.sym.items()},
+        "antisym": {f"{i},{j}": reference_to_json_obj(p)
+                    for (i, j), p in form.antisym.items()},
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def writer_calls(monkeypatch):
+    """Counts calls of MultiPoly.to_json and MultiPoly.to_json_obj."""
+    calls = []
+    for name in ("to_json", "to_json_obj"):
+        real = getattr(MultiPoly, name)
+
+        def counted(self, *args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiPoly, name, counted)
+    return calls
+
+
+def _json_run(capsys, writer_calls, argv):
+    writer_calls.clear()
+    code, out, err = run(capsys, *argv, "--format", "json")
+    if code == 0:
+        assert err == "" and writer_calls, argv
+    return code, out, err
+
+
+def test_json_verbs_print_the_reference_writer_bytes(capsys, writer_calls):
+    for path in sorted(EXAMPLES.glob("*.rg")):
+        g = read_graph_file(str(path))
+        for argv, compute in _POLY_VERBS + [(["hv"], hv)]:
+            try:
+                value = compute(g)
+            except RgpError:
+                code, out, err = _json_run(capsys, writer_calls, [*argv, str(path)])
+                assert (code, out) == (1, ""), (path.name, argv)
+                continue
+            want = (_reference_hv_json(value) if argv == ["hv"]
+                    else reference_to_json(value) + "\n")
+            got = _json_run(capsys, writer_calls, [*argv, str(path)])
+            assert got == (0, want, ""), (path.name, argv)
+
+
+def test_hv_json_sorts_keys_as_strings(capsys, writer_calls, tmp_path):
+    g = random_rotation_graph(random.Random(90), max_edges=3, max_flags=12, min_edges=2)
+    form = hv(g)
+    keys = [f"{i},{j}" for i, j in form.sym]
+    assert len(form.flags) >= 10 and any(form.sym.values())
+
+    def numeric(key):
+        return [int(x) for x in re.findall(r"\d+", key)]
+
+    assert sorted(keys) != sorted(keys, key=numeric)
+    path = tmp_path / "flags.rg"
+    path.write_text(format_graph_file(g))
+    got = _json_run(capsys, writer_calls, ["hv", str(path)])
+    assert got == (0, _reference_hv_json(form), "")

@@ -1,12 +1,16 @@
 """Ring axioms, canonical strings, JSON and text round-trips for MultiPoly."""
 
+import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rgp.poly import KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
+from reference_enumerators import (reference_sorted_terms, reference_to_json,
+                                   reference_to_json_obj, reference_to_string)
+from rgp.poly import _BATCH, KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
 
@@ -388,12 +392,122 @@ def labelled_polys(draw):
     return MultiPoly.from_monomials(terms)
 
 
+class _Pieces:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
+def _assert_writers_match_reference(p):
+    text = reference_to_json(p)
+    assert p.to_json() == text
+    assert json.dumps(p.to_json_obj()) == text
+    stream = _Pieces()
+    assert p.to_json(stream) is None
+    assert "".join(stream.pieces) == text
+    # No write holds more than one batch of terms.
+    assert max(piece.count('{"coeff": ') for piece in stream.pieces) <= _BATCH
+    stream = io.StringIO()
+    assert p.to_json(stream, sort_keys=True) is None
+    assert stream.getvalue() == json.dumps(reference_to_json_obj(p), sort_keys=True)
+    assert p.to_string() == reference_to_string(p)
+    assert [(list(m.items()), c) for m, c in p.sorted_terms()] == \
+        [(list(m.items()), c) for m, c in reference_sorted_terms(p)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(polys(), labelled_polys()))
 def test_to_json_writes_what_json_dumps_writes(p):
     text = p.to_json()
     assert text == json.dumps(p.to_json_obj())
     assert MultiPoly.from_json(text) == p
+    _assert_writers_match_reference(p)
+
+
+_WIDE_VARS = ([VarId(kind, f"e{i}") for kind in ("X", "Y", "Z", "W", "T", "OMEGA", "ALPHA")
+               for i in range(12)]
+              + [VarId("R", n) for n in range(12)]
+              + [VarId("BETA"), VarId("LAMBDA"), VarId("MU"), VarId("R")]
+              + [VarId("T", label) for label in ('"', "\\", "é", "\u2603", "e 1")])
+
+
+@st.composite
+def wide_polys(draw):
+    """40-70 variables in a shuffled table, some of them in no term, and up
+    to two batches of terms and more; built over that table by `from_rows`,
+    or by `from_monomials` with a term in every variable added and taken
+    away again."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    table = rng.sample(_WIDE_VARS, draw(st.integers(40, 70)))
+    idle = set(rng.sample(range(len(table)), rng.randint(1, 8)))
+    live = [i for i in range(len(table)) if i not in idle]
+    rows = []
+    for _ in range(draw(st.sampled_from([1, _BATCH - 1, 2 * _BATCH + 7]))):
+        exps = [0] * len(table)
+        for i in rng.sample(live, rng.randint(0, 6)):
+            exps[i] = rng.choice([1, 1, 2, 3, 300])
+        rows.append((exps, rng.choice([1, -1, 7, -(2 ** 70), 2 ** 64 + 1])))
+    if draw(st.booleans()):
+        return MultiPoly.from_rows(table, rows)
+    monos = [({table[i]: e for i, e in enumerate(exps) if e}, c) for exps, c in rows]
+    # A term in every variable puts the whole table in first-use order.
+    ghost = (dict.fromkeys(table, 1), 1)
+    monos.insert(rng.randrange(len(monos) + 1), ghost)
+    return MultiPoly.from_monomials(monos) - MultiPoly.from_monomials([ghost])
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_polys())
+def test_wide_polynomials_write_what_the_reference_writes(p):
+    assert len(p._vars) >= 40
+    _assert_writers_match_reference(p)
+
+
+_X1, _Y1, _Z2 = VarId("X", "e1"), VarId("Y", "e1"), VarId("Z", "e2")
+# Total degrees of 65535 and more, where the degree no longer fits one field.
+_HIGH = [({_X1: 32767, _Y1: 32767, _Z2: 1}, 1), ({_X1: 32767, _Y1: 32767}, 2),
+         ({_Z2: 32767, _X1: 1}, 3), ({_Y1: 32767, _Z2: 32767, _X1: 2}, -1), ({_Y1: 1}, 4)]
+
+
+@pytest.mark.parametrize("p", [
+    MultiPoly.zero(),
+    MultiPoly.const(5),
+    MultiPoly.const(-(2 ** 70)),
+    MultiPoly.from_monomials([({}, 2 ** 64), ({_X1: 3}, -(2 ** 65) - 1)]),
+    MultiPoly.from_monomials(_HIGH),
+    MultiPoly.from_rows([_Z2, _Y1, _X1],
+                        [([m.get(_Z2, 0), m.get(_Y1, 0), m.get(_X1, 0)], c) for m, c in _HIGH]),
+], ids=["zero", "const", "big-const", "beyond-2^64", "degree-65535", "degree-65535-rows"])
+def test_edge_cases_write_what_the_reference_writes(p):
+    _assert_writers_match_reference(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.randoms(use_true_random=False))
+def test_from_rows_matches_from_monomials(p, rng):
+    table = list(p.variables()) + [VarId("MU")]
+    rng.shuffle(table)
+    # The first term twice: rows with equal exponents merge.
+    monos = list(p.monomials())
+    monos += monos[:1]
+    q = MultiPoly.from_rows(table, [([m.get(v, 0) for v in table], c) for m, c in monos])
+    assert q == MultiPoly.from_monomials(monos)
+    assert 0 not in q.terms.values()
+
+
+def test_from_rows_rejects_bad_tables_and_exponents():
+    x, y = VarId("X", "e1"), VarId("Y", "e1")
+    assert MultiPoly.from_rows([y, x], [([MAX_EXPONENT, 1], 1)]) == \
+        V("Y", "e1", MAX_EXPONENT) * V("X", "e1")
+    for exps in ([MAX_EXPONENT + 1, 0], [0, 65536], [-1, 0]):
+        with pytest.raises(InvalidArgument):
+            MultiPoly.from_rows([x, y], [(exps, 1)])
+    with pytest.raises(InvalidArgument):
+        MultiPoly.from_rows([x, x], [([1, 0], 1)])
 
 
 def test_to_json_tells_bool_labels_from_int_labels():
