@@ -457,13 +457,15 @@ def _cycle_edges(comp_edges: list, ends) -> list:
     return sorted(alive, key=str)
 
 
-def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPoly:
+def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration",
+                         max_edges: int = 12) -> MultiPoly:
     """Leading small-Omega part of HU (total Omega-degree = vertex count).
 
     enumeration: sum over spanning subgraphs whose components are trees with
     at least one edge or unicyclic graphs with an untwisted cycle; each tree
     contributes 4 * sum_e O_e^2 t_e prod_(rest) O (1+t^2), each cycle the odd
-    cut-subset sum, and uncovered edges contribute t_e.
+    cut-subset sum, and uncovered edges contribute t_e.  It visits all 2^e
+    edge subsets, so more than max_edges edges raise TooLarge.
 
     extraction: substitute O_e -> b O_e into HU and take the b^v coefficient.
     No monomial may sit below degree v; degree above v everywhere means the
@@ -486,12 +488,14 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
     if method != "enumeration":
         raise UnknownMethod(f"unknown method {method!r}")
 
+    edges = g.sorted_edges()
+    ne = len(edges)
+    if ne > max_edges:
+        raise TooLarge(f"{ne} edges exceeds the commutative-limit guard {max_edges}")
     if g.bare_vertices:
         return MultiPoly.zero()   # an uncoverable vertex admits no subgraph
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
-    edges = g.sorted_edges()
-    ne = len(edges)
     twist = {lab: tw for lab, _p, _q, tw in to_rotation_spec(g).edges}
 
     total = MultiPoly.zero()

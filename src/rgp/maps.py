@@ -26,7 +26,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence,
                      UnknownEdge)
@@ -665,7 +665,8 @@ def _bfs_serial(nxt: dict, th: dict, s1: dict, corner: dict, start: int,
     return tuple(rows), seq
 
 
-def canonical_form(g: RibbonGraph) -> CanonicalForm:
+def canonical_form(g: RibbonGraph,
+                   fold: Optional[Callable[[int], int]] = None) -> CanonicalForm:
     """Label-independent canonical key plus the induced edge/flag slot maps.
 
     The key is taken on the folded map (`_fold`): the edge crosses under
@@ -682,19 +683,33 @@ def canonical_form(g: RibbonGraph) -> CanonicalForm:
     component order, and flag slots the corners in that order, then the
     flag-only vertices: a memoised polynomial transports along any
     isomorphism.
+
+    `fold`, if given, maps each corner's and each flag-only vertex's flag
+    count to a class before the search, so the key identifies maps that are
+    isomorphic up to those classes; `flag_slots` still lists every flag.
+    The four-term reduction passes its weight rule's fold
+    (`RSequenceSpec.fold`).  That is exact: `delete`, `cut` and
+    `partial_dual` split a vertex boundary only at edge ends, so the flags
+    of one corner always end at one residual vertex, whose weight is fixed
+    by the classes of its corners' counts when the fold is a congruence of
+    (N, +) on whose classes the weight is constant.
     """
     m = g.map
     s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
     nxt, corner, flag_vertices = _fold(m)
+    folded = corner
+    if fold is not None:
+        folded = {x: fold(n) for x, n in corner.items()}
+        flag_vertices = sorted((fold(n), cyc) for n, cyc in flag_vertices)
     entries = []
     seen: set[int] = set()
     for first in sorted(nxt):
         if first in seen:
             continue
-        best, best_seq = _bfs_serial(nxt, th, s1, corner, first, None)
+        best, best_seq = _bfs_serial(nxt, th, s1, folded, first, None)
         seen.update(best_seq)
         for start in sorted(best_seq)[1:]:
-            found = _bfs_serial(nxt, th, s1, corner, start, best)
+            found = _bfs_serial(nxt, th, s1, folded, start, best)
             if found is not None:
                 best, best_seq = found
         entries.append((best, first, best_seq))

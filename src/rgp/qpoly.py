@@ -12,7 +12,14 @@ four-term edge reduction
     Q(G) = x_e Q(G - e) + y_e Q(G^e - e) + z_e Q(G^e v e) + w_e Q(G v e)
 
 with memoisation keyed by the canonical form (so isomorphic intermediate
-graphs are computed once and transported along the label bijection).
+graphs are computed once and transported along the label bijection).  The
+key sees each corner's flag count only through the rule's fold
+(`RSequenceSpec.fold`): n mod 2 under the parity rules, min(n, 2) under
+delta-at-one, nothing under a constant.  That is exact because the
+surgeries split a vertex boundary only at edge ends, so the flags of one
+corner end at one residual vertex, and each fold is a congruence of (N, +)
+on whose classes r_n is constant.  Maps that differ only in what the rule
+cannot see share one memo entry.
 
 Every r_n is an int times at most one variable (`RSequenceSpec.scalar`), so
 the enumeration weighs each pair with int products and variable counts, and
@@ -94,6 +101,20 @@ class RSequenceSpec:
         if self.rule == self.CONSTANT:
             return self.constant, None
         raise UnknownMethod(f"unknown r-rule {self.rule!r}")
+
+    def fold(self, n: int) -> int:
+        """What the weights see of n flags in one corner: n mod 2 under the
+        parity rules, min(n, 2) under delta-at-one, 0 under a constant, n
+        itself under the symbolic rule.  Each fold is a congruence of
+        (N, +) on whose classes r_n is constant, so the folded counts of the
+        corners that meet at a vertex fix that vertex's weight."""
+        if self.rule in (self.EVEN_TWO_ODD_ZERO, self.ODD_TWO_EVEN_ZERO):
+            return n % 2
+        if self.rule == self.DELTA_ONE:
+            return min(n, 2)
+        if self.rule == self.CONSTANT:
+            return 0
+        return n
 
     def weight(self, n: int) -> MultiPoly:
         c, v = self.scalar(n)
@@ -197,7 +218,9 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     The reduction edge is the first entry of edge_order present in the current
     graph (default: smallest label).  Results are independent of the order;
     the memo (shareable across calls) stores polynomials over canonical edge
-    slots and rebrands them through each caller's slot bijection.
+    slots and rebrands them through each caller's slot bijection.  Its key
+    is the canonical form under the rule's fold (`RSequenceSpec.fold`) with
+    the rule itself, so entries of different rules never mix.
 
     A disconnected or edgeless graph, or one with bare vertices, is the
     product of its components: bare vertices and edgeless components fold
@@ -247,7 +270,7 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     def connected(h: RibbonGraph) -> MultiPoly:
         """The memoised four-term step on a connected graph with edges and no
         bare vertex."""
-        cf = canonical_form(h)
+        cf = canonical_form(h, r.fold)
         hit = memo.get((cf.key, rkey))
         if hit is not None:
             return hit.rename(_edge_relabelling(

@@ -107,10 +107,12 @@ def two_boundary_sets(gh, stub, leaf):
     return out
 
 
-def exhaustive_canonical_form(g) -> CanonicalForm:
+def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
     """`canonical_form` with a full serial from every edge cross, walked
     over edge crosses only: each row is (next edge cross around the vertex,
-    theta, sigma1, flag crosses skipped on the way there)."""
+    theta, sigma1, flag crosses skipped on the way there), the last entry
+    and the flag-only vertices' counts passed through `fold` if given."""
+    fold = fold or (lambda n: n)
     m = g.map
     s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
     nxt, corner = {}, {}
@@ -119,14 +121,14 @@ def exhaustive_canonical_form(g) -> CanonicalForm:
             y, skipped = s0[x], 0
             while s1[y] == y:
                 y, skipped = s0[y], skipped + 1
-            nxt[x], corner[x] = y, skipped
+            nxt[x], corner[x] = y, fold(skipped)
     entries = []
     flag_vertices = []
     for comp in cross_components(g):
         starts = sorted(x for x in comp if x in nxt)
         if not starts:
             x = min(comp)
-            flag_vertices.append((len(comp) // 2, x, m.sigma0.orbit(x)))
+            flag_vertices.append((fold(len(comp) // 2), x, m.sigma0.orbit(x)))
             continue
         best = best_seq = None
         for start in starts:

@@ -136,6 +136,8 @@ def test_size_guard(capsys, tmp_path):
     # counts is a closed form: no guard, even at 2e+f = 26
     path = tmp_path / "banana13.rg"
     path.write_text(format_graph_file(banana(13)))
+    code, out, err = run(capsys, "limit", "--commutative", str(path))
+    assert (code, out) == (1, "") and err.startswith("E-SIZE")
     code, out, err = run(capsys, "counts", "--format", "json", str(path))
     assert code == 0 and err == ""
     assert json.loads(out) == {"odd": 2 ** 12, "even": 2 ** 12,

@@ -613,6 +613,16 @@ def test_symanzik_errors():
         assert symanzik_u(banana(3), method=method, max_edges=3) == symanzik_u(banana(3))
 
 
+def test_commutative_limit_guard():
+    # the enumeration visits 2^e subsets: 12 edges pass by default, 13 do not
+    with pytest.raises(TooLarge):
+        hu_commutative_limit(banana(13))
+    with pytest.raises(TooLarge):
+        hu_commutative_limit(banana(3), max_edges=2)
+    assert hu_commutative_limit(banana(3), max_edges=3) == hu_commutative_limit(banana(3))
+    assert not hu_commutative_limit(banana(12)).is_zero()
+
+
 def test_symanzik_values():
     assert symanzik_u(bridge(0, 0)) == MultiPoly.one()
     assert symanzik_u(path_tree(3)) == MultiPoly.one()

@@ -18,6 +18,7 @@ from rgp.maps import (CombinatorialMap, Permutation, RotationSpec, _interlace,
                       structure_report, validate_map, vertices_of)
 from rgp.ops import (cut, delete, delete_edges, delete_flag, partial_dual,
                      spanning_subgraph)
+from rgp.qpoly import RSequenceSpec
 
 
 def perm(domain, cycles):
@@ -352,6 +353,34 @@ def test_canonical_form_matches_exhaustive():
         assert got.key == want.key
         assert list(got.edge_slots.items()) == list(want.edge_slots.items())
         assert list(got.flag_slots.items()) == list(want.flag_slots.items())
+
+
+@pytest.mark.parametrize("rule", [RSequenceSpec.even_two_odd_zero(),
+                                  RSequenceSpec.delta_one(),
+                                  RSequenceSpec.constant(3)], ids=lambda r: r.rule)
+def test_rule_folded_canonical_form_matches_exhaustive(rule):
+    # the key under a weight rule's corner fold, against the full serial
+    # search under the same fold, and under relabelled crosses
+    rng = random.Random(31)
+    graphs = _canonical_sweep()
+    # the fold merges some classes of the sweep
+    assert (len({canonical_form(g, rule.fold).key for g in graphs})
+            < len({canonical_form(g).key for g in graphs}))
+    for g in graphs:
+        got, want = canonical_form(g, rule.fold), exhaustive_canonical_form(g, rule.fold)
+        assert got.key == want.key
+        assert list(got.edge_slots.items()) == list(want.edge_slots.items())
+        assert list(got.flag_slots.items()) == list(want.flag_slots.items())
+        assert set(got.flag_slots) == set(g.flag_labels)
+        h = relabel_crosses(g, _random_bijection(rng, g.map.crosses))
+        assert canonical_form(h, rule.fold).key == got.key
+
+
+def test_symbolic_fold_keeps_the_canonical_form():
+    # the symbolic rule sees every count: its fold changes no byte
+    fold = RSequenceSpec.symbolic().fold
+    for g in _canonical_sweep():
+        assert canonical_form(g, fold) == canonical_form(g)
 
 
 def test_folded_key_classes_are_the_cross_serial_classes():

@@ -22,7 +22,8 @@ from rgp.corpus import (
     two_cycle,
 )
 from rgp.errors import InvalidArgument, TooLarge
-from rgp.maps import (RibbonGraph, RotationSpec, canonical_form, cross_components,
+from rgp.hyperbolic import hu
+from rgp.maps import (RibbonGraph, RotationSpec, _fold, canonical_form, cross_components,
                       from_rotation_system, structure_report)
 from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
@@ -130,13 +131,49 @@ def test_expansion_equals_reduction_disconnected_random():
         assert q_by_expansion(g, rule).poly == q_by_reduction(g, rule).poly
 
 
+def _flag_heavy_sweep() -> list:
+    """Seeded maps of up to 5 edges and 8 flags: unlike the sweeps above
+    (3 flags), they often put two or more flags in one corner."""
+    rng = random.Random(26)
+    return [random_rotation_graph(rng, max_edges=5, max_flags=8) for _ in range(30)]
+
+
+def test_expansion_equals_folded_reduction_with_flag_heavy_corners():
+    graphs = _flag_heavy_sweep()
+    # corners of 2 and of 3 or more flags, which the parity and delta folds merge
+    assert {2, 3} <= {n for g in graphs for n in _fold(g.map)[1].values()}
+    assert max(len(g.edge_labels) for g in graphs) == 5
+    for rule in SIX_RULES:
+        shared = {}
+        for g in graphs:
+            want = q_by_expansion(g, rule).poly
+            assert q_by_reduction(g, rule).poly == want, rule
+            assert q_by_reduction(g, rule, memo=shared).poly == want, rule
+    for g in graphs:
+        assert hu(g) == hu(g, method="expansion")
+
+
+def test_parity_fold_keys_a_flag_pair_in_one_corner_with_its_map():
+    # bridge(3, 0) is bridge(1, 0) with two more flags in the same corner
+    g, h = bridge(1, 0), bridge(3, 0)
+    rule = RSequenceSpec.odd_two_even_zero()
+    assert canonical_form(g).key != canonical_form(h).key
+    assert canonical_form(g, rule.fold).key == canonical_form(h, rule.fold).key
+    memo = {}
+    q_by_reduction(g, rule, memo=memo)
+    size = len(memo)
+    assert q_by_reduction(h, rule, memo=memo).poly == q_by_expansion(h, rule).poly
+    assert len(memo) == size
+
+
 def _recording_canonical_form(monkeypatch) -> list:
-    """Replace qpoly's canonical_form by a wrapper that records its graphs."""
+    """Replace qpoly's canonical_form by a wrapper that records its graphs
+    and forwards the rule's fold."""
     seen = []
 
-    def record(h):
+    def record(h, *args):
         seen.append(h)
-        return canonical_form(h)
+        return canonical_form(h, *args)
 
     monkeypatch.setattr(rgp.qpoly, "canonical_form", record)
     return seen
