@@ -41,6 +41,9 @@ from .qpoly import RSequenceSpec, q_by_expansion, q_by_reduction
 # computation in the process (HV alone triggers dozens of related graphs).
 _SHARED_MEMO: dict = {}
 
+# hu_commutative_limit's enumeration visits all 2^e edge subsets.
+_COMMUTATIVE_MAX_EDGES = 12
+
 
 def _t(lab) -> MultiPoly:
     return MultiPoly.variable("T", lab)
@@ -457,15 +460,14 @@ def _cycle_edges(comp_edges: list, ends) -> list:
     return sorted(alive, key=str)
 
 
-def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration",
-                         max_edges: int = 12) -> MultiPoly:
+def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPoly:
     """Leading small-Omega part of HU (total Omega-degree = vertex count).
 
     enumeration: sum over spanning subgraphs whose components are trees with
     at least one edge or unicyclic graphs with an untwisted cycle; each tree
     contributes 4 * sum_e O_e^2 t_e prod_(rest) O (1+t^2), each cycle the odd
     cut-subset sum, and uncovered edges contribute t_e.  It visits all 2^e
-    edge subsets, so more than max_edges edges raise TooLarge.
+    edge subsets, so more than _COMMUTATIVE_MAX_EDGES edges raise TooLarge.
 
     extraction: substitute O_e -> b O_e into HU and take the b^v coefficient.
     No monomial may sit below degree v; degree above v everywhere means the
@@ -490,10 +492,11 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration",
 
     edges = g.sorted_edges()
     ne = len(edges)
-    if ne > max_edges:
-        raise TooLarge(f"{ne} edges exceeds the commutative-limit guard {max_edges}")
     if g.bare_vertices:
         return MultiPoly.zero()   # an uncoverable vertex admits no subgraph
+    if ne > _COMMUTATIVE_MAX_EDGES:
+        raise TooLarge(f"{ne} edges exceeds the commutative-limit guard "
+                       f"{_COMMUTATIVE_MAX_EDGES}")
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
     twist = {lab: tw for lab, _p, _q, tw in to_rotation_spec(g).edges}

@@ -614,13 +614,12 @@ def test_symanzik_errors():
 
 
 def test_commutative_limit_guard():
-    # the enumeration visits 2^e subsets: 12 edges pass by default, 13 do not
+    # the enumeration visits 2^e subsets: 12 edges pass, 13 do not
     with pytest.raises(TooLarge):
         hu_commutative_limit(banana(13))
-    with pytest.raises(TooLarge):
-        hu_commutative_limit(banana(3), max_edges=2)
-    assert hu_commutative_limit(banana(3), max_edges=3) == hu_commutative_limit(banana(3))
     assert not hu_commutative_limit(banana(12)).is_zero()
+    # a bare vertex makes the limit zero before any subset is visited
+    assert hu_commutative_limit(disjoint_union(banana(13), single_vertex())).is_zero()
 
 
 def test_symanzik_values():
