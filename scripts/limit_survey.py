@@ -36,7 +36,7 @@ def _spanning_tree_sum(g) -> MultiPoly:
         for c in v.crosses:
             idx[c] = i
     nv = len(vertices_of(g))
-    ends = {lab: (idx[min(orb)], idx[g.map.sigma1(min(orb))])
+    ends = {lab: (idx[min(orb)], idx[g.map.sigma1[min(orb)]])
             for lab, orb in g.edge_labels.items()}
     edges = g.sorted_edges()
     total = MultiPoly.zero()

@@ -22,7 +22,6 @@ The package is organised bottom-up:
 from .errors import RgpError
 from .maps import (
     CombinatorialMap,
-    Permutation,
     RibbonGraph,
     RotationSpec,
     StructureReport,
@@ -77,7 +76,6 @@ from .hyperbolic import (
 __all__ = [
     "RgpError",
     "CombinatorialMap",
-    "Permutation",
     "RibbonGraph",
     "RotationSpec",
     "StructureReport",

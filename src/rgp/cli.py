@@ -29,11 +29,11 @@ from .hyperbolic import (
 )
 from .maps import (
     CombinatorialMap,
-    Permutation,
     RibbonGraph,
     RotationSpec,
     from_rotation_system,
     make_graph,
+    perm_from_cycles,
     structure_report,
     validate_map,
 )
@@ -102,7 +102,7 @@ def _read_raw_map(entries: list) -> RibbonGraph:
             for c in cyc:
                 if not 1 <= c <= n:
                     raise ParseError(f"cross {c} outside 1..{n}", line=lineno)
-        perms[key] = Permutation.from_cycles(domain, cycles)
+        perms[key] = perm_from_cycles(domain, cycles)
     m = CombinatorialMap(frozenset(domain), perms["sigma0"], perms["theta"],
                          perms["sigma1"])
     return make_graph(m)

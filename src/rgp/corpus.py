@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 
 from .errors import HasFlags, InvalidArgument, SelfCheckFailed, UnknownEdge
-from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
-                   face_sets, from_rotation_system, make_graph,
+from .maps import (CombinatorialMap, RibbonGraph, RotationSpec, face_sets,
+                   from_rotation_system, make_graph, perm_from_cycles,
                    structure_report)
+from .ops import to_rotation_spec
 
 
 def _require(ok: bool, fact: str) -> None:
@@ -269,9 +270,9 @@ def fig_two_vertex() -> RibbonGraph:
     dom = range(1, 13)
     m = CombinatorialMap(
         frozenset(dom),
-        Permutation.from_cycles(dom, [(1, 3), (4, 2), (6, 9, 11, 8), (5, 7, 12, 10)]),
-        Permutation.from_cycles(dom, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]),
-        Permutation.from_cycles(dom, [(1, 5), (2, 6), (3, 8), (4, 7)]),
+        perm_from_cycles(dom, [(1, 3), (4, 2), (6, 9, 11, 8), (5, 7, 12, 10)]),
+        perm_from_cycles(dom, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]),
+        perm_from_cycles(dom, [(1, 5), (2, 6), (3, 8), (4, 7)]),
     )
     g = make_graph(m)
     rep = structure_report(g)
@@ -310,7 +311,6 @@ def half_edge_detached(g: RibbonGraph, edge, end: int = 1) -> RibbonGraph:
     twists: detaching the twisted loop turns its Möbius spanning
     subgraph, one boundary circle, into a flat path, also one.)
     """
-    from .ops import to_rotation_spec
     if g.flag_labels:
         raise HasFlags("half_edge_detached expects a graph without flags")
     if edge not in g.edge_labels:

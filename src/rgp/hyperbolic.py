@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (HasFlags, NotACycle, NotATree, NotConnected, NotOrientable,
-                     SelfCheckFailed, TooLarge, UnknownMethod)
+from .errors import (HasFlags, NoFlags, NotACycle, NotATree, NotConnected,
+                     NotOrientable, SelfCheckFailed, TooLarge, UnknownMethod)
 from .gf2 import rank
 from .maps import (
     RibbonGraph,
@@ -30,7 +30,6 @@ from .maps import (
     vertices_of,
     make_graph,
     CombinatorialMap,
-    Permutation,
 )
 from .ops import (cut, delete, delete_flag, natural_dual, partial_dual,
                   spanning_subgraph, to_rotation_spec)
@@ -273,8 +272,8 @@ def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple):
     """Fuse two flag half-ribbons into an edge (new sigma1 couples the chosen
     side of one to the unchosen side of the other).  Returns (graph, label)."""
     m = g.map
-    b_i, b_j = m.theta(a_i), m.theta(a_j)
-    s1 = dict(m.sigma1.mapping)
+    b_i, b_j = m.theta[a_i], m.theta[a_j]
+    s1 = dict(m.sigma1)
     s1.update({a_i: b_j, b_j: a_i, b_i: a_j, a_j: b_i})
     label = "~".join(str(f) for f in drop)
     while label in g.edge_labels:
@@ -283,7 +282,7 @@ def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple):
     edge_labels[label] = frozenset((a_i, b_i, a_j, b_j))
     flag_labels = {lab: orb for lab, orb in g.flag_labels.items() if lab not in drop}
     joined = make_graph(
-        CombinatorialMap(m.crosses, m.sigma0, m.theta, Permutation(s1)),
+        CombinatorialMap(m.crosses, m.sigma0, m.theta, s1),
         edge_labels, flag_labels, g.bare_vertices)
     return joined, label
 
@@ -293,12 +292,12 @@ def _insert_flag_after(g: RibbonGraph, at: int):
     m = g.map
     p = max(m.crosses) + 1
     pbar = p + 1
-    s = m.sigma0(at)
-    s0 = dict(m.sigma0.mapping)
-    s0.update({at: p, p: s, m.theta(s): pbar, pbar: m.theta(at)})
-    th = dict(m.theta.mapping)
+    s = m.sigma0[at]
+    s0 = dict(m.sigma0)
+    s0.update({at: p, p: s, m.theta[s]: pbar, pbar: m.theta[at]})
+    th = dict(m.theta)
     th.update({p: pbar, pbar: p})
-    s1 = dict(m.sigma1.mapping)
+    s1 = dict(m.sigma1)
     s1.update({p: p, pbar: pbar})
     label = "+"
     while label in g.flag_labels:
@@ -306,9 +305,8 @@ def _insert_flag_after(g: RibbonGraph, at: int):
     flag_labels = dict(g.flag_labels)
     flag_labels[label] = frozenset((p, pbar))
     return make_graph(
-        CombinatorialMap(frozenset(m.crosses | {p, pbar}),
-                         Permutation(s0), Permutation(th), Permutation(s1)),
-        dict(g.edge_labels), flag_labels, g.bare_vertices)
+        CombinatorialMap(frozenset(m.crosses | {p, pbar}), s0, th, s1),
+        g.edge_labels, flag_labels, g.bare_vertices)
 
 
 def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
@@ -329,7 +327,6 @@ def hv(g: RibbonGraph) -> QuadraticForm:
     antisymmetric table is canonical up to one global sign, fixed here by the
     deterministic cycle selection.
     """
-    from .errors import NoFlags
     flags = tuple(sorted(g.flag_labels, key=str))
     if not flags:
         raise NoFlags("the quadratic form needs at least one flag")

@@ -1,7 +1,8 @@
 """Combinatorial maps with flags, and the ribbon graphs they carry.
 
 A graph is stored as a triple of permutations (sigma0, theta, sigma1) acting
-on an even set of integer "crosses" (quarter-edges):
+on an even set of integer "crosses" (quarter-edges), each a plain dict
+cross -> cross:
 
   * theta is a fixed-point-free involution pairing the two crosses of each
     half-ribbon;
@@ -33,87 +34,46 @@ from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence,
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# permutations and maps
 # ---------------------------------------------------------------------------
 
-class Permutation:
-    """A bijection on a finite set of ints, stored as a total dict."""
+def _orbit(p: dict, x: int) -> list[int]:
+    """The cycle of the permutation `p` through x, starting at x."""
+    out = [x]
+    y = p[x]
+    while y != x:
+        out.append(y)
+        y = p[y]
+    return out
 
-    __slots__ = ("mapping",)
 
-    def __init__(self, mapping: Mapping[int, int]):
-        self.mapping = dict(mapping)
-        if set(self.mapping.values()) != set(self.mapping):
-            raise InvalidMap("mapping is not a bijection on its domain")
-
-    @staticmethod
-    def identity(domain: Iterable[int]) -> "Permutation":
-        return Permutation({x: x for x in domain})
-
-    @staticmethod
-    def from_cycles(domain: Iterable[int], cycles: Sequence[Sequence[int]]) -> "Permutation":
-        mapping = {x: x for x in domain}
-        seen: set[int] = set()
-        for cyc in cycles:
-            for x in cyc:
-                if x not in mapping:
-                    raise InvalidMap(f"cycle element {x} outside domain")
-                if x in seen:
-                    raise InvalidMap(f"element {x} appears in two cycles")
-                seen.add(x)
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                mapping[a] = b
-        return Permutation(mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    @property
-    def domain(self) -> set[int]:
-        return set(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self.mapping.items()})
-
-    def orbit(self, x: int) -> list[int]:
-        out = [x]
-        y = self.mapping[x]
-        while y != x:
-            out.append(y)
-            y = self.mapping[y]
-        return out
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """All cycles (including fixed points), each starting at its minimum,
-        sorted by that minimum."""
-        seen: set[int] = set()
-        out = []
-        for x in sorted(self.mapping):
+def perm_from_cycles(domain: Iterable[int], cycles: Sequence[Sequence[int]]) -> dict:
+    """The permutation of `domain` with the given cycles, fixing the rest."""
+    mapping = {x: x for x in domain}
+    seen: set[int] = set()
+    for cyc in cycles:
+        for x in cyc:
+            if x not in mapping:
+                raise InvalidMap(f"cycle element {x} outside domain")
             if x in seen:
-                continue
-            orb = self.orbit(x)
-            seen.update(orb)
-            out.append(tuple(orb))
-        return out
+                raise InvalidMap(f"element {x} appears in two cycles")
+            seen.add(x)
+        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+            mapping[a] = b
+    return mapping
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __repr__(self):
-        body = "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1)
-        return body or "id"
-
-
-# ---------------------------------------------------------------------------
-# maps and validation
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CombinatorialMap:
+    """Crosses and three permutations of them, each a dict cross -> cross.
+
+    A map's dicts are never edited after construction, so surgeries share
+    the ones they do not change and copy a dict before they edit it.
+    `validate_map` checks that each is a bijection on the crosses."""
     crosses: frozenset
-    sigma0: Permutation
-    theta: Permutation
-    sigma1: Permutation
+    sigma0: dict
+    theta: dict
+    sigma1: dict
 
 
 @dataclass(frozen=True)
@@ -128,31 +88,37 @@ def validate_map(m: CombinatorialMap) -> list[Violation]:
     out: list[Violation] = []
     X = set(m.crosses)
     for name, perm in (("sigma0", m.sigma0), ("theta", m.theta), ("sigma1", m.sigma1)):
-        if perm.domain != X:
+        if perm.keys() != X:
             out.append(Violation("domain", (), f"{name} domain differs from cross set"))
+        elif set(perm.values()) != X:
+            out.append(Violation("domain", (), f"{name} is not a bijection on the crosses"))
     if out:
-        return out  # pointwise checks below assume matching domains
+        return out  # pointwise checks below assume bijections on X
     if len(X) % 2:
         out.append(Violation("A.1", (), "odd number of crosses"))
-    sigma0_inv = m.sigma0.inverse()
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
+    s0_inv = {y: x for x, y in s0.items()}
     for x in sorted(X):
-        if m.theta(m.theta(x)) != x:
+        if th[th[x]] != x:
             out.append(Violation("A.1", (x,), "theta is not an involution"))
-        if m.sigma1(m.sigma1(x)) != x:
+        if s1[s1[x]] != x:
             out.append(Violation("A.1", (x,), "sigma1 is not an involution"))
-        if m.theta(m.sigma1(x)) != m.sigma1(m.theta(x)):
+        if th[s1[x]] != s1[th[x]]:
             out.append(Violation("A.1", (x,), "theta and sigma1 do not commute"))
-        if m.theta(x) == x:
+        if th[x] == x:
             out.append(Violation("A.2", (x,), "theta has a fixed point"))
-        if m.theta(x) == m.sigma1(x):
+        if th[x] == s1[x]:
             out.append(Violation("A.2", (x,), "sigma1 equals theta at this cross"))
-        if m.sigma0(m.theta(x)) != m.theta(sigma0_inv(x)):
+        if s0[th[x]] != th[s0_inv[x]]:
             out.append(Violation("A.3", (x,), "sigma0 not inverted by theta-conjugation"))
     if not any(v.axiom in ("A.1", "A.2", "A.3") for v in out):
-        cycle_of = {x: i for i, cyc in enumerate(m.sigma0.cycles()) for x in cyc}
+        cycle_of: dict[int, int] = {}
+        for x in X:
+            if x not in cycle_of:
+                cycle_of.update(dict.fromkeys(_orbit(s0, x), x))
         for x in sorted(X):
-            if cycle_of[x] == cycle_of[m.theta(x)]:
-                out.append(Violation("A.4", (x, m.theta(x)),
+            if cycle_of[x] == cycle_of[th[x]]:
+                out.append(Violation("A.4", (x, th[x]),
                                      "cross and its theta-partner share a sigma0-cycle"))
     return out
 
@@ -214,12 +180,12 @@ def _classify_orbits(m: CombinatorialMap):
     for x in sorted(m.crosses):
         if x in seen:
             continue
-        tx = m.theta(x)
-        if m.sigma1(x) == x:
+        tx = m.theta[x]
+        if m.sigma1[x] == x:
             orb = frozenset((x, tx))
             flags.append(orb)
         else:
-            orb = frozenset((x, tx, m.sigma1(x), m.sigma1(tx)))
+            orb = frozenset((x, tx, m.sigma1[x], m.sigma1[tx]))
             if len(orb) != 4:
                 raise InvalidMap(f"edge orbit at cross {x} does not have 4 crosses")
             edges.append(orb)
@@ -232,7 +198,7 @@ def _check_labels(m: CombinatorialMap, edge_labels: dict, flag_labels: dict):
     each flag label one sigma1-fixed theta pair, and the labels cover the
     crosses once: orbits are equal or disjoint, so distinct ones that add up
     to the cross count do."""
-    th, s1 = m.theta.mapping, m.sigma1.mapping
+    th, s1 = m.theta, m.sigma1
     for lab, orb in edge_labels.items():
         x = next(iter(orb), None)
         if x not in s1 or s1[x] == x or len(orb) != 4 or orb != {x, th[x], s1[x], s1[th[x]]}:
@@ -255,8 +221,8 @@ def _conjugate_pairs(m: CombinatorialMap) -> list[tuple[tuple, tuple]]:
     for x in sorted(m.crosses):
         if x in seen:
             continue
-        cyc = tuple(m.sigma0.orbit(x))
-        partner = tuple(m.sigma0.orbit(m.theta(x)))
+        cyc = tuple(_orbit(m.sigma0, x))
+        partner = tuple(_orbit(m.sigma0, m.theta[x]))
         seen.update(cyc)
         seen.update(partner)
         out.append((cyc, partner))
@@ -290,7 +256,7 @@ def _incidences(g: RibbonGraph):
     ends = {}
     for lab, orb in g.edge_labels.items():
         x = min(orb)
-        ends[lab] = (v_of[x], v_of[g.map.sigma1(x)])
+        ends[lab] = (v_of[x], v_of[g.map.sigma1[x]])
     return flags_at, ends
 
 
@@ -328,13 +294,13 @@ def _dual_triple(m: CombinatorialMap, edge_crosses: set[int]) -> CombinatorialMa
     (sigma0 theta_{E'} sigma1_{E'}, sigma1_{E'} theta_{E'c}, sigma1_{E'c} theta_{E'}),
     which moves only E': sigma0 theta sigma1, sigma1 and theta there.  Along
     every edge it is the natural dual; applied twice it is the identity."""
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     d0, dt, d1 = dict(s0), dict(th), dict(s1)
     for x in edge_crosses:
         d0[x] = s0[th[s1[x]]]
         dt[x] = s1[x]
         d1[x] = th[x]
-    return CombinatorialMap(m.crosses, Permutation(d0), Permutation(dt), Permutation(d1))
+    return CombinatorialMap(m.crosses, d0, dt, d1)
 
 
 def _faces(g: RibbonGraph) -> list[tuple[tuple, tuple]]:
@@ -396,7 +362,7 @@ def _interlace(g: RibbonGraph) -> tuple[list, int, int]:
             i = edge_of.get(x)
             if i is None:
                 continue    # a flag
-            if bouquet.sigma1(x) in word:     # both ends on this cycle: a twist
+            if bouquet.sigma1[x] in word:     # both ends on this cycle: a twist
                 rows[i] |= 1 << i
             spans.setdefault(i, []).append(p)
         for i, (p, q) in spans.items():
@@ -413,7 +379,7 @@ def component_count(g: RibbonGraph) -> int:
 
 def cross_components(g: RibbonGraph) -> list[frozenset]:
     m = g.map
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     seen: set[int] = set()
     comps = []
     for x in sorted(m.crosses):
@@ -467,7 +433,7 @@ def orientation_selection(g: RibbonGraph) -> OrientationChoice:
         while queue:
             j = queue.pop(0)
             for x in choice[j]:
-                y = m.sigma1(x)
+                y = m.sigma1[x]
                 if y == x:
                     continue  # flags impose nothing
                 k = v_of[y]
@@ -592,7 +558,7 @@ def from_rotation_system(spec: RotationSpec) -> RibbonGraph:
             s1[u] = w
             s1[w] = u
 
-    m = CombinatorialMap(crosses, Permutation(s0), Permutation(th), Permutation(s1))
+    m = CombinatorialMap(crosses, s0, th, s1)
     edge_labels = {elabel: frozenset((a[p], b[p], a[q], b[q]))
                    for elabel, p, q, _ in spec.edges}
     flag_labels = {fid: frozenset((a[fid], b[fid])) for fid in flag_ids}
@@ -616,19 +582,19 @@ def _fold(m: CombinatorialMap):
     corner[x], the number of flag crosses passed on the way.  Also the
     vertices with only flags, as (flag count, sigma0-cycle from the smallest
     cross), sorted."""
-    th, s1 = m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     nxt, corner = {}, {}
     flag_vertices = []
     seen: set[int] = set()
     for x in sorted(m.crosses):
         if x in seen:
             continue
-        cyc = m.sigma0.orbit(x)
+        cyc = _orbit(s0, x)
         seen.update(cyc)
         at = [i for i, y in enumerate(cyc) if s1[y] != y]
         if not at:
             flag_vertices.append((len(cyc), cyc))
-            seen.update(m.sigma0.orbit(th[x]))
+            seen.update(_orbit(s0, th[x]))
         for i, j in zip(at, at[1:] + at[:1]):
             nxt[cyc[i]] = cyc[j]
             corner[cyc[i]] = (j - i - 1) % len(cyc)
@@ -695,7 +661,7 @@ def canonical_form(g: RibbonGraph,
     (N, +) on whose classes the weight is constant.
     """
     m = g.map
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     nxt, corner, flag_vertices = _fold(m)
     folded = corner
     if fold is not None:
@@ -745,8 +711,8 @@ def relabel_crosses(g: RibbonGraph, bijection: Mapping[int, int]) -> RibbonGraph
     if set(pi) != set(m.crosses) or len(set(pi.values())) != len(pi):
         raise InvalidMap("bijection must cover exactly the crosses, injectively")
 
-    def push(p: Permutation) -> Permutation:
-        return Permutation({pi[x]: pi[p(x)] for x in m.crosses})
+    def push(p: dict) -> dict:
+        return {pi[x]: pi[y] for x, y in p.items()}
 
     m2 = CombinatorialMap(frozenset(pi[x] for x in m.crosses),
                           push(m.sigma0), push(m.theta), push(m.sigma1))

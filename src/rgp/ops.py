@@ -10,9 +10,10 @@ operations.  Contraction is deletion after dualising the one edge.
 
 These surgeries, and the restriction to a union of components, build valid
 maps from valid ones, so they skip `maps.validate_map`; the test suite checks
-their outputs against it on the corpus and on random maps.  Each is a local
-edit of copies of the three permutation dicts (deletion induces sigma0 in one
-pass), and `make_graph` checks the label tables one label at a time.
+their outputs against it on the corpus and on random maps.  Each edits a
+copy of the permutation dicts it changes and shares the others (deletion
+induces sigma0 in one pass); `make_graph` copies each label table once and
+checks it one label at a time.
 
 Vertices that lose all their crosses (deleting a bridge end, a flag removal)
 are kept as bare isolated vertices — the polynomial layer weights them by
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DuplicateId, UnknownEdge
-from .maps import (CombinatorialMap, Permutation, RibbonGraph, RotationSpec,
+from .maps import (CombinatorialMap, RibbonGraph, RotationSpec,
                    make_graph, orientation_selection, vertices_of,
                    _UnionFind, _dual_triple, _incidences)
 
@@ -38,7 +39,7 @@ def _remove_crosses(g: RibbonGraph, removed: set, edges: dict, flags: dict) -> R
     """Induce the permutations on the crosses outside `removed`, whole edges
     and flags, so theta and sigma1 just restrict.  A sigma0-cycle inside
     `removed` is half of a vertex that stays behind bare."""
-    m, s0 = g.map, g.map.sigma0.mapping
+    m, s0 = g.map, g.map.sigma0
     sigma0 = {}
     for x, y in s0.items():
         if x not in removed:
@@ -51,10 +52,9 @@ def _remove_crosses(g: RibbonGraph, removed: set, edges: dict, flags: dict) -> R
         while (y := s0[y]) in left:
             left.discard(y)
         cycles_inside += y == x
-    theta, sigma1 = ({x: y for x, y in p.mapping.items() if x not in removed}
+    theta, sigma1 = ({x: y for x, y in p.items() if x not in removed}
                      for p in (m.theta, m.sigma1))
-    kept = CombinatorialMap(frozenset(sigma0), Permutation(sigma0),
-                            Permutation(theta), Permutation(sigma1))
+    kept = CombinatorialMap(frozenset(sigma0), sigma0, theta, sigma1)
     return make_graph(kept, edges, flags,
                       bare_vertices=g.bare_vertices + cycles_inside // 2, check=False)
 
@@ -67,7 +67,7 @@ def delete_edges(g: RibbonGraph, labels: Iterable) -> RibbonGraph:
     for lab in labels:
         removed |= g.edge_crosses(lab)
     edges = {lab: orb for lab, orb in g.edge_labels.items() if lab not in labels}
-    return _remove_crosses(g, removed, edges, dict(g.flag_labels))
+    return _remove_crosses(g, removed, edges, g.flag_labels)
 
 
 def delete(g: RibbonGraph, e) -> RibbonGraph:
@@ -79,10 +79,10 @@ def cut(g: RibbonGraph, e) -> RibbonGraph:
     """Replace the edge by two flags, one per half-ribbon: sigma1 becomes the
     identity on the edge's crosses, everything else is untouched."""
     orb = g.edge_crosses(e)
-    sigma1 = Permutation({**g.map.sigma1.mapping, **{x: x for x in orb}})
+    sigma1 = {**g.map.sigma1, **{x: x for x in orb}}
     m = CombinatorialMap(g.map.crosses, g.map.sigma0, g.map.theta, sigma1)
     x = min(orb)
-    first = frozenset((x, g.map.theta(x)))
+    first = frozenset((x, g.map.theta[x]))
     second = frozenset(orb - first)
     flags = dict(g.flag_labels)
     for suffix, half in ((1, first), (2, second)):
@@ -101,7 +101,7 @@ def delete_flag(g: RibbonGraph, flag) -> RibbonGraph:
     except KeyError:
         raise UnknownEdge(f"no flag labelled {flag!r}") from None
     flags = {lab: o for lab, o in g.flag_labels.items() if lab != flag}
-    return _remove_crosses(g, orb, dict(g.edge_labels), flags)
+    return _remove_crosses(g, orb, g.edge_labels, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def partial_dual(g: RibbonGraph, edges: Iterable) -> RibbonGraph:
     on the union of those edges' crosses.  Dualising twice is the identity.
     """
     Ep = set().union(*(g.edge_crosses(lab) for lab in set(edges)))
-    return make_graph(_dual_triple(g.map, Ep), dict(g.edge_labels), dict(g.flag_labels),
+    return make_graph(_dual_triple(g.map, Ep), g.edge_labels, g.flag_labels,
                       bare_vertices=g.bare_vertices, check=False)
 
 
@@ -144,11 +144,8 @@ def restrict(g: RibbonGraph, crosses: frozenset) -> RibbonGraph:
     """The part of the graph on `crosses`, a union of its cross components
     (closed under sigma0, theta and sigma1), with no bare vertices."""
     m = g.map
-    part = CombinatorialMap(
-        crosses,
-        *(Permutation({x: p.mapping[x] for x in crosses})
-          for p in (m.sigma0, m.theta, m.sigma1)),
-    )
+    part = CombinatorialMap(crosses, *({x: p[x] for x in crosses}
+                                       for p in (m.sigma0, m.theta, m.sigma1)))
     edges = {lab: orb for lab, orb in g.edge_labels.items() if orb <= crosses}
     flags = {lab: orb for lab, orb in g.flag_labels.items() if orb <= crosses}
     return make_graph(part, edges, flags, check=False)
@@ -169,11 +166,11 @@ def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
 
     crosses = frozenset(a.map.crosses) | frozenset(x + shift for x in b.map.crosses)
 
-    def merge(pa: Permutation, pb: Permutation) -> Permutation:
-        out = dict(pa.mapping)
-        for x, y in pb.mapping.items():
+    def merge(pa: dict, pb: dict) -> dict:
+        out = dict(pa)
+        for x, y in pb.items():
             out[x + shift] = y + shift
-        return Permutation(out)
+        return out
 
     m = CombinatorialMap(crosses,
                          merge(a.map.sigma0, b.map.sigma0),
@@ -272,7 +269,7 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
     hr_id: dict[frozenset, object] = {}
     for lab, orb in g.edge_labels.items():
         x = min(orb)
-        first = frozenset((x, g.map.theta(x)))
+        first = frozenset((x, g.map.theta[x]))
         second = frozenset(orb - first)
         hr_id[first] = f"{lab}.1"
         hr_id[second] = f"{lab}.2"
@@ -284,7 +281,7 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
     verts = []
     for i, v in enumerate(vertices_of(g)):
         walk = v.cycle if set(v.cycle) <= chosen else v.partner
-        items = tuple(hr_id[frozenset((x, g.map.theta(x)))] for x in walk)
+        items = tuple(hr_id[frozenset((x, g.map.theta[x]))] for x in walk)
         verts.append((f"v{i + 1}", items))
     for j in range(g.bare_vertices):
         verts.append((f"v{len(vertices_of(g)) + j + 1}", ()))
@@ -293,11 +290,11 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
     for lab in g.sorted_edges():
         orb = g.edge_labels[lab]
         x = min(orb)
-        first = frozenset((x, g.map.theta(x)))
+        first = frozenset((x, g.map.theta[x]))
         second = frozenset(orb - first)
         sx = next(iter(first & chosen))
         sy = next(iter(second & chosen))
-        twist = 1 if g.map.sigma1(sx) == sy else 0
+        twist = 1 if g.map.sigma1[sx] == sy else 0
         edges.append((lab, f"{lab}.1", f"{lab}.2", twist))
 
     flags = tuple(sorted(g.flag_labels, key=str))

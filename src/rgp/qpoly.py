@@ -131,10 +131,6 @@ class QResult:
     admissible_pairs: Optional[int]  # (A,B) pairs with nonzero weight; expansion only
 
 
-def _edge_var(kind: str, label) -> MultiPoly:
-    return MultiPoly.variable(kind, label)
-
-
 # ---------------------------------------------------------------------------
 # strategy 1: subset expansion
 # ---------------------------------------------------------------------------
@@ -210,15 +206,14 @@ def _edge_relabelling(labels: dict) -> dict:
 
 
 def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
-                   edge_order: Optional[list] = None,
                    memo: Optional[dict] = None,
                    zero_kinds: Iterable[str] = "") -> QResult:
     """Recursive four-term reduction with canonical-form memoisation.
 
-    The reduction edge is the first entry of edge_order present in the current
-    graph (default: smallest label).  Results are independent of the order;
-    the memo (shareable across calls) stores polynomials over canonical edge
-    slots and rebrands them through each caller's slot bijection.  Its key
+    The reduction edge is the current graph's first label in `sorted_edges`
+    order; results are independent of that choice.  The memo (shareable
+    across calls) stores polynomials over canonical edge slots and rebrands
+    them through each caller's slot bijection.  Its key
     is the canonical form under the rule's fold (`RSequenceSpec.fold`) with
     the rule itself, so entries of different rules never mix.
 
@@ -250,7 +245,7 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
         comps = cross_components(h)
         if len(comps) == 1 and h.edge_labels and not h.bare_vertices:
             return connected(h)
-        s1 = h.map.sigma1.mapping
+        s1 = h.map.sigma1
         scalar = r.weight(0) ** h.bare_vertices
         live = []
         for comp in comps:
@@ -275,17 +270,10 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
         if hit is not None:
             return hit.rename(_edge_relabelling(
                 {slot: lab for lab, slot in cf.edge_slots.items()}))
-        e = None
-        if edge_order:
-            for cand in edge_order:
-                if cand in h.edge_labels:
-                    e = cand
-                    break
-        if e is None:
-            e = h.sorted_edges()[0]
+        e = h.sorted_edges()[0]
         hd = partial_dual(h, [e]) if "Y" in kept or "Z" in kept else None
         branches = (("X", delete, h), ("Y", delete, hd), ("Z", cut, hd), ("W", cut, h))
-        terms = (_edge_var(kind, e) * rec(op(base, e))
+        terms = (MultiPoly.variable(kind, e) * rec(op(base, e))
                  for kind, op, base in branches if kind in kept)
         # summed as they come: at most one child's Q waits beside the sum
         first = next(terms, None)

@@ -22,7 +22,7 @@ import functools
 import json
 import operator
 
-from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
+from rgp.maps import (CanonicalForm, _incidences, _orbit, _subset_degrees,
                       cross_components, face_count, face_sets, vertices_of)
 from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
 from rgp.poly import _FIELD, MultiPoly, VarId, _fields, _moved, _struct, _var_key
@@ -38,7 +38,7 @@ def _edge_ends(g):
     ends = {}
     for lab, orb in g.edge_labels.items():
         x = min(orb)
-        ends[lab] = (idx[x], idx[g.map.sigma1(x)])
+        ends[lab] = (idx[x], idx[g.map.sigma1[x]])
     return len(vertices_of(g)), ends
 
 
@@ -114,7 +114,7 @@ def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
     and the flag-only vertices' counts passed through `fold` if given."""
     fold = fold or (lambda n: n)
     m = g.map
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     nxt, corner = {}, {}
     for x in m.crosses:
         if s1[x] != x:
@@ -128,7 +128,7 @@ def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
         starts = sorted(x for x in comp if x in nxt)
         if not starts:
             x = min(comp)
-            flag_vertices.append((fold(len(comp) // 2), x, m.sigma0.orbit(x)))
+            flag_vertices.append((fold(len(comp) // 2), x, _orbit(s0, x)))
             continue
         best = best_seq = None
         for start in starts:
@@ -169,7 +169,7 @@ def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
 def exhaustive_cross_serial_form(g) -> CanonicalForm:
     """The canonical form over every cross: per component, the smallest
     (sigma0, theta, sigma1) serial of a full BFS from each start cross."""
-    m = g.map
+    s0, th, s1 = g.map.sigma0, g.map.theta, g.map.sigma1
     entries = []
     for comp in cross_components(g):
         best = best_relabel = None
@@ -177,12 +177,11 @@ def exhaustive_cross_serial_form(g) -> CanonicalForm:
             relabel = {start: 0}
             seq = [start]
             for x in seq:
-                for img in (m.sigma0(x), m.theta(x), m.sigma1(x)):
+                for img in (s0[x], th[x], s1[x]):
                     if img not in relabel:
                         relabel[img] = len(seq)
                         seq.append(img)
-            serial = tuple((relabel[m.sigma0(x)], relabel[m.theta(x)], relabel[m.sigma1(x)])
-                           for x in seq)
+            serial = tuple((relabel[s0[x]], relabel[th[x]], relabel[s1[x]]) for x in seq)
             if best is None or serial < best:
                 best, best_relabel = serial, relabel
         entries.append((best, min(comp), best_relabel))
@@ -227,7 +226,7 @@ def reference_dual_triple(m, edge_crosses):
     """The partial dual along the edges with crosses E', E'c the rest, as
     compositions of permutations: (sigma0 theta_E' sigma1_E',
     sigma1_E' theta_E'c, sigma1_E'c theta_E'), each a dict."""
-    s0, th, s1 = m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping
+    s0, th, s1 = m.sigma0, m.theta, m.sigma1
     rest = set(m.crosses) - set(edge_crosses)
     th_p, th_c = _piecewise(th, edge_crosses), _piecewise(th, rest)
     s1_p, s1_c = _piecewise(s1, edge_crosses), _piecewise(s1, rest)
@@ -252,7 +251,7 @@ def _reference_remove(g, removed, edges, flags):
     whose crosses all lie in `removed` becomes bare."""
     kept = set(g.map.crosses) - removed
     newly_bare = sum(1 for v in vertices_of(g) if v.crosses <= removed)
-    return _surgery(*(_induced_on(p.mapping, kept)
+    return _surgery(*(_induced_on(p, kept)
                       for p in (g.map.sigma0, g.map.theta, g.map.sigma1)),
                     edges, flags, g.bare_vertices + newly_bare)
 
@@ -274,7 +273,7 @@ def reference_cut(g, e):
     orb = g.edge_labels[e]
     rest = set(g.map.crosses) - orb
     x = min(orb)
-    first = frozenset((x, g.map.theta(x)))
+    first = frozenset((x, g.map.theta[x]))
     flags = dict(g.flag_labels)
     for suffix, half in ((1, first), (2, orb - first)):
         lab = f"{e}.{suffix}"
@@ -282,9 +281,8 @@ def reference_cut(g, e):
             lab += "'"
         flags[lab] = half
     edges = {lab: o for lab, o in g.edge_labels.items() if lab != e}
-    return _surgery(g.map.sigma0.mapping, g.map.theta.mapping,
-                    _piecewise(g.map.sigma1.mapping, rest), edges, flags,
-                    g.bare_vertices)
+    return _surgery(g.map.sigma0, g.map.theta, _piecewise(g.map.sigma1, rest),
+                    edges, flags, g.bare_vertices)
 
 
 def exhaustive_class_counts(g) -> ClassCounts:

@@ -11,18 +11,14 @@ from reference_enumerators import (exhaustive_canonical_form,
 from rgp import corpus
 from rgp.errors import DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence
 from rgp.gf2 import rank
-from rgp.maps import (CombinatorialMap, Permutation, RotationSpec, _interlace,
+from rgp.maps import (CombinatorialMap, RotationSpec, _interlace, _orbit,
                       boundary_components, canonical_form, component_count,
                       face_count, from_rotation_system, isomorphic, make_graph,
-                      orientation_selection, relabel_crosses,
+                      orientation_selection, perm_from_cycles, relabel_crosses,
                       structure_report, validate_map, vertices_of)
 from rgp.ops import (cut, delete, delete_edges, delete_flag, partial_dual,
                      spanning_subgraph)
 from rgp.qpoly import RSequenceSpec
-
-
-def perm(domain, cycles):
-    return Permutation.from_cycles(domain, cycles)
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +35,9 @@ def test_fig2_is_valid(fig2):
 def test_theta_fixed_point_detected():
     dom = range(4)
     m = CombinatorialMap(frozenset(dom),
-                         Permutation.identity(dom),
-                         perm(dom, [(0, 1)]),   # 2, 3 fixed by theta
-                         Permutation.identity(dom))
+                         perm_from_cycles(dom, []),
+                         perm_from_cycles(dom, [(0, 1)]),   # 2, 3 fixed by theta
+                         perm_from_cycles(dom, []))
     bad = validate_map(m)
     assert any(v.axiom == "A.2" and v.witnesses == (2,) for v in bad)
 
@@ -49,9 +45,9 @@ def test_theta_fixed_point_detected():
 def test_sigma1_equal_theta_detected():
     dom = range(4)
     m = CombinatorialMap(frozenset(dom),
-                         Permutation.identity(dom),
-                         perm(dom, [(0, 1), (2, 3)]),
-                         perm(dom, [(0, 1), (2, 3)]))
+                         perm_from_cycles(dom, []),
+                         perm_from_cycles(dom, [(0, 1), (2, 3)]),
+                         perm_from_cycles(dom, [(0, 1), (2, 3)]))
     bad = validate_map(m)
     assert any(v.axiom == "A.2" and "theta" in v.message for v in bad)
 
@@ -60,9 +56,9 @@ def test_conjugation_axiom_detected():
     dom = range(4)
     # sigma0 = (0,2) on 'a' crosses only, not inverted on the partner cycle
     m = CombinatorialMap(frozenset(dom),
-                         perm(dom, [(0, 2)]),
-                         perm(dom, [(0, 1), (2, 3)]),
-                         Permutation.identity(dom))
+                         perm_from_cycles(dom, [(0, 2)]),
+                         perm_from_cycles(dom, [(0, 1), (2, 3)]),
+                         perm_from_cycles(dom, []))
     bad = validate_map(m)
     assert any(v.axiom == "A.3" for v in bad)
 
@@ -71,9 +67,9 @@ def test_shared_orbit_axiom_detected():
     dom = range(4)
     # sigma0 = (0,1)(2,3): each cycle contains a theta pair
     m = CombinatorialMap(frozenset(dom),
-                         perm(dom, [(0, 1), (3, 2)]),
-                         perm(dom, [(0, 1), (2, 3)]),
-                         Permutation.identity(dom))
+                         perm_from_cycles(dom, [(0, 1), (3, 2)]),
+                         perm_from_cycles(dom, [(0, 1), (2, 3)]),
+                         perm_from_cycles(dom, []))
     bad = validate_map(m)
     assert any(v.axiom in ("A.3", "A.4") for v in bad)
 
@@ -113,9 +109,9 @@ def _a4_test_map(rng, n_pairs):
     for i, j in zip(order[0::2], order[1::2]):
         b = rng.randint(0, 1)
         s1 += [(2 * i, 2 * j + b), (2 * i + 1, 2 * j + 1 - b)]
-    return CombinatorialMap(frozenset(dom), perm(dom, cycles),
-                            perm(dom, [(2 * i, 2 * i + 1) for i in range(n_pairs)]),
-                            perm(dom, s1))
+    theta = perm_from_cycles(dom, [(2 * i, 2 * i + 1) for i in range(n_pairs)])
+    return CombinatorialMap(frozenset(dom), perm_from_cycles(dom, cycles), theta,
+                            perm_from_cycles(dom, s1))
 
 
 def test_shared_orbit_witnesses_match_per_cross_orbits():
@@ -125,8 +121,8 @@ def test_shared_orbit_witnesses_match_per_cross_orbits():
         m = _a4_test_map(rng, rng.randint(1, 12))
         bad = validate_map(m)
         assert all(v.axiom == "A.4" for v in bad)
-        expected = [(x, m.theta(x)) for x in sorted(m.crosses)
-                    if x in set(m.sigma0.orbit(m.theta(x)))]
+        expected = [(x, m.theta[x]) for x in sorted(m.crosses)
+                    if x in set(_orbit(m.sigma0, m.theta[x]))]
         assert [v.witnesses for v in bad] == expected
         broken += bool(expected)
     assert broken > 20
@@ -160,10 +156,28 @@ def test_make_graph_rejects_label_tables_off_the_orbits(fig2):
 
 def test_domain_mismatch_detected():
     m = CombinatorialMap(frozenset(range(4)),
-                         Permutation.identity(range(4)),
-                         perm(range(4), [(0, 1), (2, 3)]),
-                         Permutation.identity(range(2)))
+                         perm_from_cycles(range(4), []),
+                         perm_from_cycles(range(4), [(0, 1), (2, 3)]),
+                         perm_from_cycles(range(2), []))
     assert any(v.axiom == "domain" for v in validate_map(m))
+
+
+def test_non_bijection_is_a_domain_violation(fig2):
+    s1 = dict(fig2.map.sigma1)
+    s1[1] = s1[2]    # sigma1 sends 1 and 2 to cross 6, and nothing to 5
+    m = CombinatorialMap(fig2.map.crosses, fig2.map.sigma0, fig2.map.theta, s1)
+    bad = validate_map(m)
+    assert [v.axiom for v in bad] == ["domain"] and "sigma1" in bad[0].message
+    with pytest.raises(InvalidMap, match="domain"):
+        make_graph(m)
+
+
+def test_perm_from_cycles_rejects_bad_cycles():
+    assert perm_from_cycles(range(4), [(0, 2, 1)]) == {0: 2, 1: 0, 2: 1, 3: 3}
+    with pytest.raises(InvalidMap, match="outside domain"):
+        perm_from_cycles(range(4), [(0, 4)])
+    with pytest.raises(InvalidMap, match="two cycles"):
+        perm_from_cycles(range(4), [(0, 1), (1, 2)])
 
 
 # --- derived structure -------------------------------------------------------
@@ -183,7 +197,7 @@ def test_fig2_vertices(fig2):
     for v in vs:
         th = fig2.map.theta
         rev = (v.cycle[0],) + tuple(reversed(v.cycle[1:]))
-        assert set(v.partner) == {th(x) for x in v.cycle}
+        assert set(v.partner) == {th[x] for x in v.cycle}
 
 
 def test_conjugacy_property_random():
@@ -193,7 +207,7 @@ def test_conjugacy_property_random():
         th = g.map.theta
         for v in vertices_of(g):
             n = len(v.cycle)
-            conj = tuple(th(v.cycle[-i]) for i in range(n))
+            conj = tuple(th[v.cycle[-i]] for i in range(n))
             # same cyclic word
             doubled = v.partner + v.partner
             assert any(doubled[i:i + n] == conj for i in range(n))
@@ -394,7 +408,7 @@ def test_folded_key_classes_are_the_cross_serial_classes():
 
 def _surgery(h):
     m = h.map
-    return (m.sigma0.mapping, m.theta.mapping, m.sigma1.mapping,
+    return (m.sigma0, m.theta, m.sigma1,
             list(h.edge_labels.items()), list(h.flag_labels.items()),
             h.bare_vertices)
 

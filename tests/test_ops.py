@@ -6,8 +6,8 @@ import pytest
 
 from rgp import corpus
 from rgp.errors import UnknownEdge
-from rgp.maps import (Permutation, RotationSpec, canonical_form, cross_components,
-                      face_count, from_rotation_system, isomorphic,
+from rgp.maps import (RotationSpec, canonical_form, cross_components, face_count,
+                      from_rotation_system, isomorphic, perm_from_cycles,
                       structure_report, validate_map, vertices_of)
 from rgp.ops import (ClassCounts, class_counts, contract, cut, delete,
                      delete_flag, disjoint_union, natural_dual, partial_dual,
@@ -29,9 +29,8 @@ def fig2():
 def test_delete_fig2_edge(fig2):
     g = delete(fig2, "e1")
     assert set(g.map.crosses) == {3, 4, 7, 8, 9, 10, 11, 12}
-    assert g.map.sigma0 == Permutation.from_cycles(g.map.crosses,
-                                                   [(9, 11, 8), (7, 12, 10)])
-    assert g.map.sigma1 == Permutation.from_cycles(g.map.crosses, [(3, 8), (4, 7)])
+    assert g.map.sigma0 == perm_from_cycles(g.map.crosses, [(9, 11, 8), (7, 12, 10)])
+    assert g.map.sigma1 == perm_from_cycles(g.map.crosses, [(3, 8), (4, 7)])
     assert list(g.edge_labels) == ["e2"]
     assert g.flag_labels == fig2.flag_labels
 
@@ -52,7 +51,7 @@ def test_cut_fig2(fig2):
     g = cut(fig2, "e1")
     assert g.map.crosses == fig2.map.crosses
     assert g.map.sigma0 == fig2.map.sigma0
-    assert g.map.sigma1 == Permutation.from_cycles(fig2.map.crosses, [(3, 8), (4, 7)])
+    assert g.map.sigma1 == perm_from_cycles(fig2.map.crosses, [(3, 8), (4, 7)])
     assert g.flag_labels["e1.1"] == frozenset({1, 2})
     assert g.flag_labels["e1.2"] == frozenset({5, 6})
     assert "e1" not in g.edge_labels
@@ -191,7 +190,7 @@ def test_contract_matches_direct_merge():
                 v_of[c] = i
         for lab, orb in g.edge_labels.items():
             x = min(orb)
-            if v_of[x] != v_of[g.map.sigma1(x)]:
+            if v_of[x] != v_of[g.map.sigma1[x]]:
                 cases.append((g, lab))
                 break
     for g, e in cases:

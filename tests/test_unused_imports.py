@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used or re-exported.
+"""Every import in the package sits at module level and is used or
+re-exported.
 
 A use is any name read in the module's code; names inside quoted
 annotations are not read, so import what an annotation needs unquoted.
@@ -35,3 +36,20 @@ def test_no_unused_module_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _function_imports(tree: ast.Module) -> list:
+    return sorted({f"{fn.name} (line {node.lineno})"
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_imports_inside_functions():
+    inside = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _function_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            inside[path.name] = names
+    assert inside == {}
