@@ -319,11 +319,12 @@ def _r_rule(text: str) -> RSequenceSpec:
 def _agreed(results: dict, default: str) -> MultiPoly:
     """The default method's result, once every strategy gave the same
     polynomial."""
-    if len({p.to_string() for p in results.values()}) != 1:
+    agreed = results[default]
+    if any(p != agreed for p in results.values()):
         raise RgpError("strategy disagreement: "
                        + "; ".join(f"{m}={p.to_string()}"
                                    for m, p in sorted(results.items())))
-    return results[default]
+    return agreed
 
 
 def _cmd_q(args) -> int:

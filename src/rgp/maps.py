@@ -15,7 +15,9 @@ Vertices and faces are walked the same way: a face is a vertex of the dual,
 the partial dual along every edge (`_dual_triple`, the one duality surgery),
 so both are conjugate sigma0-cycle pairs (`_conjugate_pairs`).  The
 canonical form searches only the edge crosses, with each corner's flags
-folded into a count (`_fold`).
+folded into a count (`_fold`), and holds only what the reduction memo
+reads: the key and the edge slots (Q has variables per edge and weights
+per vertex, none per flag).
 
 Everything downstream (duality, the polynomials, the CLI) works on the
 RibbonGraph wrapper, which adds stable edge/flag labels and a count of bare
@@ -58,7 +60,7 @@ def perm_from_cycles(domain: Iterable[int], cycles: Sequence[Sequence[int]]) -> 
             if x in seen:
                 raise InvalidMap(f"element {x} appears in two cycles")
             seen.add(x)
-        for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             mapping[a] = b
     return mapping
 
@@ -573,15 +575,15 @@ def from_rotation_system(spec: RotationSpec) -> RibbonGraph:
 class CanonicalForm(NamedTuple):
     key: bytes
     edge_slots: dict   # edge label -> slot index, stable across isomorphs
-    flag_slots: dict
 
 
-def _fold(m: CombinatorialMap):
+def _fold(m: CombinatorialMap, fold: Optional[Callable[[int], int]] = None):
     """The map seen from its edge crosses, from one walk of each sigma0-cycle:
     per edge cross x, the next edge cross s0e(x) around its vertex and
-    corner[x], the number of flag crosses passed on the way.  Also the
-    vertices with only flags, as (flag count, sigma0-cycle from the smallest
-    cross), sorted."""
+    corner[x], the number of flag crosses passed on the way, through `fold`
+    (the identity by default).  Also the flag counts of the vertices with
+    only flags, through `fold`, sorted."""
+    fold = fold or (lambda n: n)
     s0, th, s1 = m.sigma0, m.theta, m.sigma1
     nxt, corner = {}, {}
     flag_vertices = []
@@ -593,11 +595,11 @@ def _fold(m: CombinatorialMap):
         seen.update(cyc)
         at = [i for i, y in enumerate(cyc) if s1[y] != y]
         if not at:
-            flag_vertices.append((len(cyc), cyc))
+            flag_vertices.append(fold(len(cyc)))
             seen.update(_orbit(s0, th[x]))
         for i, j in zip(at, at[1:] + at[:1]):
             nxt[cyc[i]] = cyc[j]
-            corner[cyc[i]] = (j - i - 1) % len(cyc)
+            corner[cyc[i]] = fold((j - i - 1) % len(cyc))
     flag_vertices.sort()
     return nxt, corner, flag_vertices
 
@@ -633,7 +635,7 @@ def _bfs_serial(nxt: dict, th: dict, s1: dict, corner: dict, start: int,
 
 def canonical_form(g: RibbonGraph,
                    fold: Optional[Callable[[int], int]] = None) -> CanonicalForm:
-    """Label-independent canonical key plus the induced edge/flag slot maps.
+    """Label-independent canonical key plus the induced edge slot map.
 
     The key is taken on the folded map (`_fold`): the edge crosses under
     (s0e, theta, sigma1), each with its corner's flag count.  Folding loses
@@ -646,58 +648,42 @@ def canonical_form(g: RibbonGraph,
     keys iff they are isomorphic as labelled-forgetting maps.  A flagless
     map folds nothing, so its search costs what the unfolded one did.
     Edge slots follow first appearance in the winning relabelings, in
-    component order, and flag slots the corners in that order, then the
-    flag-only vertices: a memoised polynomial transports along any
+    component order: a memoised polynomial transports along any
     isomorphism.
 
     `fold`, if given, maps each corner's and each flag-only vertex's flag
     count to a class before the search, so the key identifies maps that are
-    isomorphic up to those classes; `flag_slots` still lists every flag.
-    The four-term reduction passes its weight rule's fold
-    (`RSequenceSpec.fold`).  That is exact: `delete`, `cut` and
-    `partial_dual` split a vertex boundary only at edge ends, so the flags
-    of one corner always end at one residual vertex, whose weight is fixed
-    by the classes of its corners' counts when the fold is a congruence of
-    (N, +) on whose classes the weight is constant.
+    isomorphic up to those classes.  The four-term reduction passes its
+    weight rule's fold (`RSequenceSpec.fold`).  That is exact: `delete`,
+    `cut` and `partial_dual` split a vertex boundary only at edge ends, so
+    the flags of one corner always end at one residual vertex, whose weight
+    is fixed by the classes of its corners' counts when the fold is a
+    congruence of (N, +) on whose classes the weight is constant.
     """
-    m = g.map
-    s0, th, s1 = m.sigma0, m.theta, m.sigma1
-    nxt, corner, flag_vertices = _fold(m)
-    folded = corner
-    if fold is not None:
-        folded = {x: fold(n) for x, n in corner.items()}
-        flag_vertices = sorted((fold(n), cyc) for n, cyc in flag_vertices)
+    th, s1 = g.map.theta, g.map.sigma1
+    nxt, corner, flag_counts = _fold(g.map, fold)
     entries = []
     seen: set[int] = set()
     for first in sorted(nxt):
         if first in seen:
             continue
-        best, best_seq = _bfs_serial(nxt, th, s1, folded, first, None)
+        best, best_seq = _bfs_serial(nxt, th, s1, corner, first, None)
         seen.update(best_seq)
         for start in sorted(best_seq)[1:]:
-            found = _bfs_serial(nxt, th, s1, folded, start, best)
+            found = _bfs_serial(nxt, th, s1, corner, start, best)
             if found is not None:
                 best, best_seq = found
         entries.append((best, first, best_seq))
     entries.sort(key=lambda t: (t[0], t[1]))
 
     edge_of = {c: lab for lab, orb in g.edge_labels.items() for c in orb}
-    flag_of = {c: lab for lab, orb in g.flag_labels.items() for c in orb}
-    edge_slots, flag_slots = {}, {}
+    edge_slots = {}
     for _serial, _first, seq in entries:
         for x in seq:
             edge_slots.setdefault(edge_of[x], len(edge_slots))
-            y = x
-            for _ in range(corner[x]):
-                y = s0[y]
-                flag_slots.setdefault(flag_of[y], len(flag_slots))
-    for _count, cyc in flag_vertices:
-        for x in cyc:
-            flag_slots.setdefault(flag_of[x], len(flag_slots))
 
-    payload = (g.bare_vertices, tuple(count for count, _ in flag_vertices),
-               tuple(e[0] for e in entries))
-    return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+    payload = (g.bare_vertices, tuple(flag_counts), tuple(e[0] for e in entries))
+    return CanonicalForm(repr(payload).encode(), edge_slots)
 
 
 def isomorphic(g: RibbonGraph, h: RibbonGraph) -> bool:

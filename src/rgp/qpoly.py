@@ -120,9 +120,6 @@ class RSequenceSpec:
         c, v = self.scalar(n)
         return MultiPoly.variable(v.kind, v.label) if v else MultiPoly.const(c)
 
-    def key(self):
-        return (self.rule, self.constant)
-
 
 @dataclass(frozen=True)
 class QResult:
@@ -215,7 +212,7 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     across calls) stores polynomials over canonical edge slots and rebrands
     them through each caller's slot bijection.  Its key
     is the canonical form under the rule's fold (`RSequenceSpec.fold`) with
-    the rule itself, so entries of different rules never mix.
+    the frozen rule itself, so entries of different rules never mix.
 
     A disconnected or edgeless graph, or one with bare vertices, is the
     product of its components: bare vertices and edgeless components fold
@@ -236,7 +233,7 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     if not zero <= set("XYZW"):
         raise InvalidArgument(f"zero kinds {sorted(zero)} are not a subset of XYZW")
     kept = "".join(kind for kind in "XYZW" if kind not in zero)
-    rkey = (r.key(), kept)
+    rkey = (r, kept)
 
     def rec(h: RibbonGraph) -> MultiPoly:
         """Q as the product over the components.  A component without edges

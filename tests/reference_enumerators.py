@@ -22,7 +22,7 @@ import functools
 import json
 import operator
 
-from rgp.maps import (CanonicalForm, _incidences, _orbit, _subset_degrees,
+from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
                       cross_components, face_count, face_sets, vertices_of)
 from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
 from rgp.poly import _FIELD, MultiPoly, VarId, _fields, _moved, _struct, _var_key
@@ -127,8 +127,7 @@ def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
     for comp in cross_components(g):
         starts = sorted(x for x in comp if x in nxt)
         if not starts:
-            x = min(comp)
-            flag_vertices.append((fold(len(comp) // 2), x, _orbit(s0, x)))
+            flag_vertices.append(fold(len(comp) // 2))
             continue
         best = best_seq = None
         for start in starts:
@@ -143,27 +142,16 @@ def exhaustive_canonical_form(g, fold=None) -> CanonicalForm:
                 best, best_seq = serial, seq
         entries.append((best, starts[0], best_seq))
     entries.sort(key=lambda t: (t[0], t[1]))
-    flag_vertices.sort(key=lambda t: t[:2])
+    flag_vertices.sort()
 
     edge_of = {c: lab for lab, orb in g.edge_labels.items() for c in orb}
-    flag_of = {c: lab for lab, orb in g.flag_labels.items() for c in orb}
     edge_slots: dict = {}
-    flag_slots: dict = {}
     for _serial, _, seq in entries:
         for x in seq:
             edge_slots.setdefault(edge_of[x], len(edge_slots))
-        for x in seq:
-            y = s0[x]
-            while y not in nxt:
-                flag_slots.setdefault(flag_of[y], len(flag_slots))
-                y = s0[y]
-    for _count, _, walk in flag_vertices:
-        for y in walk:
-            flag_slots.setdefault(flag_of[y], len(flag_slots))
 
-    payload = (g.bare_vertices, tuple(t[0] for t in flag_vertices),
-               tuple(e[0] for e in entries))
-    return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+    payload = (g.bare_vertices, tuple(flag_vertices), tuple(e[0] for e in entries))
+    return CanonicalForm(repr(payload).encode(), edge_slots)
 
 
 def exhaustive_cross_serial_form(g) -> CanonicalForm:
@@ -188,17 +176,15 @@ def exhaustive_cross_serial_form(g) -> CanonicalForm:
     entries.sort(key=lambda t: (t[0], t[1]))
 
     edge_slots: dict = {}
-    flag_slots: dict = {}
     for _serial, _, relabel in entries:
         dom = set(relabel)
-        for labels, slots in ((g.edge_labels, edge_slots), (g.flag_labels, flag_slots)):
-            local = [lab for lab, orb in labels.items() if orb <= dom]
-            local.sort(key=lambda lab: min(relabel[c] for c in labels[lab]))
-            for lab in local:
-                slots[lab] = len(slots)
+        local = [lab for lab, orb in g.edge_labels.items() if orb <= dom]
+        local.sort(key=lambda lab: min(relabel[c] for c in g.edge_labels[lab]))
+        for lab in local:
+            edge_slots[lab] = len(edge_slots)
 
     payload = (g.bare_vertices, tuple(e[0] for e in entries))
-    return CanonicalForm(repr(payload).encode(), edge_slots, flag_slots)
+    return CanonicalForm(repr(payload).encode(), edge_slots)
 
 
 def _compose(p, q):

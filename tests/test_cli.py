@@ -63,6 +63,10 @@ def test_pdual_emits_double_tadpole(capsys):
 def test_validate_ok_and_garbage(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(EXAMPLES / "two_vertex_map.rg"))
     assert (code, out, err) == (0, "ok\n", "")
+    # "( )" is an empty cycle: sigma1 is the identity, and both theta-orbits are flags
+    raw = tmp_path / "empty_cycle.rg"
+    raw.write_text("crosses: 4\nsigma0: (1 2)(3 4)\ntheta: (1 3)(2 4)\nsigma1: ( )\n")
+    assert run(capsys, "validate", str(raw)) == (0, "ok\n", "")
     bad = tmp_path / "garbage.rg"
     bad.write_text("this is not ; a graph\n???\n")
     code, out, err = run(capsys, "validate", str(bad))

@@ -6,7 +6,10 @@ longer resolves; a recorded run with an absent metric is refused.  This test
 reads the benchmark's metric table (`PER_LAYER` in perfbench/run.py) and its
 method table (`POLY_METHODS` in perfbench/tracer.py), without changing either,
 and checks every `calls`, `self` and `site` span against the package, so a
-rename fails here instead of in a traced run.
+rename fails here instead of in a traced run.  It also runs, per workload,
+the cheapest pool job of each distinct command line under the benchmark's
+tracer, so a metric that a code path stops producing (a counter that is
+never bumped) fails here too.
 """
 
 import importlib
@@ -14,11 +17,17 @@ import sys
 from pathlib import Path
 from types import FunctionType
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run  # noqa: E402
+from jobs import WORKLOADS, build_jobs, load_references, write_jobs  # noqa: E402
 from run import PER_LAYER  # noqa: E402
 from tracer import POLY_METHODS, TERM_COUNTERS, Tracer  # noqa: E402
 
+import rgp.cli  # noqa: E402
+import rgp.hyperbolic  # noqa: E402
 from rgp.poly import MultiPoly, VarId  # noqa: E402
 
 
@@ -90,3 +99,37 @@ def test_term_counters_count_one_entry_per_term():
     finally:
         tracer.uninstall()
     assert tracer.counts == {counter: sum(sizes) for counter in TERM_COUNTERS.values()}
+
+
+def _cheapest_jobs(workload: str) -> list:
+    """The workload's cheapest pool job (by `nominal_s`) of each distinct
+    command line, with the run names of seed 1."""
+    refs = load_references()
+    pool = refs["workloads"][workload]
+    jobs = build_jobs(refs, workload, 1, 1e9)
+    cheapest = {}
+    for entry, job in zip(pool, jobs):
+        argv = tuple(job.argv)
+        if argv not in cheapest or entry["nominal_s"] < cheapest[argv][0]:
+            cheapest[argv] = (entry["nominal_s"], job)
+    return [job for _cost, job in cheapest.values()]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_jobs_report_every_metric(workload, tmp_path, monkeypatch):
+    # a cold reduction memo, as in a fresh benchmark process
+    monkeypatch.setattr(rgp.hyperbolic, "_SHARED_MEMO", {})
+    jobs = _cheapest_jobs(workload)
+    write_jobs(jobs, tmp_path / "inputs")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        # looked up at each call, so the traced wrapper of main runs
+        results = run.run_jobs(jobs, lambda argv: rgp.cli.main(argv), tmp_path / "outputs")
+    finally:
+        tracer.uninstall()
+    failures, _terms = run.check(results)
+    assert failures == []
+    _metrics, absent = run.per_layer(tracer, {"cli.terms_out": 0,
+                                              "trace.overhead_frac": 0.0})
+    assert absent == []
