@@ -77,13 +77,18 @@ def _parse_cycles(text: str, lineno: int) -> list:
     return cycles
 
 
+_RAW_KEYS = ("crosses", "sigma0", "theta", "sigma1")
+
+
 def _read_raw_map(entries: list) -> RibbonGraph:
     fields = {}
     for lineno, key, text in entries:
+        if key not in _RAW_KEYS:
+            raise ParseError(f"unknown directive {key!r}", line=lineno)
         if key in fields:
             raise ParseError(f"duplicate {key!r} line", line=lineno)
         fields[key] = (lineno, text)
-    for key in ("crosses", "sigma0", "theta", "sigma1"):
+    for key in _RAW_KEYS:
         if key not in fields:
             raise ParseError(f"raw map form is missing a {key!r} line")
     lineno, text = fields["crosses"]
@@ -161,8 +166,7 @@ def read_graph_text(text: str) -> RibbonGraph:
         entries.append((lineno, m.group(1), m.group(2)))
     if not entries:
         raise ParseError("empty graph file")
-    if any(key in ("crosses", "sigma0", "theta", "sigma1")
-           for _, key, _ in entries):
+    if any(key in _RAW_KEYS for _, key, _ in entries):
         return _read_raw_map(entries)
     return _read_rotation_form(entries)
 

@@ -57,15 +57,27 @@ from .poly import MultiPoly, VarId
 
 @dataclass(frozen=True)
 class RSequenceSpec:
-    """The weight r_n attached to a residual vertex with n flags."""
+    """The weight r_n attached to a residual vertex with n flags.  `value`
+    is the int every r_n equals under the constant rule, and None under the
+    others."""
     rule: str
-    constant: Optional[int] = None
+    value: Optional[int] = None
 
     SYMBOLIC = "SYMBOLIC"
     EVEN_TWO_ODD_ZERO = "EVEN_TWO_ODD_ZERO"
     ODD_TWO_EVEN_ZERO = "ODD_TWO_EVEN_ZERO"
     DELTA_ONE = "DELTA_ONE"
     CONSTANT = "CONSTANT"
+
+    def __post_init__(self) -> None:
+        if self.rule not in (self.SYMBOLIC, self.EVEN_TWO_ODD_ZERO,
+                             self.ODD_TWO_EVEN_ZERO, self.DELTA_ONE, self.CONSTANT):
+            raise UnknownMethod(f"unknown r-rule {self.rule!r}")
+        if self.rule == self.CONSTANT:
+            if not isinstance(self.value, int):
+                raise InvalidArgument(f"the constant rule wants an int, not {self.value!r}")
+        elif self.value is not None:
+            raise InvalidArgument(f"the {self.rule} rule takes no constant")
 
     @staticmethod
     def symbolic() -> "RSequenceSpec":
@@ -98,9 +110,7 @@ class RSequenceSpec:
             return (2 if n % 2 == 1 else 0), None
         if self.rule == self.DELTA_ONE:
             return (1 if n == 1 else 0), None
-        if self.rule == self.CONSTANT:
-            return self.constant, None
-        raise UnknownMethod(f"unknown r-rule {self.rule!r}")
+        return self.value, None
 
     def fold(self, n: int) -> int:
         """What the weights see of n flags in one corner: n mod 2 under the
@@ -285,7 +295,7 @@ def q_default_method(r: RSequenceSpec | None = None) -> str:
     """The route `q_polynomial` takes when no method is given: "expansion"
     when no r_n can be zero, "reduction" otherwise."""
     r = r or RSequenceSpec.symbolic()
-    if r.rule == r.SYMBOLIC or (r.rule == r.CONSTANT and r.constant != 0):
+    if r.rule == r.SYMBOLIC or (r.rule == r.CONSTANT and r.value != 0):
         return "expansion"
     return "reduction"
 
@@ -342,7 +352,7 @@ def specialize_br(g: RibbonGraph) -> MultiPoly:
     of y^A r^(vertex count of the partial dual).  The reduction drops the z
     and w branches, so it is the two-term deletion-contraction."""
     p = q_by_reduction(g, RSequenceSpec.symbolic(), zero_kinds="ZW").poly
-    p = _sub_per_edge(g, p, x=1, z=0, w=0)
+    p = _sub_per_edge(g, p, x=1)
     rvar = VarId("R")
     return p.rename({v: rvar for v in p.variables() if v.kind == "R" and v.label is not None})
 
@@ -351,7 +361,7 @@ def specialize_dimer(g: RibbonGraph) -> MultiPoly:
     """x=1, y=z=0 with the delta-at-one weight: the perfect-matching sum in w.
     The reduction drops the y and z branches and never dualises."""
     p = q_by_reduction(g, RSequenceSpec.delta_one(), zero_kinds="YZ").poly
-    return _sub_per_edge(g, p, x=1, y=0, z=0)
+    return _sub_per_edge(g, p, x=1)
 
 
 def specialize_ising(g: RibbonGraph) -> MultiPoly:

@@ -15,6 +15,7 @@ the vertex weights of every (A, B) pair as polynomials, where
 writers repack every polynomial into key order with `_moved` and sort it on
 a (degree, vector) tuple, where `MultiPoly` permutes fields and sorts one
 int per term; `reference_to_json` encodes every variable with json.dumps.
+`ALL_RULES` and `SIX_RULES` are the weight rules the Q sweeps run under.
 Not a test module: pytest does not collect it.
 """
 
@@ -27,6 +28,15 @@ from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
 from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
 from rgp.poly import _FIELD, MultiPoly, VarId, _fields, _moved, _struct, _var_key
 from rgp.qpoly import QResult, RSequenceSpec
+
+ALL_RULES = [
+    RSequenceSpec.symbolic(),
+    RSequenceSpec.even_two_odd_zero(),
+    RSequenceSpec.odd_two_even_zero(),
+    RSequenceSpec.delta_one(),
+]
+# the rules above and two constants: one that never vanishes, one that always does
+SIX_RULES = ALL_RULES + [RSequenceSpec.constant(3), RSequenceSpec.constant(0)]
 
 
 def _edge_ends(g):

@@ -17,7 +17,6 @@ fig_two_vertex must be among them) instead of narrowing the sweep.
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 
@@ -31,7 +30,6 @@ from rgp.corpus import (
     half_edge_detached,
     linear_tree3,
     loop_graph,
-    path_tree,
     random_rotation_graph,
     star,
     sunset,

@@ -74,6 +74,15 @@ def test_validate_ok_and_garbage(tmp_path, capsys):
     assert err.startswith("E-PARSE") or err.startswith("E-MAP")
 
 
+@pytest.mark.parametrize("key, extra", [("sigma2", ": (1 2)"), ("vertex", " v9 : a b"),
+                                        ("edge", " e7 : a b")], ids=["sigma2", "vertex", "edge"])
+def test_raw_form_rejects_unknown_directives(tmp_path, capsys, key, extra):
+    raw = tmp_path / "extra.rg"
+    raw.write_text(f"crosses: 4\nsigma0: (1 2)(3 4)\ntheta: (1 3)(2 4)\nsigma1: ( )\n{key}{extra}\n")
+    assert run(capsys, "info", str(raw)) == (
+        1, "", f"E-PARSE unknown directive {key!r} (line 5)\n")
+
+
 def test_validate_broken_permutations(tmp_path, capsys):
     bad = tmp_path / "broken.rg"
     # theta fails to be a fixed-point-free involution pairing sigma0 cycles

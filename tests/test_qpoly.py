@@ -21,14 +21,13 @@ from rgp.corpus import (
     twisted_loop,
     two_cycle,
 )
-from rgp.errors import InvalidArgument, TooLarge
+from rgp.errors import InvalidArgument, TooLarge, UnknownMethod
 from rgp.hyperbolic import hu
 from rgp.maps import (RibbonGraph, RotationSpec, _fold, canonical_form, cross_components,
-                      from_rotation_system, make_graph, structure_report)
+                      from_rotation_system, make_graph)
 from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
 from rgp.qpoly import (
-    QResult,
     RSequenceSpec,
     _sub_per_edge,
     q_by_expansion,
@@ -40,18 +39,9 @@ from rgp.qpoly import (
     specialize_ising,
 )
 
-from reference_enumerators import exhaustive_q
+from reference_enumerators import ALL_RULES, SIX_RULES, exhaustive_q
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
-
-ALL_RULES = [
-    RSequenceSpec.symbolic(),
-    RSequenceSpec.even_two_odd_zero(),
-    RSequenceSpec.odd_two_even_zero(),
-    RSequenceSpec.delta_one(),
-]
-# the rules above and two constants: one that never vanishes, one that always does
-SIX_RULES = ALL_RULES + [RSequenceSpec.constant(3), RSequenceSpec.constant(0)]
 
 
 def test_bridge_golden():
@@ -91,49 +81,10 @@ def test_expansion_equals_reduction_corpus():
             assert a == b, (name, rule.rule)
 
 
-def test_expansion_matches_polynomial_products():
-    # the scalar weights against MultiPoly products of r_n, pair by pair
-    def check(g):
-        for rule in SIX_RULES:
-            got, ref = q_by_expansion(g, rule), exhaustive_q(g, rule)
-            assert got.poly == ref.poly, rule
-            assert got.admissible_pairs == ref.admissible_pairs, rule
-
-    for g in acceptance_corpus().values():
-        check(g)
-    rng = random.Random(5)
-    kinds = set()
-    for _ in range(40):
-        g = random_rotation_graph(rng, max_edges=5, max_flags=3)
-        check(g)
-        rep = structure_report(g)
-        kinds.update(kind for kind, seen in (
-            ("disconnected", rep.k > 1), ("flagged", rep.f > 0),
-            ("non-orientable", not rep.orientable),
-            ("bare vertex", g.bare_vertices > 0)) if seen)
-    assert kinds == {"disconnected", "flagged", "non-orientable", "bare vertex"}
-
-
-def test_expansion_equals_reduction_random():
-    rng = random.Random(2024)
-    for _ in range(40):
-        g = random_rotation_graph(rng, max_edges=3, max_flags=3)
-        rule = ALL_RULES[rng.randrange(len(ALL_RULES))]
-        assert q_by_expansion(g, rule).poly == q_by_reduction(g, rule).poly
-
-
-def test_expansion_equals_reduction_disconnected_random():
-    rng = random.Random(4711)
-    for _ in range(40):
-        g = disjoint_union(random_rotation_graph(rng, max_edges=2, max_flags=3),
-                           random_rotation_graph(rng, max_edges=2, max_flags=3))
-        rule = ALL_RULES[rng.randrange(len(ALL_RULES))]
-        assert q_by_expansion(g, rule).poly == q_by_reduction(g, rule).poly
-
-
 def _flag_heavy_sweep() -> list:
-    """Seeded maps of up to 5 edges and 8 flags: unlike the sweeps above
-    (3 flags), they often put two or more flags in one corner."""
+    """Seeded maps of up to 5 edges and 8 flags: unlike the Q sweeps of
+    test_differential.py (3 flags), they often put two or more flags in one
+    corner."""
     rng = random.Random(26)
     return [random_rotation_graph(rng, max_edges=5, max_flags=8) for _ in range(30)]
 
@@ -318,16 +269,6 @@ def test_partial_duality_transform_singletons():
             assert q_by_reduction(partial_dual(g, [e])).poly == q_partial_dual_transform(p, [e])
 
 
-def test_partial_duality_transform_random_subsets():
-    rng = random.Random(99)
-    for _ in range(15):
-        g = random_rotation_graph(rng, max_edges=3, max_flags=2)
-        labels = sorted(g.edge_labels, key=str)
-        subset = [e for e in labels if rng.random() < 0.5]
-        p = q_by_reduction(g).poly
-        assert q_by_reduction(partial_dual(g, subset)).poly == q_partial_dual_transform(p, subset)
-
-
 def test_partial_duality_transform_numeric_rule():
     g = two_cycle()
     rule = RSequenceSpec.even_two_odd_zero()
@@ -355,34 +296,6 @@ def test_specialize_ising():
     assert specialize_ising(bridge(0, 0)) == parse("4*x_e1")
     assert specialize_ising(single_vertex(0)) == parse("2")
     assert specialize_ising(two_cycle()) == parse("4*x_e1*x_e2 + 4*w_e1*w_e2")
-
-
-# each specialisation, its weight rule and the constants it sets on every edge
-SPECIALIZATIONS = [
-    (specialize_br, RSequenceSpec.symbolic(), dict(x=1, z=0, w=0)),
-    (specialize_dimer, RSequenceSpec.delta_one(), dict(x=1, y=0, z=0)),
-    (specialize_ising, RSequenceSpec.even_two_odd_zero(), dict(y=0, z=0)),
-]
-
-
-def test_specializations_match_unpruned_expansion():
-    # the pruned two-term reductions against every (A, B) pair, then the
-    # same constants (and for BR the same single r)
-    graphs = [g for g in acceptance_corpus().values() if len(g.edge_labels) <= 5]
-    rng = random.Random(24)
-    for i in range(60):
-        if i % 4:
-            graphs.append(random_rotation_graph(rng, max_edges=5, max_flags=3))
-        else:
-            graphs.append(disjoint_union(random_rotation_graph(rng, max_edges=2, max_flags=3),
-                                         random_rotation_graph(rng, max_edges=3, max_flags=3)))
-    rvar = VarId("R")
-    for g in graphs:
-        for specialize, rule, constants in SPECIALIZATIONS:
-            ref = _sub_per_edge(g, q_by_expansion(g, rule).poly, **constants)
-            if specialize is specialize_br:
-                ref = ref.rename({v: rvar for v in ref.variables() if v.kind == "R"})
-            assert specialize(g) == ref, specialize.__name__
 
 
 def test_pruned_reduction_skips_the_dual(monkeypatch):
@@ -422,6 +335,18 @@ def test_unknown_zero_kind_is_rejected():
     for zero_kinds in ("YQ", "y", ["YZ"]):
         with pytest.raises(InvalidArgument):
             q_by_reduction(two_cycle(), zero_kinds=zero_kinds)
+
+
+def test_r_sequence_spec_checks_its_constant():
+    assert repr(RSequenceSpec.symbolic()) == "RSequenceSpec(rule='SYMBOLIC', value=None)"
+    for args in (("CONSTANT",), ("CONSTANT", 2.5), ("DELTA_ONE", 2)):
+        with pytest.raises(InvalidArgument):
+            RSequenceSpec(*args)
+    with pytest.raises(UnknownMethod):
+        RSequenceSpec("CONSTANT_THREE")
+    # the memo key holds the spec: equal specs hash alike, distinct ones differ
+    rebuilt = [RSequenceSpec(s.rule, s.value) for s in SIX_RULES]
+    assert rebuilt == SIX_RULES and len(set(rebuilt + SIX_RULES)) == 6
 
 
 def _flagged_bridge() -> RibbonGraph:
