@@ -528,9 +528,9 @@ def from_rotation_system(spec: RotationSpec) -> RibbonGraph:
             raise DuplicateId(f"flag {fid!r} is also an edge end")
         if fid not in placed:
             raise DanglingHalfEdge(f"flag {fid!r} appears in no rotation")
-    flag_ids = [it for it in order if it not in bound]
-    if len(flag_ids) != len(set(flag_ids)):
+    if len(spec.flags) != len(set(spec.flags)):
         raise DuplicateId("duplicate flag id")
+    flag_ids = [it for it in order if it not in bound]
 
     # --- crosses: item r gets (2r, 2r+1)
     a = {it: 2 * r for r, it in enumerate(order)}

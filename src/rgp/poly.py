@@ -255,6 +255,8 @@ class MultiPoly:
 
     @staticmethod
     def const(c: int) -> "MultiPoly":
+        if not isinstance(c, int):
+            raise InvalidArgument(f"coefficient {c!r} is not an int")
         return _new({0: int(c)} if c else {}, (), {})
 
     @staticmethod
@@ -392,6 +394,8 @@ class MultiPoly:
         return MultiPoly.one() if result is None else result
 
     def scale(self, c: int) -> "MultiPoly":
+        if not isinstance(c, int):
+            raise InvalidArgument(f"coefficient {c!r} is not an int")
         if c == 0:
             return MultiPoly.zero()
         return _new({m: c * k for m, k in self.terms.items()}, self._vars, self._index)

@@ -296,6 +296,9 @@ def test_rotation_errors():
         from_rotation_system(RotationSpec(
             vertices=(("u", ("h1", "h2", "h3")),),
             edges=(("e1", "h1", "h2", 0), ("e2", "h2", "h3", 0))))
+    with pytest.raises(DuplicateId):
+        from_rotation_system(RotationSpec(
+            vertices=(("v", ("a",)),), edges=(), flags=("a", "a")))
 
 
 def test_untwisted_rotations_are_orientable():

@@ -308,6 +308,15 @@ def test_negative_coefficients():
     assert parse("-t_e1") == -V("T", "e1")
 
 
+def test_const_and_scale_take_int_coefficients_only():
+    # int(0.5) would store a zero coefficient, and scale(0.5) a float one
+    for c in (0.5, 2.5, Fraction(1, 2), "2"):
+        with pytest.raises(InvalidArgument):
+            MultiPoly.const(c)
+        with pytest.raises(InvalidArgument):
+            V("T", "e1").scale(c)
+
+
 def test_unlabeled_variables_print_bare():
     assert V("BETA").to_string() == "b"
     assert V("R", 0).to_string() == "r_0"
