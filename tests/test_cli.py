@@ -216,6 +216,21 @@ def test_check_all(capsys):
         assert got == (0, want, ""), flags
 
 
+@pytest.mark.parametrize("name", ["twisted_loop.rg", "two_vertex_map.rg"])
+def test_check_all_skips_critical_on_nonorientable(capsys, name):
+    # both maps are non-orientable, so --check-all compares the two Q routes only
+    want = run(capsys, "hu", str(EXAMPLES / name))
+    assert want[0] == 0
+    assert run(capsys, "hu", "--check-all", str(EXAMPLES / name)) == want
+
+
+@pytest.mark.parametrize("verb, op", [("cut", cut), ("contract", contract)])
+def test_edge_list_applies_one_edge_at_a_time(capsys, verb, op):
+    g = read_graph_file(str(EXAMPLES / "dumbbell.rg"))
+    want = format_graph_file(op(op(g, "e1"), "e2"))
+    assert run(capsys, verb, "-e", "e1,e2", str(EXAMPLES / "dumbbell.rg")) == (0, want, "")
+
+
 def test_check_all_reports_disagreement(monkeypatch, capsys):
     # one strategy off by one: --check-all must refuse, not pick a winner
     real_q, real_hu, real_u = cli.q_polynomial, cli.hu, cli.symanzik_u
