@@ -22,7 +22,6 @@ from .hyperbolic import (
     hu,
     hu_commutative_limit,
     hu_critical,
-    hu_via_critical_algorithm,
     hv,
     symanzik_commutative_limit,
     symanzik_u,
@@ -216,23 +215,6 @@ def format_dot(g: RibbonGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_poly(p: MultiPoly, args) -> int:
-    if args.format == "json":
-        p.to_json(sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        print(p.to_string())
-    return 0
-
-
-def _emit_graph(g: RibbonGraph, args) -> int:
-    if getattr(args, "emit", "graph") == "dot":
-        sys.stdout.write(format_dot(g))
-    else:
-        sys.stdout.write(format_graph_file(g))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -254,15 +236,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_info(args) -> int:
-    g = read_graph_file(args.input)
-    rep = structure_report(g)
-    fields = [("v", rep.v), ("e", rep.e), ("f", rep.f), ("k", rep.k),
-              ("faces", rep.faces), ("euler-genus", rep.euler_genus),
-              ("orientable", rep.orientable),
-              ("edges", g.sorted_edges()),
-              ("flags", sorted(g.flag_labels, key=str)),
-              ("bare-vertices", g.bare_vertices)]
+def _emit_fields(fields: list, args) -> int:
     if args.format == "json":
         print(json.dumps(dict(fields), sort_keys=True))
     else:
@@ -275,32 +249,42 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_dual(args) -> int:
-    return _emit_graph(natural_dual(read_graph_file(args.input)), args)
-
-
-def _cmd_pdual(args) -> int:
+def _cmd_info(args) -> int:
     g = read_graph_file(args.input)
-    return _emit_graph(partial_dual(g, _edge_list(g, args)), args)
+    rep = structure_report(g)
+    return _emit_fields([("v", rep.v), ("e", rep.e), ("f", rep.f), ("k", rep.k),
+                         ("faces", rep.faces), ("euler-genus", rep.euler_genus),
+                         ("orientable", rep.orientable),
+                         ("edges", g.sorted_edges()),
+                         ("flags", sorted(g.flag_labels, key=str)),
+                         ("bare-vertices", g.bare_vertices)], args)
 
 
-def _cmd_delete(args) -> int:
+def _cmd_counts(args) -> int:
+    counts = class_counts(read_graph_file(args.input))
+    return _emit_fields([(name, getattr(counts, name))
+                         for name in ("odd", "even", "codd", "cev",
+                                      "oddf", "evf", "coddf", "cevf")], args)
+
+
+# Each graph verb, as a function of the graph and its -e edges.  The entries
+# look their library functions up when called, so a replaced module
+# attribute (a tracer, a test double) is the one that runs.
+_GRAPH_VERBS = {
+    "dual": lambda g, edges: natural_dual(g),
+    "pdual": lambda g, edges: partial_dual(g, edges),
+    "delete": lambda g, edges: delete_edges(g, edges),
+    "cut": lambda g, edges: functools.reduce(cut, edges, g),
+    "contract": lambda g, edges: functools.reduce(contract, edges, g),
+}
+
+
+def _cmd_graph(args) -> int:
     g = read_graph_file(args.input)
-    return _emit_graph(delete_edges(g, _edge_list(g, args)), args)
-
-
-def _cmd_cut(args) -> int:
-    g = read_graph_file(args.input)
-    for lab in _edge_list(g, args):
-        g = cut(g, lab)
-    return _emit_graph(g, args)
-
-
-def _cmd_contract(args) -> int:
-    g = read_graph_file(args.input)
-    for lab in _edge_list(g, args):
-        g = contract(g, lab)
-    return _emit_graph(g, args)
+    edges = _edge_list(g, args) if "edges" in args else []
+    g = _GRAPH_VERBS[args.verb](g, edges)
+    sys.stdout.write(format_dot(g) if args.emit == "dot" else format_graph_file(g))
+    return 0
 
 
 def _r_rule(text: str) -> RSequenceSpec:
@@ -331,32 +315,48 @@ def _agreed(results: dict, default: str) -> MultiPoly:
     return agreed
 
 
-def _cmd_q(args) -> int:
+def _limit(g: RibbonGraph, args, method) -> MultiPoly:
+    if args.heat_kernel and args.commutative:
+        return symanzik_commutative_limit(symanzik_u(g))
+    if args.heat_kernel:
+        return symanzik_u(g)
+    return hu_commutative_limit(g)
+
+
+# Each polynomial verb, as a function of the graph, the parsed arguments and
+# the --method route (None where the verb has no --method).  Looked up when
+# called, like _GRAPH_VERBS.
+_POLY_VERBS = {
+    "q": lambda g, args, method: q_polynomial(
+        g, args.r_rule, method=method, max_edges=args.max_edges).poly,
+    "hu": lambda g, args, method: hu(g, method=method, max_edges=args.max_edges),
+    "symanzik-u": lambda g, args, method: symanzik_u(
+        g, method=method, max_edges=args.max_edges),
+    "hu-critical": lambda g, args, method: hu_critical(g),
+    "limit": _limit,
+    "specialize": lambda g, args, method: {
+        "br": specialize_br, "dimer": specialize_dimer,
+        "ising": specialize_ising}[args.to](g),
+}
+
+
+def _cmd_poly(args) -> int:
     g = read_graph_file(args.input)
-    rule = args.r_rule
-    if args.check_all:
-        results = {m: q_polynomial(g, rule, method=m, max_edges=args.max_edges).poly
-                   for m in ("expansion", "reduction")}
-        return _emit_poly(_agreed(results, q_default_method(rule)), args)
-    res = q_polynomial(g, rule, method=args.method, max_edges=args.max_edges)
-    return _emit_poly(res.poly, args)
-
-
-def _cmd_hu(args) -> int:
-    g = read_graph_file(args.input)
-
-    def compute(method: str) -> MultiPoly:
-        if method == "critical":
-            return hu_via_critical_algorithm(g)
-        return hu(g, method=method, max_edges=args.max_edges)
-
-    if args.check_all:
-        methods = ["expansion", "reduction"]
-        if structure_report(g).orientable:
-            methods.append("critical")
-        return _emit_poly(_agreed({m: compute(m) for m in methods},
-                                  args.default_method), args)
-    return _emit_poly(compute(args.method), args)
+    compute = functools.partial(_POLY_VERBS[args.verb], g, args)
+    if getattr(args, "check_all", False):
+        # every --method choice; the critical route needs an orientable map
+        methods = [m for m in args.methods
+                   if m != "critical" or structure_report(g).orientable]
+        default = args.default_method or q_default_method(args.r_rule)
+        p = _agreed({m: compute(m) for m in methods}, default)
+    else:
+        p = compute(getattr(args, "method", None))
+    if args.format == "json":
+        p.to_json(sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        print(p.to_string())
+    return 0
 
 
 def _write_hv_json(form) -> None:
@@ -397,50 +397,6 @@ def _cmd_hv(args) -> int:
     return 0
 
 
-def _cmd_hu_critical(args) -> int:
-    return _emit_poly(hu_critical(read_graph_file(args.input)), args)
-
-
-def _cmd_symanzik(args) -> int:
-    g = read_graph_file(args.input)
-    if args.check_all:
-        results = {m: symanzik_u(g, method=m, max_edges=args.max_edges)
-                   for m in ("faces", "rank")}
-        return _emit_poly(_agreed(results, args.default_method), args)
-    return _emit_poly(symanzik_u(g, method=args.method, max_edges=args.max_edges),
-                      args)
-
-
-def _cmd_limit(args) -> int:
-    g = read_graph_file(args.input)
-    if args.heat_kernel and args.commutative:
-        return _emit_poly(symanzik_commutative_limit(symanzik_u(g)), args)
-    if args.heat_kernel:
-        return _emit_poly(symanzik_u(g), args)
-    return _emit_poly(hu_commutative_limit(g), args)
-
-
-def _cmd_specialize(args) -> int:
-    g = read_graph_file(args.input)
-    fn = {"br": specialize_br, "dimer": specialize_dimer,
-          "ising": specialize_ising}[args.to]
-    return _emit_poly(fn(g), args)
-
-
-def _cmd_counts(args) -> int:
-    g = read_graph_file(args.input)
-    counts = class_counts(g)
-    fields = [(name, getattr(counts, name))
-              for name in ("odd", "even", "codd", "cev",
-                           "oddf", "evf", "coddf", "cevf")]
-    if args.format == "json":
-        print(json.dumps(dict(fields), sort_keys=True))
-    else:
-        for name, value in fields:
-            print(f"{name} {value}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -463,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emit", choices=("graph", "dot"), default="graph",
                            help="output form (default: graph file)")
         if method:
-            p.set_defaults(default_method=default)
+            p.set_defaults(default_method=default, methods=method)
             p.add_argument("--method", choices=method, default=default,
                            help="computation strategy (default: "
                                 + (default or "by --r-rule, see above") + ")")
@@ -479,17 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "check a graph file and its map axioms",
         fmt=False)
     add("info", _cmd_info, "structure report (v, e, f, genus, ...)")
-    add("dual", _cmd_dual, "natural (full) dual", emit=True, fmt=False)
-    add("pdual", _cmd_pdual, "partial dual with respect to -e", edges=True,
+    add("dual", _cmd_graph, "natural (full) dual", emit=True, fmt=False)
+    add("pdual", _cmd_graph, "partial dual with respect to -e", edges=True,
         emit=True, fmt=False)
-    add("delete", _cmd_delete, "delete the edges in -e", edges=True, emit=True,
+    add("delete", _cmd_graph, "delete the edges in -e", edges=True, emit=True,
         fmt=False)
-    add("cut", _cmd_cut, "cut the edges in -e (leaves flag stubs)", edges=True,
+    add("cut", _cmd_graph, "cut the edges in -e (leaves flag stubs)", edges=True,
         emit=True, fmt=False)
-    add("contract", _cmd_contract, "contract the edges in -e", edges=True,
+    add("contract", _cmd_graph, "contract the edges in -e", edges=True,
         emit=True, fmt=False)
 
-    qp = add("q", _cmd_q, "topological polynomial Q",
+    qp = add("q", _cmd_poly, "topological polynomial Q",
              method=("expansion", "reduction"), max_edges=10)
     qp.description = ("Q by subset expansion when no vertex weight can be zero "
                       "(symbolic, const:<n> with n != 0), else by the "
@@ -499,20 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--r-rule", type=_r_rule, default=RSequenceSpec.symbolic(),
                     help="vertex-weight rule: symbolic, even2odd0, odd2even0, "
                          "delta1, const:<n> (default: symbolic)")
-    add("hu", _cmd_hu, "first hyperbolic polynomial",
+    add("hu", _cmd_poly, "first hyperbolic polynomial",
         method=("expansion", "reduction", "critical"), default="reduction",
         max_edges=10)
     add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)")
-    add("hu-critical", _cmd_hu_critical, "face-factorized value at Omega=1")
-    add("symanzik-u", _cmd_symanzik, "heat-kernel (quasi-tree) polynomial U",
+    add("hu-critical", _cmd_poly, "face-factorized value at Omega=1")
+    add("symanzik-u", _cmd_poly, "heat-kernel (quasi-tree) polynomial U",
         method=("faces", "rank"), default="rank", max_edges=20)
-    lim = add("limit", _cmd_limit,
+    lim = add("limit", _cmd_poly,
               "limits: --commutative for the Mehler limit of hu, "
               "--heat-kernel for U; both together give the spanning-tree "
               "limit of U")
     lim.add_argument("--commutative", action="store_true")
     lim.add_argument("--heat-kernel", action="store_true")
-    sp = add("specialize", _cmd_specialize, "classical specializations of Q")
+    sp = add("specialize", _cmd_poly, "classical specializations of Q")
     sp.add_argument("--to", choices=("br", "dimer", "ising"), required=True,
                     help="br: one-variable Bollobas-Riordan slice; dimer: "
                          "perfect-matching generator; ising: high-temperature "

@@ -52,7 +52,8 @@ class NoFlags(RgpError):
 
 class InvalidArgument(RgpError):
     """An argument lies outside the values the function accepts (a negative
-    power or exponent, an unknown variable kind, an edge end other than 1 or 2)."""
+    power or exponent, an unknown variable kind, an edge end other than 1 or 2,
+    a twist other than 0 or 1)."""
 
 
 class UnknownMethod(RgpError):

@@ -57,12 +57,16 @@ def _one_plus_t2(lab) -> MultiPoly:
 
 
 def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiPoly:
-    """First hyperbolic polynomial, via Q under the odd-vertex weight."""
+    """First hyperbolic polynomial, via Q under the odd-vertex weight (method
+    "reduction" or "expansion"), or rebuilt from the face product at Omega = 1
+    on orientable maps (method "critical")."""
     rule = RSequenceSpec.odd_two_even_zero()
     if method == "reduction":
         q = q_by_reduction(g, rule, memo=_SHARED_MEMO).poly
     elif method == "expansion":
         q = q_by_expansion(g, rule, max_edges=max_edges).poly
+    elif method == "critical":
+        return hu_via_critical_algorithm(g)
     else:
         raise UnknownMethod(f"unknown method {method!r}")
     mapping = {}
@@ -260,6 +264,10 @@ class QuadraticForm:
     diag: dict
     sym: dict
     antisym: dict
+
+    def __hash__(self) -> int:
+        return hash((self.flags, frozenset(self.diag.items()),
+                     frozenset(self.sym.items()), frozenset(self.antisym.items())))
 
 
 def _selected_cross(g: RibbonGraph, chosen: frozenset, flag) -> int:

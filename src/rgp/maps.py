@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence,
-                     UnknownEdge)
+from .errors import (DanglingHalfEdge, DuplicateId, InvalidArgument, InvalidMap,
+                     OddIncidence, UnknownEdge)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,10 @@ class CombinatorialMap:
     sigma0: dict
     theta: dict
     sigma1: dict
+
+    def __hash__(self) -> int:
+        return hash((self.crosses, frozenset(self.sigma0.items()),
+                     frozenset(self.theta.items()), frozenset(self.sigma1.items())))
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,11 @@ class RibbonGraph:
     edge_labels: dict    # label -> frozenset of 4 crosses
     flag_labels: dict    # label -> frozenset of 2 crosses
     bare_vertices: int = 0
+
+    def __hash__(self) -> int:
+        # equal graphs have equal label tables; the map is left to __eq__
+        return hash((frozenset(self.edge_labels.items()),
+                     frozenset(self.flag_labels.items()), self.bare_vertices))
 
     def edge_crosses(self, label) -> frozenset:
         try:
@@ -521,7 +530,7 @@ def from_rotation_system(spec: RotationSpec) -> RibbonGraph:
                 raise DuplicateId(f"half-edge {end!r} bound by two edges")
             bound[end] = elabel
         if twist not in (0, 1):
-            raise OddIncidence(f"edge {elabel!r} twist must be 0 or 1")
+            raise InvalidArgument(f"edge {elabel!r} twist must be 0 or 1")
 
     for fid in spec.flags:
         if fid in bound:

@@ -15,10 +15,10 @@ from rgp.corpus import (acceptance_corpus, banana, bridge, cycle_graph, double_t
                         dumbbell, fig_two_vertex, loop_graph, path_tree,
                         random_rotation_graph, single_vertex, star, sunset, triangle,
                         twisted_loop, two_cycle)
-from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_partial_dual_transform,
-                            hu_via_critical_algorithm, symanzik_commutative_limit,
-                            symanzik_dual_check, symanzik_u)
-from rgp.maps import isomorphic, structure_report
+from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_cycle,
+                            hu_partial_dual_transform, hu_tree, hu_via_critical_algorithm,
+                            symanzik_commutative_limit, symanzik_dual_check, symanzik_u)
+from rgp.maps import RotationSpec, from_rotation_system, isomorphic, structure_report
 from rgp.ops import class_counts, disjoint_union, partial_dual, to_rotation_spec
 from rgp.poly import MultiPoly, VarId
 from rgp.qpoly import (RSequenceSpec, _sub_per_edge, q_by_expansion, q_by_reduction,
@@ -227,6 +227,37 @@ def test_reconstruction_from_critical():
               for _ in range(10)]
     for g in cases:
         assert hu_via_critical_algorithm(g) == hu(g)
+
+
+# --- closed forms: trees and cycles -------------------------------------------
+
+def _random_tree(rng: random.Random):
+    """Up to 5 edges, each new vertex hung from a random earlier one, and 0-2
+    flags per vertex at random rotation positions."""
+    rotations = [[]]
+    edges = []
+    for child in range(1, rng.randint(0, 5) + 1):
+        rotations[rng.randrange(child)].append(f"p{child}")
+        rotations.append([f"c{child}"])
+        edges.append((f"e{child}", f"p{child}", f"c{child}", 0))
+    for v, items in enumerate(rotations):
+        for j in range(rng.randint(0, 2)):
+            items.insert(rng.randint(0, len(items)), f"F{v}.{j}")
+    return from_rotation_system(RotationSpec(
+        vertices=tuple((f"v{v}", tuple(items)) for v, items in enumerate(rotations)),
+        edges=tuple(edges)))
+
+
+def test_closed_forms_equal_hu():
+    rng = random.Random(33)
+    cases = [(_random_tree(rng), hu_tree) for _ in range(40)]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        plan = {i: (rng.randint(0, 2), rng.randint(0, 2)) for i in range(1, n + 1)}
+        cases.append((cycle_graph(n, plan), hu_cycle))
+    cases += [(loop_graph(m, n), hu_cycle) for m in range(3) for n in range(3)]
+    for g, closed_form in cases:
+        assert closed_form(g) == hu(g)
 
 
 # --- commutative limits -------------------------------------------------------

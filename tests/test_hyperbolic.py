@@ -201,6 +201,18 @@ def test_reconstruction_self_check_raises(monkeypatch):
         hu_via_critical_algorithm(two_cycle())
 
 
+def test_hu_critical_route():
+    # the library owns all three HU routes
+    assert hu(dumbbell(), method="critical") == hu_via_critical_algorithm(dumbbell())
+    with pytest.raises(NotOrientable):
+        hu(twisted_loop(), method="critical")
+
+
+def test_quadratic_form_hashes_like_equality():
+    assert hv(sunset()) == hv(sunset())
+    assert len({hv(sunset()), hv(sunset())}) == 1
+
+
 def test_unknown_method_is_typed():
     g = two_cycle()
     with pytest.raises(UnknownMethod):

@@ -9,7 +9,8 @@ from reference_enumerators import (exhaustive_canonical_form,
                                    reference_cut, reference_delete_edges,
                                    reference_delete_flag, reference_partial_dual)
 from rgp import corpus
-from rgp.errors import DanglingHalfEdge, DuplicateId, InvalidMap, OddIncidence
+from rgp.errors import (DanglingHalfEdge, DuplicateId, InvalidArgument, InvalidMap,
+                        OddIncidence)
 from rgp.gf2 import rank
 from rgp.maps import (CombinatorialMap, RotationSpec, _interlace, _orbit,
                       boundary_components, canonical_form, component_count,
@@ -299,6 +300,19 @@ def test_rotation_errors():
     with pytest.raises(DuplicateId):
         from_rotation_system(RotationSpec(
             vertices=(("v", ("a",)),), edges=(), flags=("a", "a")))
+    with pytest.raises(InvalidArgument):
+        from_rotation_system(RotationSpec(
+            vertices=(("u", ("h1", "h2")),),
+            edges=(("e1", "h1", "h2", 2),)))
+
+
+def test_graphs_and_maps_hash_like_equality():
+    table = {corpus.two_cycle(): "two-cycle"}
+    assert table[corpus.two_cycle()] == "two-cycle"
+    assert len({corpus.two_cycle().map, corpus.two_cycle().map}) == 1
+    for g in (corpus.two_cycle(), corpus.dumbbell(), corpus.sunset()):
+        twice = partial_dual(partial_dual(g, ["e1"]), ["e1"])
+        assert twice == g and twice in {g}
 
 
 def test_untwisted_rotations_are_orientable():
