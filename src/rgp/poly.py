@@ -11,17 +11,17 @@ them, and maps each packed monomial to its nonzero coefficient: variable i
 holds its exponent in bits [16i, 16i + 16) of one int.  Bit 15 of every field
 is a guard, so an exponent is at most MAX_EXPONENT and adding two exponents
 never carries into the next variable; a result that sets a guard bit raises
-InvalidArgument.  Tables only grow by appending, so an operation repacks at
-most its smaller operand.  Equal polynomials may have different tables:
+InvalidArgument.  Sums and products only grow a table by appending, so they
+repack at most the smaller operand.  Equal polynomials may have different tables:
 equality, hashing and output compare values, and the canonical string and
 JSON list the terms by descending total degree, then by exponent vector in
 variable order (kind, then label) — all goldens in the test suite compare
 byte-exact strings.
 
 Every writer orders the terms through `_order`.  A table whose occurring
-variables sit in descending key order, as `from_rows` builds them, already
-compares that way as packed ints; any other table is permuted with one
-struct unpack, itemgetter and pack per term.  The terms are then sorted on
+variables sit in descending key order, as `from_rows` and `substitute` build
+them, already compares that way as packed ints; any other table is permuted
+with one struct unpack, itemgetter and pack per term.  The terms are then sorted on
 one int each, the total degree above the packed vector.  The JSON writer
 streams its text to a file _BATCH terms at a time, and joins each term's
 variable list from the cached texts of _CHUNK-variable chunks of its packed
@@ -471,17 +471,16 @@ class MultiPoly:
         coefficients and exponents alone; images with several terms are
         multiplied out."""
         n = len(self._vars)
-        # The result's table: the unmapped variables, then the images'.
-        # Tables only grow at the end, so each image stays valid on it.
-        vars_ = tuple(v for v in self._vars if v not in mapping)
+        images = {v: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
+                  for v, p in mapping.items() if v in self._index}
+        # The result's table: the unmapped variables and the images', in
+        # descending key order, so the writers read it without a permutation.
+        used = {v for v in self._vars if v not in images}
+        used.update(w for p in images.values() for w in p._vars)
+        vars_ = tuple(sorted(used, key=_var_key, reverse=True))
         index = {v: i for i, v in enumerate(vars_)}
-        images = {}
-        for v in self._vars:
-            if v in mapping:
-                p = mapping[v]
-                if not isinstance(p, MultiPoly):
-                    p = MultiPoly.const(p)
-                vars_, index, images[v] = _onto(vars_, index, p)
+        images = {v: _moved(p.terms, [index[w] for w in p._vars])
+                  for v, p in images.items()}
         # Per variable of this table, (packed image, coefficient) when the
         # image has at most one term, else (image polynomial, None).
         acts = []

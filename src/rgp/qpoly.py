@@ -11,8 +11,9 @@ four-term edge reduction
 
     Q(G) = x_e Q(G - e) + y_e Q(G^e - e) + z_e Q(G^e v e) + w_e Q(G v e)
 
-with memoisation keyed by the canonical form (so isomorphic intermediate
-graphs are computed once and transported along the label bijection).  The
+on a loop first, else on an edge with the lowest end degrees, with
+memoisation keyed by the canonical form (so isomorphic intermediate graphs
+are computed once and transported along the label bijection).  The
 key sees each corner's flag count only through the rule's fold
 (`RSequenceSpec.fold`): n mod 2 under the parity rules, min(n, 2) under
 delta-at-one, nothing under a constant.  That is exact because the
@@ -41,6 +42,7 @@ otherwise.  Both routes stay, as independent checks of each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -212,13 +214,31 @@ def _edge_relabelling(labels: dict) -> dict:
     return {VarId(kind, a): VarId(kind, b) for a, b in labels.items() for kind in "XYZW"}
 
 
+def _reduction_edge(h: RibbonGraph):
+    """A loop of h if it has one, else an edge whose two ends carry the
+    fewest edge ends in total; ties go to the first label in `sorted_edges`
+    order."""
+    _, ends = _incidences(h)
+    degree = Counter(v for pair in ends.values() for v in pair)
+
+    def cost(lab):
+        u, w = ends[lab]
+        return u != w, degree[u] + degree[w]
+
+    return min(h.sorted_edges(), key=cost)
+
+
 def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
                    memo: Optional[dict] = None,
                    zero_kinds: Iterable[str] = "") -> QResult:
     """Recursive four-term reduction with canonical-form memoisation.
 
-    The reduction edge is the current graph's first label in `sorted_edges`
-    order; results are independent of that choice.  The memo (shareable
+    The reduction edge is a loop if the current graph has one, else an edge
+    whose two ends carry the fewest edge ends (`_reduction_edge`); labels
+    only break ties, and results are independent of the choice.  A low-degree
+    end soon becomes a bare vertex, which the odd rule weighs zero, and a
+    loop's partial dual splits its vertex, so the memo sees smaller pieces.
+    The memo (shareable
     across calls) stores polynomials over canonical edge slots and rebrands
     them through each caller's slot bijection.  Its key
     is the canonical form under the rule's fold (`RSequenceSpec.fold`) with
@@ -277,7 +297,7 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
         if hit is not None:
             return hit.rename(_edge_relabelling(
                 {slot: lab for lab, slot in cf.edge_slots.items()}))
-        e = h.sorted_edges()[0]
+        e = _reduction_edge(h)
         hd = partial_dual(h, [e]) if "Y" in kept or "Z" in kept else None
         branches = (("X", delete, h), ("Y", delete, hd), ("Z", cut, hd), ("W", cut, h))
         terms = (MultiPoly.variable(kind, e) * rec(op(base, e))

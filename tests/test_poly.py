@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference_enumerators import (reference_sorted_terms, reference_to_json,
                                    reference_to_json_obj, reference_to_string)
+from rgp.corpus import cycle_graph
+from rgp.hyperbolic import hu
 from rgp.poly import _BATCH, KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
@@ -194,6 +196,16 @@ def test_substitute_cancelling_images_leave_no_zero_terms():
     got = p.substitute({x: V("OMEGA", "e2"), y: -V("OMEGA", "e2")})
     assert list(got.monomials()) == [({VarId("BETA"): 1}, 1)]
     assert list(p.substitute({x: 1, y: -1, VarId("BETA"): 0}).monomials()) == []
+
+
+def test_substitute_lays_out_its_table_in_key_order():
+    # descending key order is the one the writers read without permuting
+    x, t = VarId("X", "e1"), VarId("T", "e1")
+    p = V("X", "e1") * V("BETA") + V("R", 3)
+    for got in (hu(cycle_graph(4)), p.substitute({x: V("OMEGA", "e2") + V("T", "e1")}),
+                (V("T", "e2") * V("X", "e1")).substitute({t: 2})):
+        keys = [v.sort_key() for v in got._vars]
+        assert keys == sorted(keys, reverse=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -136,8 +136,9 @@ def test_memo_sees_connected_graphs_only(monkeypatch):
 
 
 def test_edge_order_independence():
-    # the reduction edge is the smallest label, so relabelling the edges in
-    # shuffled order changes the picks; renamed back, Q is the same
+    # labels break the ties of the reduction-edge rule, and every edge of
+    # two_cycle and triangle ties, so relabelling the edges in shuffled order
+    # changes the picks; renamed back, Q is the same
     rng = random.Random(7)
     for g in (two_cycle(), triangle(), fig_two_vertex(), path_tree(3)):
         ref = q_by_reduction(g).poly
@@ -253,15 +254,22 @@ def test_specialize_ising():
     assert specialize_ising(two_cycle()) == parse("4*x_e1*x_e2 + 4*w_e1*w_e2")
 
 
-def test_pruned_reduction_skips_the_dual(monkeypatch):
+def _recording_partial_dual(monkeypatch) -> list:
+    """Replace qpoly's partial_dual by a wrapper that records its edge
+    lists."""
     duals = []
     real_partial_dual = rgp.qpoly.partial_dual
 
     def record(h, edges):
-        duals.append(h)
+        duals.append(list(edges))
         return real_partial_dual(h, edges)
 
     monkeypatch.setattr(rgp.qpoly, "partial_dual", record)
+    return duals
+
+
+def test_pruned_reduction_skips_the_dual(monkeypatch):
+    duals = _recording_partial_dual(monkeypatch)
     seen = _recording_canonical_form(monkeypatch)
     g = cycle_graph(5)
     rule = RSequenceSpec.even_two_odd_zero()
@@ -272,6 +280,42 @@ def test_pruned_reduction_skips_the_dual(monkeypatch):
     full = q_by_reduction(g, rule).poly
     assert duals and 0 < pruned_nodes < len(seen)
     assert pruned == _sub_per_edge(g, full, y=0, z=0)
+
+
+def test_reduction_edge_is_a_loop_first(monkeypatch):
+    # the bridge "a" sorts before the loop "b" at its end
+    g = from_rotation_system(RotationSpec(
+        vertices=(("u", ("a.1",)), ("v", ("a.2", "b.1", "b.2"))),
+        edges=(("a", "a.1", "a.2", 0), ("b", "b.1", "b.2", 0)),
+    ))
+    assert g.sorted_edges()[0] == "a"
+    duals = _recording_partial_dual(monkeypatch)
+    assert q_by_reduction(g).poly == q_by_expansion(g).poly
+    assert duals[0] == ["b"]
+
+
+def test_reduction_edge_has_the_lowest_end_degrees(monkeypatch):
+    # a path b-a-c whose middle edge sorts first: the leaf edges have end
+    # degrees 1 + 2, the middle one 2 + 2, and the tie goes to "b"
+    g = from_rotation_system(RotationSpec(
+        vertices=(("u", ("b.1",)), ("v", ("b.2", "a.1")), ("w", ("a.2", "c.1")),
+                  ("x", ("c.2",))),
+        edges=(("b", "b.1", "b.2", 0), ("a", "a.1", "a.2", 0), ("c", "c.1", "c.2", 0)),
+    ))
+    assert g.sorted_edges()[0] == "a"
+    duals = _recording_partial_dual(monkeypatch)
+    assert q_by_reduction(g).poly == q_by_expansion(g).poly
+    assert duals[0] == ["b"]
+
+
+def test_reduction_node_budget(monkeypatch):
+    # the 9th 8-edge map of this draw under the odd rule, with a fresh memo;
+    # reducing on the first label took 1281 canonical forms
+    rng = random.Random(88)
+    g = [random_rotation_graph(rng, max_edges=8, min_edges=8) for _ in range(9)][-1]
+    seen = _recording_canonical_form(monkeypatch)
+    q_by_reduction(g, RSequenceSpec.odd_two_even_zero(), memo={})
+    assert len(seen) == 412
 
 
 def test_memo_keeps_pruned_and_full_entries_apart():
