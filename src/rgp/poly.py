@@ -12,20 +12,20 @@ holds its exponent in bits [16i, 16i + 16) of one int.  Bit 15 of every field
 is a guard, so an exponent is at most MAX_EXPONENT and adding two exponents
 never carries into the next variable; a result that sets a guard bit raises
 InvalidArgument.  Sums and products only grow a table by appending, so they
-repack at most the smaller operand.  Equal polynomials may have different tables:
-equality, hashing and output compare values, and the canonical string and
-JSON list the terms by descending total degree, then by exponent vector in
+repack at most the smaller operand.  Equal polynomials may have different
+tables: equality, hashing and output compare values, and the canonical string
+and JSON list the terms by descending total degree, then by exponent vector in
 variable order (kind, then label) — all goldens in the test suite compare
 byte-exact strings.
 
 Every writer orders the terms through `_order`.  A table whose occurring
 variables sit in descending key order, as `from_rows` and `substitute` build
 them, already compares that way as packed ints; any other table is permuted
-with one struct unpack, itemgetter and pack per term.  The terms are then sorted on
-one int each, the total degree above the packed vector.  The JSON writer
-streams its text to a file _BATCH terms at a time, and joins each term's
-variable list from the cached texts of _CHUNK-variable chunks of its packed
-vector, so it never holds the whole output.
+with one struct unpack, itemgetter and pack per term.  The terms are then
+sorted on one int each, the total degree above the packed vector.  The JSON
+writer streams its text to a file _BATCH terms at a time, and joins each
+term's variable list from the cached texts of _CHUNK-variable chunks of its
+packed vector, so it never holds the whole output.
 
 Only this module knows how a monomial is stored.  Elsewhere a monomial is a
 {VarId: exponent} dict: `monomials()` reads terms, `from_monomials()` builds

@@ -238,9 +238,8 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     only break ties, and results are independent of the choice.  A low-degree
     end soon becomes a bare vertex, which the odd rule weighs zero, and a
     loop's partial dual splits its vertex, so the memo sees smaller pieces.
-    The memo (shareable
-    across calls) stores polynomials over canonical edge slots and rebrands
-    them through each caller's slot bijection.  Its key
+    The memo (shareable across calls) stores polynomials over canonical edge
+    slots and rebrands them through each caller's slot bijection.  Its key
     is the canonical form under the rule's fold (`RSequenceSpec.fold`) with
     the frozen rule itself, so entries of different rules never mix.
 
