@@ -13,6 +13,7 @@ independent computation routes, all cross-checked in the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (HasFlags, NoFlags, NotACycle, NotATree, NotConnected,
@@ -52,8 +53,12 @@ def _omega(lab) -> MultiPoly:
     return MultiPoly.variable("OMEGA", lab)
 
 
-def _one_plus_t2(lab) -> MultiPoly:
-    return MultiPoly.const(1) + _t(lab) * _t(lab)
+def _t_omega(edges) -> tuple[dict, dict]:
+    """({e: t_e}, {e: O_e}) for the given edge labels, all over one shared
+    key-ordered table (`MultiPoly.basis`)."""
+    var = MultiPoly.basis(VarId(kind, lab) for lab in edges for kind in ("T", "OMEGA"))
+    return ({lab: var[VarId("T", lab)] for lab in edges},
+            {lab: var[VarId("OMEGA", lab)] for lab in edges})
 
 
 def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiPoly:
@@ -102,40 +107,42 @@ def _parity_split(factors) -> tuple[MultiPoly, MultiPoly]:
     return even, odd
 
 
-def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks) -> MultiPoly:
+def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks,
+                    t: dict, om: dict) -> MultiPoly:
     """The closed-form sum over the given A (bitmasks over `edges`): contract
     A, then every vertex of G/A must be made odd by the cut edges B among the
-    rest.  Each admissible (A, B) is weighted 2^(vertices of G/A)."""
-    total = MultiPoly.zero()
-    for amask in amasks:
-        uf = _UnionFind(len(flags_at))
-        rest = []
-        for i, lab in enumerate(edges):
-            if amask >> i & 1:
-                uf.union(*ends[lab])
-            else:
-                rest.append(lab)
-        roots = [uf.find(v) for v in range(len(flags_at))]
-        cls = {r: k for k, r in enumerate(dict.fromkeys(roots))}   # G/A vertices
-        base = [0] * len(cls)
-        for r, nf in zip(roots, flags_at):
-            base[cls[r]] += nf
-        pairs = [(cls[roots[u]], cls[roots[w]]) for u, w in (ends[lab] for lab in rest)]
-        contracted = MultiPoly.const(2 ** len(base))
-        for i, lab in enumerate(edges):
-            if amask >> i & 1:
-                contracted = contracted * _omega(lab) * _one_plus_t2(lab)
-        for bmask, deg in _subset_degrees(base, pairs):
-            if any(d % 2 == 0 for d in deg):
-                continue
-            term = contracted
-            for j, lab in enumerate(rest):
-                if bmask >> j & 1:
-                    term = term * _omega(lab) * _omega(lab) * _t(lab)
+    rest.  Each admissible (A, B) is weighted 2^(vertices of G/A).  t and om
+    are the edges' t_e and O_e (`_t_omega`)."""
+    one = MultiPoly.one()
+
+    def terms():
+        for amask in amasks:
+            uf = _UnionFind(len(flags_at))
+            rest = []
+            for i, lab in enumerate(edges):
+                if amask >> i & 1:
+                    uf.union(*ends[lab])
                 else:
-                    term = term * _t(lab)
-            total = total + term
-    return total
+                    rest.append(lab)
+            roots = [uf.find(v) for v in range(len(flags_at))]
+            cls = {r: k for k, r in enumerate(dict.fromkeys(roots))}   # G/A vertices
+            base = [0] * len(cls)
+            for r, nf in zip(roots, flags_at):
+                base[cls[r]] += nf
+            contracted = MultiPoly.const(2 ** len(base))
+            for i, lab in enumerate(edges):
+                if amask >> i & 1:
+                    contracted = contracted * om[lab] * (one + t[lab] * t[lab])
+            pairs = [(cls[roots[u]], cls[roots[w]]) for u, w in (ends[lab] for lab in rest)]
+            for bmask, deg in _subset_degrees(base, pairs):
+                if any(d % 2 == 0 for d in deg):
+                    continue
+                term = one
+                for j, lab in enumerate(rest):
+                    term = term * (om[lab] * om[lab] * t[lab] if bmask >> j & 1 else t[lab])
+                yield contracted * term
+
+    return MultiPoly.sum(terms())
 
 
 def hu_tree(g: RibbonGraph) -> MultiPoly:
@@ -148,7 +155,7 @@ def hu_tree(g: RibbonGraph) -> MultiPoly:
         return MultiPoly.zero()   # a flagless point has even (zero) flag count
     flags_at, ends = _incidences(g)
     edges = g.sorted_edges()
-    return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)))
+    return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)), *_t_omega(edges))
 
 
 def hu_cycle(g: RibbonGraph) -> MultiPoly:
@@ -162,17 +169,18 @@ def hu_cycle(g: RibbonGraph) -> MultiPoly:
                         "every vertex bivalent)")
     edges = g.sorted_edges()
     m, n = _incidences(natural_dual(g))[0]     # flags per face
+    t, om = _t_omega(edges)
 
     total = MultiPoly.zero()
     if (m - n) % 2 == 0:
         # the two-face term survives only when both faces break the same way:
         # prod O_e (1 + t_e^2) with an odd (n even) / even (n odd) number of t^2
-        even, odd = _parity_split((_omega(lab), _omega(lab) * _t(lab) * _t(lab))
-                                  for lab in edges)
+        even, odd = _parity_split((om[lab], om[lab] * t[lab] * t[lab]) for lab in edges)
         total = MultiPoly.const(4) * (odd if n % 2 == 0 else even)
 
     # proper subsets only: A = every edge is the two-face term above
-    return total + _contracted_sum(edges, flags_at, ends, range((1 << len(edges)) - 1))
+    return total + _contracted_sum(edges, flags_at, ends, range((1 << len(edges)) - 1),
+                                   t, om)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +201,19 @@ def hu_critical(g: RibbonGraph) -> MultiPoly:
         return MultiPoly.zero()
     face_flags, sides = _incidences(natural_dual(g))
     edges = g.sorted_edges()
+    # the t variables alone: a shared O table would widen every face product
+    var = MultiPoly.basis(VarId("T", lab) for lab in edges)
+    one = MultiPoly.one()
     total = MultiPoly.const(2 ** len(face_flags))
     for face, phi in enumerate(face_flags):
         factors = []
         for lab in edges:
+            t = var[VarId("T", lab)]
             mult = sides[lab].count(face)
             if mult == 1:
-                factors.append((MultiPoly.one(), _t(lab)))
+                factors.append((one, t))
             elif mult == 2:
-                factors.append((_one_plus_t2(lab), MultiPoly.const(2) * _t(lab)))
+                factors.append((one + t * t, t * 2))
         even, odd = _parity_split(factors)
         total = total * (odd if phi % 2 == 0 else even)
     return total
@@ -505,56 +517,56 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
     twist = {lab: tw for lab, _p, _q, tw in to_rotation_spec(g).edges}
+    t, om = _t_omega(edges)
+    one = MultiPoly.one()
+    kept = {lab: om[lab] * (one + t[lab] * t[lab]) for lab in edges}
+    factors: dict = {}   # a component's edges -> its factor, None if it has none
 
-    total = MultiPoly.zero()
-    for mask in range(1 << ne):
-        keep = [edges[i] for i in range(ne) if mask >> i & 1]
-        uf = _UnionFind(nv)
-        touched = set()
-        for lab in keep:
-            u, w = ends[lab]
-            uf.union(u, w)
-            touched.update((u, w))
-        if len(touched) != nv:
-            continue
-        comp_edges: dict = {}
-        for lab in keep:
-            comp_edges.setdefault(uf.find(ends[lab][0]), []).append(lab)
-        comp_size: dict = {}
-        for v in range(nv):
-            r = uf.find(v)
-            comp_size[r] = comp_size.get(r, 0) + 1
-        weight = MultiPoly.one()
-        ok = True
-        for root, labs in comp_edges.items():
-            size = comp_size[root]
-            if len(labs) == size - 1:
-                acc = MultiPoly.zero()
-                for lab in labs:
-                    part = _omega(lab) * _omega(lab) * _t(lab)
-                    for other in labs:
-                        if other != lab:
-                            part = part * _omega(other) * _one_plus_t2(other)
-                    acc = acc + part
-                weight = weight * MultiPoly.const(4) * acc
-            elif len(labs) == size:
-                cyc = _cycle_edges(labs, ends)
-                if sum(twist[lab] for lab in cyc) % 2 == 1:
-                    ok = False
+    def factor(labs: tuple, size: int):
+        if len(labs) == size - 1:
+            # the tree: 4 * sum_e O_e^2 t_e prod_(rest) O (1 + t^2)
+            prod, acc = one, MultiPoly.zero()
+            for lab in labs:
+                acc = acc * kept[lab] + prod * om[lab] * om[lab] * t[lab]
+                prod = prod * kept[lab]
+            return acc * 4
+        if len(labs) > size:
+            return None
+        cyc = _cycle_edges(labs, ends)
+        if sum(twist[lab] for lab in cyc) % 2 == 1:
+            return None
+        _even, odd = _parity_split((om[lab], om[lab] * t[lab] * t[lab]) for lab in cyc)
+        for lab in labs:
+            if lab not in cyc:
+                odd = odd * kept[lab]
+        return odd * 4
+
+    def weights():
+        for mask in range(1 << ne):
+            uf = _UnionFind(nv)
+            weight = one
+            for i, lab in enumerate(edges):
+                if mask >> i & 1:
+                    uf.union(*ends[lab])
+                else:
+                    weight = weight * t[lab]
+            roots = [uf.find(v) for v in range(nv)]
+            comp_edges: dict = {}
+            for i, lab in enumerate(edges):
+                if mask >> i & 1:
+                    comp_edges.setdefault(roots[ends[lab][0]], []).append(lab)
+            if len(comp_edges) != len(set(roots)):
+                continue     # a vertex no kept edge covers
+            size = Counter(roots)
+            for root, labs in comp_edges.items():
+                key = tuple(labs)
+                if key not in factors:
+                    factors[key] = factor(key, size[root])
+                f = factors[key]
+                if f is None:
                     break
-                _even, odd = _parity_split((_omega(lab), _omega(lab) * _t(lab) * _t(lab))
-                                           for lab in cyc)
-                for lab in labs:
-                    if lab not in cyc:
-                        odd = odd * _omega(lab) * _one_plus_t2(lab)
-                weight = weight * MultiPoly.const(4) * odd
+                weight = weight * f
             else:
-                ok = False
-                break
-        if not ok:
-            continue
-        for i, lab in enumerate(edges):
-            if not mask >> i & 1:
-                weight = weight * _t(lab)
-        total = total + weight
-    return total
+                yield weight
+
+    return MultiPoly.sum(weights())

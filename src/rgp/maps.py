@@ -290,13 +290,20 @@ class _UnionFind:
 def _subset_degrees(base: list, pairs: list):
     """Yield (mask, degrees) for every subset of the endpoint pairs: bit i of
     mask chooses pairs[i], which adds one to each of its two ends (two to a
-    loop's vertex) on top of the base degrees.  Each degrees list is fresh."""
-    for mask in range(1 << len(pairs)):
-        deg = list(base)
-        for i, (u, w) in enumerate(pairs):
-            if mask >> i & 1:
-                deg[u] += 1
-                deg[w] += 1
+    loop's vertex) on top of the base degrees.  The subsets come in Gray-code
+    order, the empty one first: each step flips the one pair at the lowest
+    set bit of the step count and changes its two ends in place, so the
+    degrees list is one list, to be read before the next step."""
+    deg = list(base)
+    mask = 0
+    yield mask, deg
+    for step in range(1, 1 << len(pairs)):
+        i = (step & -step).bit_length() - 1
+        mask ^= 1 << i
+        d = 1 if mask >> i & 1 else -1
+        u, w = pairs[i]
+        deg[u] += d
+        deg[w] += d
         yield mask, deg
 
 

@@ -6,22 +6,25 @@ the subset-expansion polynomial, the two hyperbolic families, Schwinger
 parameters, the loop-counting weight, the degree-weight sequence r_n, and two
 reserved scaling variables) plus a label.
 
-A polynomial keeps its own variable table, the variables in the order it met
-them, and maps each packed monomial to its nonzero coefficient: variable i
-holds its exponent in bits [16i, 16i + 16) of one int.  Bit 15 of every field
-is a guard, so an exponent is at most MAX_EXPONENT and adding two exponents
-never carries into the next variable; a result that sets a guard bit raises
-InvalidArgument.  Sums and products only grow a table by appending, so they
-repack at most the smaller operand.  Equal polynomials may have different
-tables: equality, hashing and output compare values, and the canonical string
-and JSON list the terms by descending total degree, then by exponent vector in
-variable order (kind, then label) — all goldens in the test suite compare
-byte-exact strings.
+A polynomial keeps its own variable table and maps each packed monomial to
+its nonzero coefficient: variable i holds its exponent in bits [16i, 16i + 16)
+of one int.  Bit 15 of every field is a guard, so an exponent is at most
+MAX_EXPONENT and adding two exponents never carries into the next variable; a
+result that sets a guard bit raises InvalidArgument.  Operands on one table
+(or a constant, whose table is empty) are combined as they stand; otherwise a
+sum or product takes the table of the operand with more terms, extends it by
+appending the other's variables, and repacks only the smaller operand.  Equal
+polynomials may have different tables: equality, hashing and output compare
+values, and the canonical string and JSON list the terms by descending total
+degree, then by exponent vector in variable order (kind, then label) — all
+goldens in the test suite compare byte-exact strings.
 
 Every writer orders the terms through `_order`.  A table whose occurring
-variables sit in descending key order, as `from_rows` and `substitute` build
-them, already compares that way as packed ints; any other table is permuted
-with one struct unpack, itemgetter and pack per term.  The terms are then
+variables sit in descending key order already compares that way as packed
+ints.  `from_rows`, `from_monomials`, `substitute`, `sum` and `basis` build
+their tables so, and products and sums of `basis` variables and constants stay
+on the one table; any other table is permuted with one struct unpack,
+itemgetter and pack per term.  The terms are then
 sorted on one int each, the total degree above the packed vector.  The JSON
 writer streams its text to a file _BATCH terms at a time, and joins each
 term's variable list from the cached texts of _CHUNK-variable chunks of its
@@ -31,7 +34,8 @@ Only this module knows how a monomial is stored.  Elsewhere a monomial is a
 {VarId: exponent} dict: `monomials()` reads terms, `from_monomials()` builds
 them, `from_rows()` builds them from rows of exponents over one fixed table,
 and `rename()` relabels variables; `substitute` is for images that are
-general polynomials.
+general polynomials.  A subset sum adds its terms with `MultiPoly.sum`, into
+one dict, rather than with `+`, which copies its larger operand.
 
 Coefficients are Python ints (arbitrary precision); rational evaluation goes
 through fractions.Fraction.
@@ -172,11 +176,14 @@ def _onto(vars_: tuple, index: dict, p: "MultiPoly") -> tuple:
 
 
 def _common(a: "MultiPoly", b: "MultiPoly") -> tuple:
-    """(table, index, a's terms, b's terms) over one table: the table of the
-    operand with more terms, extended by the other's variables, so only the
-    smaller operand is repacked."""
-    if a._vars is b._vars:
+    """(table, index, a's terms, b's terms) over one table: a constant's
+    empty table fits any table, else the table of the operand with more
+    terms, extended by the other's variables, so only the smaller operand is
+    repacked."""
+    if a._vars is b._vars or not b._vars:
         return a._vars, a._index, a.terms, b.terms
+    if not a._vars:
+        return b._vars, b._index, a.terms, b.terms
     if len(a.terms) < len(b.terms):
         vars_, index, ta = _onto(b._vars, b._index, a)
         return vars_, index, ta, b.terms
@@ -274,9 +281,53 @@ class MultiPoly:
         return _var_poly(VarId(kind, label), exp)
 
     @staticmethod
+    def basis(variables: Iterable[VarId]) -> dict:
+        """{v: the polynomial v} for the given variables, all over one shared
+        table in descending key order.  Their sums and products, and those
+        with constants, stay on that table: no operand is moved, and
+        `MultiPoly.sum` adds them as they stand."""
+        vars_ = tuple(sorted(set(variables), key=_var_key, reverse=True))
+        index = {v: i for i, v in enumerate(vars_)}
+        return {v: _new({1 << (_BITS * i): 1}, vars_, index) for v, i in index.items()}
+
+    @staticmethod
+    def sum(polys: Iterable["MultiPoly"]) -> "MultiPoly":
+        """The sum of `polys`, added into one dict over one table in
+        descending key order.  Each addend is moved onto the table at most
+        once, and not at all when it is that table (as `basis` builds it); the
+        table, and the sum so far with it, is laid out again only when an
+        addend brings variables it lacks."""
+        vars_: tuple = ()
+        index: dict = {}
+        out: dict[int, int] = {}
+        for p in polys:
+            terms = p.terms
+            if p._vars is not vars_ and p._vars:
+                if not p._index.keys() <= index.keys():
+                    grown = sorted(index.keys() | p._index.keys(), key=_var_key, reverse=True)
+                    if grown == list(p._vars):
+                        table, where = p._vars, p._index
+                    else:
+                        table = tuple(grown)
+                        where = {v: i for i, v in enumerate(table)}
+                    out = _moved(out, [where[v] for v in vars_])
+                    vars_, index = table, where
+                if p._vars is not vars_:
+                    terms = _moved(terms, [index[v] for v in p._vars])
+            get = out.get
+            for m, c in terms.items():
+                s = get(m, 0) + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return _new(out, vars_, index)
+
+    @staticmethod
     def from_monomials(pairs: Iterable[tuple[Mapping[VarId, int], int]]) -> "MultiPoly":
         """Sum ({VarId: exponent}, coefficient) pairs; zero exponents are
-        dropped and like terms merge."""
+        dropped and like terms merge.  The table is laid out in descending
+        key order once, after the last pair."""
         vars_: list[VarId] = []
         index: dict[VarId, int] = {}
         terms: dict[int, int] = {}
@@ -295,7 +346,10 @@ class MultiPoly:
                     vars_.append(v)
                 m += e << (_BITS * i)
             terms[m] = terms.get(m, 0) + c
-        return _new({m: c for m, c in terms.items() if c}, tuple(vars_), index)
+        table = tuple(sorted(vars_, key=_var_key, reverse=True))
+        where = {v: i for i, v in enumerate(table)}
+        return _new(_moved({m: c for m, c in terms.items() if c}, [where[v] for v in vars_]),
+                    table, where)
 
     @staticmethod
     def from_rows(table: Sequence[VarId],
@@ -304,7 +358,8 @@ class MultiPoly:
         variables: the i-th exponent of a row is that of table[i].  Like
         terms merge.  A table in `VarId.sort_key` order is packed as it
         stands, in the order the writers read; any other is permuted per
-        row."""
+        row.  Each row is packed before the next is drawn, so the rows may
+        be one list that the caller changes in place."""
         n = len(table)
         if len(set(table)) < n:
             raise InvalidArgument("a variable occurs twice in the table")
@@ -643,7 +698,9 @@ class MultiPoly:
         getitem, join = operator.getitem, ", ".join
         write("[")
         for start in range(0, len(order), _BATCH):
-            write((", " if start else "") + join([
+            if start:
+                write(", ")
+            write(join([
                 '{"coeff": "%d", "vars": [%s]}'
                 % (terms[m], join(filter(None, map(getitem, texts,
                                                    split(m.to_bytes(width, "big"))))))

@@ -25,7 +25,9 @@ cannot see share one memo entry.
 Every r_n is an int times at most one variable (`RSequenceSpec.scalar`), so
 the enumeration weighs each pair with int products and variable counts, and
 hands its exponent rows over one fixed variable table to
-`MultiPoly.from_rows`.
+`MultiPoly.from_rows`.  For each A it walks the subsets B in Gray-code order
+(`maps._subset_degrees`): a step moves one edge in or out of B, so it changes
+one edge column of the row and the weights of two vertices.
 
 The weights r_n are per vertex, so Q of a disjoint union is the product of
 the Q of its parts.  The reduction splits every disconnected graph into its
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Optional
 
 from .errors import InvalidArgument, TooLarge, UnknownMethod
@@ -149,8 +152,11 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
     """Enumerate all (A, B) pairs.  Guarded by e(G) <= max_edges.
 
     Every r_n is a coefficient times at most one variable, so the weight of
-    a pair is an int times a product of R variables: the loop multiplies the
-    ints, counts the variables, and stops at the first zero factor."""
+    a pair is an int times a product of R variables.  For each A the subsets
+    B come in Gray-code order, and the walk keeps one exponent row and each
+    vertex's weight: a step that moves edge j in or out of B swaps j's
+    column and re-weighs j's two ends, and a pair is admissible when the
+    product of the int weights is not zero."""
     r = r or RSequenceSpec.symbolic()
     edges = g.sorted_edges()
     ne = len(edges)
@@ -173,32 +179,45 @@ def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
     def rows():
         nonlocal admissible
         for amask in range(1 << ne):
-            A = [edges[i] for i in range(ne) if amask >> i & 1]
-            h = partial_dual(g, A)
-            bare = h.bare_vertices
-            c_bare = c0 ** bare
+            h = partial_dual(g, [edges[i] for i in range(ne) if amask >> i & 1])
+            c_bare = c0 ** h.bare_vertices
             if not c_bare:
                 continue
-            base = [0] * len(table)
-            if r0 is not None:
-                base[r0] = bare
-            columns = [ec[amask >> i & 1] for i, ec in enumerate(edge_columns)]
             flags_at, ends = _incidences(h)
-            for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
-                c = c_bare
-                row = base.copy()
-                for n in deg:
-                    cn, i = weights[n]
-                    c *= cn
-                    if not c:
-                        break
-                    if i is not None:
-                        row[i] += 1
+            pairs = [ends[lab] for lab in edges]
+            columns = [ec[amask >> i & 1] for i, ec in enumerate(edge_columns)]
+            # the row of B = {}, and each vertex's weight r_(its flags) as an
+            # int and the column of its variable
+            row = [0] * len(table)
+            if r0 is not None:
+                row[r0] = h.bare_vertices
+            for out_of_b, _ in columns:
+                row[out_of_b] = 1
+            coeffs = [weights[n][0] for n in flags_at]
+            cols = [weights[n][1] for n in flags_at]
+            for i in cols:
+                if i is not None:
+                    row[i] += 1
+            # each step moves one edge j in or out of B: j's column and the
+            # weights of its two ends change, and nothing else
+            prev = 0
+            for bmask, deg in _subset_degrees(flags_at, pairs):
+                if bmask != prev:
+                    j = (bmask ^ prev).bit_length() - 1
+                    prev = bmask
+                    in_b = bmask >> j & 1
+                    row[columns[j][1 - in_b]] = 0
+                    row[columns[j][in_b]] = 1
+                    for v in set(pairs[j]):
+                        if cols[v] is not None:
+                            row[cols[v]] -= 1
+                        coeffs[v], cols[v] = weights[deg[v]]
+                        if cols[v] is not None:
+                            row[cols[v]] += 1
+                c = c_bare * prod(coeffs)
                 if not c:
                     continue
                 admissible += 1
-                for i, ec in enumerate(columns):
-                    row[ec[bmask >> i & 1]] = 1
                 yield row, c
 
     q = MultiPoly.from_rows(table, rows())

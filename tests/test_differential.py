@@ -103,6 +103,12 @@ def limit_graphs() -> list:
                      for _ in range(15)]
 
 
+def limit_families() -> list:
+    """Cycles and bananas, planar and not, past the survey's four edges."""
+    return ([cycle_graph(n) for n in range(5, 8)]
+            + [banana(n, planar=planar) for n in range(4, 7) for planar in (True, False)])
+
+
 def limit_survey() -> list:
     """Connected flagless maps with 1 to 4 edges and no bare vertex."""
     rng = random.Random(5)
@@ -262,7 +268,7 @@ def test_closed_forms_equal_hu():
 
 # --- commutative limits -------------------------------------------------------
 
-@_streams(limit_graphs, limit_survey)
+@_streams(limit_graphs, limit_survey, limit_families)
 def test_hu_limit_methods_agree(stream):
     for g in stream():
         assert hu_commutative_limit(g) == hu_commutative_limit(g, method="extraction")

@@ -294,6 +294,23 @@ def test_commutative_limit_guard():
     assert hu_commutative_limit(disjoint_union(banana(13), single_vertex())).is_zero()
 
 
+def test_commutative_limit_add_budget(monkeypatch):
+    # `+` calls during the limit of cycle_graph(9), and the entries each
+    # copies (its larger operand); a running total copied on every `+` took
+    # 2002 calls and 500258 entries
+    calls, copied = [], []
+    add = MultiPoly.__add__
+
+    def counting_add(a, b):
+        calls.append(1)
+        copied.append(max(len(a.terms), len(b.terms)))
+        return add(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__add__", counting_add)
+    assert len(hu_commutative_limit(cycle_graph(9)).terms) == 18916
+    assert (len(calls), sum(copied)) == (288, 18044)
+
+
 def test_symanzik_values():
     assert symanzik_u(bridge(0, 0)) == MultiPoly.one()
     assert symanzik_u(path_tree(3)) == MultiPoly.one()

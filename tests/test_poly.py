@@ -1,7 +1,9 @@
 """Ring axioms, canonical strings, JSON and text round-trips for MultiPoly."""
 
+import functools
 import io
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -10,8 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference_enumerators import (reference_sorted_terms, reference_to_json,
                                    reference_to_json_obj, reference_to_string)
-from rgp.corpus import cycle_graph
-from rgp.hyperbolic import hu
+from rgp.corpus import banana, cycle_graph, path_tree
+from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_cycle, hu_tree,
+                            symanzik_u)
+from rgp.qpoly import q_by_expansion
 from rgp.poly import _BATCH, KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
@@ -206,6 +210,74 @@ def test_substitute_lays_out_its_table_in_key_order():
                 (V("T", "e2") * V("X", "e1")).substitute({t: 2})):
         keys = [v.sort_key() for v in got._vars]
         assert keys == sorted(keys, reverse=True)
+
+
+def _in_key_order(p: MultiPoly) -> bool:
+    keys = [v.sort_key() for v in p._vars]
+    return keys == sorted(keys, reverse=True)
+
+
+def test_subset_sums_lay_out_their_tables_in_key_order():
+    # the writers read these without permuting a term
+    mono = {VarId("X", "e2"): 1, VarId("X", "e10"): 2, VarId("R", 3): 1}
+    results = {
+        "q_by_expansion": q_by_expansion(cycle_graph(3)).poly,
+        "hu_critical": hu_critical(cycle_graph(4)),
+        "hu_commutative_limit": hu_commutative_limit(cycle_graph(4)),
+        "hu_tree": hu_tree(path_tree(3)),
+        "hu_cycle": hu_cycle(cycle_graph(4)),
+        "symanzik_u": symanzik_u(banana(4, planar=False)),
+        "from_monomials": MultiPoly.from_monomials([(mono, 1), ({VarId("T", "e1"): 1}, 2)]),
+        "sum": MultiPoly.sum([V("X", "e1") * V("R", 3), V("T", "e2") + V("BETA"),
+                              V("ALPHA", "e1") * V("X", "e2")]),
+    }
+    assert [name for name, p in results.items() if not _in_key_order(p)] == []
+    assert all(not p.is_zero() for p in results.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(polys(), max_size=6))
+def test_sum_matches_repeated_add(ps):
+    # each addend comes with its own table, in the order it met its variables
+    got = MultiPoly.sum(ps)
+    assert got == functools.reduce(operator.add, ps, MultiPoly.zero())
+    assert _in_key_order(got)
+    assert 0 not in got.terms.values()
+
+
+def test_sum_of_nothing_is_zero():
+    assert MultiPoly.sum([]).is_zero()
+    assert MultiPoly.sum(iter([])) == 0
+
+
+def test_sum_cancelling_terms_leave_no_zero_coefficient():
+    p = V("X", "e1") * V("T", "e2") + 3 * V("BETA")
+    q = V("R", 2) + V("X", "e1")
+    got = MultiPoly.sum([p, q, -p])
+    assert got == q
+    assert sorted(got.monomials(), key=str) == sorted(q.monomials(), key=str)
+    assert 0 not in got.terms.values()
+
+
+def test_basis_products_and_constants_stay_on_its_table():
+    x, t = VarId("X", "e1"), VarId("T", "e2")
+    var = MultiPoly.basis([t, x, t])
+    assert list(var) == [t, x] and _in_key_order(var[x])
+    got = (MultiPoly.one() + var[x] * var[t]) * 3 - MultiPoly.const(2) * var[t]
+    assert got._vars is var[x]._vars
+    assert MultiPoly.sum([got, var[x], 1 * var[t]])._vars is var[x]._vars
+    assert got == parse("3 + 3*x_e1*t_e2 - 2*t_e2")
+
+
+def test_basis_product_past_max_exponent_raises():
+    x = VarId("X", "e1")
+    var = MultiPoly.basis([x, VarId("T", "e1")])
+    top = var[x] ** MAX_EXPONENT
+    assert list(top.monomials()) == [({x: MAX_EXPONENT}, 1)]
+    with pytest.raises(InvalidArgument):
+        top * var[x]
+    with pytest.raises(InvalidArgument):
+        var[x] ** (MAX_EXPONENT + 1)
 
 
 @settings(max_examples=300, deadline=None)
