@@ -7,6 +7,7 @@ HU is the odd-weight evaluation of Q,
 
 a polynomial with nonnegative integer coefficients supported on the pairs
 (A, B) whose residual graph has odd flag count at every vertex ("admissible").
+The images of x, y, z and w are built on one t/Omega table (`_t_omega`).
 Closed forms for trees, cycles and the Omega = 1 specialization give three
 independent computation routes, all cross-checked in the test suite.
 """
@@ -38,19 +39,13 @@ from .poly import MultiPoly, VarId
 from .qpoly import RSequenceSpec, q_by_expansion, q_by_reduction
 
 # Q-reduction results are independent of labels, so one memo serves every HU
-# computation in the process (HV alone triggers dozens of related graphs).
+# computation in the process (HV alone triggers dozens of related graphs);
+# `hu` empties it before a call once it holds over _SHARED_MEMO_BOUND entries.
 _SHARED_MEMO: dict = {}
+_SHARED_MEMO_BOUND = 4096
 
 # hu_commutative_limit's enumeration visits all 2^e edge subsets.
 _COMMUTATIVE_MAX_EDGES = 12
-
-
-def _t(lab) -> MultiPoly:
-    return MultiPoly.variable("T", lab)
-
-
-def _omega(lab) -> MultiPoly:
-    return MultiPoly.variable("OMEGA", lab)
 
 
 def _t_omega(edges) -> tuple[dict, dict]:
@@ -64,9 +59,12 @@ def _t_omega(edges) -> tuple[dict, dict]:
 def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiPoly:
     """First hyperbolic polynomial, via Q under the odd-vertex weight (method
     "reduction" or "expansion"), or rebuilt from the face product at Omega = 1
-    on orientable maps (method "critical")."""
+    on orientable maps (method "critical").  Q's four images per edge are
+    built on the one t/Omega table of `_t_omega`."""
     rule = RSequenceSpec.odd_two_even_zero()
     if method == "reduction":
+        if len(_SHARED_MEMO) > _SHARED_MEMO_BOUND:
+            _SHARED_MEMO.clear()
         q = q_by_reduction(g, rule, memo=_SHARED_MEMO).poly
     elif method == "expansion":
         q = q_by_expansion(g, rule, max_edges=max_edges).poly
@@ -74,13 +72,13 @@ def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiP
         return hu_via_critical_algorithm(g)
     else:
         raise UnknownMethod(f"unknown method {method!r}")
+    t, om = _t_omega(g.edge_labels)
     mapping = {}
     for lab in g.edge_labels:
-        t, om = _t(lab), _omega(lab)
-        mapping[VarId("X", lab)] = t
-        mapping[VarId("Y", lab)] = om
-        mapping[VarId("Z", lab)] = om * t * t
-        mapping[VarId("W", lab)] = t * om * om
+        mapping[VarId("X", lab)] = t[lab]
+        mapping[VarId("Y", lab)] = om[lab]
+        mapping[VarId("Z", lab)] = om[lab] * t[lab] * t[lab]
+        mapping[VarId("W", lab)] = t[lab] * om[lab] * om[lab]
     return q.substitute(mapping)
 
 
@@ -498,8 +496,8 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
             return MultiPoly.zero()
         v = structure_report(g).v
         beta = MultiPoly.variable("BETA")
-        graded = p.substitute(
-            {VarId("OMEGA", lab): beta * _omega(lab) for lab in g.edge_labels})
+        om = _t_omega(g.edge_labels)[1]
+        graded = p.substitute({VarId("OMEGA", lab): beta * o for lab, o in om.items()})
         degrees = {mono.get(VarId("BETA"), 0) for mono, _c in graded.monomials()}
         if min(degrees) < v:
             raise SelfCheckFailed(f"leading Omega-degree {min(degrees)} < v = {v}")

@@ -11,7 +11,11 @@ the kept crosses, where `rgp.ops` edits only the crosses it touches.
 `exhaustive_class_counts` walks every edge subset and every half-edge slot
 subset, where `class_counts` uses a closed form.  `exhaustive_q` multiplies
 the vertex weights of every (A, B) pair as polynomials, where
-`q_by_expansion` multiplies ints and counts variables.  The `reference_*`
+`q_by_expansion` multiplies ints and counts variables.  Both walk
+`range(1 << n)` and sum each subset's vertex degrees afresh, on vertices
+found as permutation orbits (`_reference_incidences`), and `exhaustive_q`
+dualises with `reference_partial_dual`: none of them calls the engines'
+subset walk, incidence table or partial dual.  The `reference_*`
 writers repack every polynomial into key order with `_moved` and sort it on
 a (degree, vector) tuple, where `MultiPoly` permutes fields and sorts one
 int per term; `reference_to_json` encodes every variable with json.dumps.
@@ -23,9 +27,8 @@ import functools
 import json
 import operator
 
-from rgp.maps import (CanonicalForm, _incidences, _subset_degrees,
-                      cross_components, face_count, face_sets, vertices_of)
-from rgp.ops import ClassCounts, partial_dual, spanning_subgraph
+from rgp.maps import CanonicalForm, cross_components, face_count, face_sets, vertices_of
+from rgp.ops import ClassCounts, spanning_subgraph
 from rgp.poly import _FIELD, MultiPoly, VarId, _fields, _moved, _struct, _var_key
 from rgp.qpoly import QResult, RSequenceSpec
 
@@ -39,22 +42,50 @@ ALL_RULES = [
 SIX_RULES = ALL_RULES + [RSequenceSpec.constant(3), RSequenceSpec.constant(0)]
 
 
-def _edge_ends(g):
-    """Vertex indices of each edge's two endpoints."""
-    idx = {}
-    for i, v in enumerate(vertices_of(g)):
-        for c in v.crosses:
-            idx[c] = i
-    ends = {}
-    for lab, orb in g.edge_labels.items():
-        x = min(orb)
-        ends[lab] = (idx[x], idx[g.map.sigma1[x]])
-    return len(vertices_of(g)), ends
+def _reference_incidences(s0, th, s1, edges, flags):
+    """(flags per vertex, {edge: its two end vertices}) of a map given as
+    permutations and (label, crosses) items, as every reference surgery
+    gives them.  A vertex is an orbit of sigma0 and theta together: a sigma0
+    cycle and its conjugate.  Bare vertices are not included."""
+    v_of, nv = {}, 0
+    for x in s0:
+        if x in v_of:
+            continue
+        v_of[x], todo = nv, [x]
+        while todo:
+            y = todo.pop()
+            for z in (s0[y], th[y]):
+                if z not in v_of:
+                    v_of[z] = nv
+                    todo.append(z)
+        nv += 1
+    flags_at = [0] * nv
+    for _lab, orb in flags:
+        flags_at[v_of[min(orb)]] += 1
+    return flags_at, {lab: (v_of[min(orb)], v_of[s1[min(orb)]]) for lab, orb in edges}
+
+
+def _graph_incidences(g):
+    m = g.map
+    return _reference_incidences(m.sigma0, m.theta, m.sigma1, g.edge_labels.items(),
+                                 g.flag_labels.items())
+
+
+def _degrees(base, pairs, mask):
+    """`base` plus one at both ends (two at a loop's vertex) of every pair
+    that bit i of mask chooses."""
+    deg = list(base)
+    for i, (u, w) in enumerate(pairs):
+        if mask >> i & 1:
+            deg[u] += 1
+            deg[w] += 1
+    return deg
 
 
 def spanning_tree_cotree_sum(g) -> MultiPoly:
     """Sum over spanning trees T of the product of a_e over the edges not in T."""
-    nv, ends = _edge_ends(g)
+    flags_at, ends = _graph_incidences(g)
+    nv = len(flags_at)
     edges = g.sorted_edges()
     total = MultiPoly.zero()
     for mask in range(1 << len(edges)):
@@ -290,14 +321,16 @@ def exhaustive_class_counts(g) -> ClassCounts:
     vertex.  Costs 2^e + 2^(2e) steps.
     """
     e = len(g.edge_labels)
-    flags_at, ends = _incidences(g)
+    flags_at, ends = _graph_incidences(g)
     nv = len(flags_at)
     order = g.sorted_edges()
     bare = g.bare_vertices
     v_total = nv + bare
 
     odd = even = 0
-    for _mask, deg in _subset_degrees(flags_at, [ends[lab] for lab in order]):
+    pairs = [ends[lab] for lab in order]
+    for mask in range(1 << e):
+        deg = _degrees(flags_at, pairs, mask)
         if all(d % 2 for d in deg) and bare == 0:
             odd += 1
         if all(d % 2 == 0 for d in deg):
@@ -347,12 +380,13 @@ def exhaustive_q(g, r=None) -> QResult:
     admissible = 0
     for amask in range(1 << ne):
         A = [edges[i] for i in range(ne) if amask >> i & 1]
-        h = partial_dual(g, A)
-        flags_at, ends = _incidences(h)
-        r0_bare = r.weight(0) ** h.bare_vertices
-        for bmask, deg in _subset_degrees(flags_at, [ends[lab] for lab in edges]):
+        h = reference_partial_dual(g, A)
+        flags_at, ends = _reference_incidences(*h[:5])
+        pairs = [ends[lab] for lab in edges]
+        r0_bare = r.weight(0) ** h[-1]
+        for bmask in range(1 << ne):
             weight = r0_bare
-            for n in deg:
+            for n in _degrees(flags_at, pairs, bmask):
                 weight = weight * r.weight(n)
                 if weight.is_zero():
                     break

@@ -7,7 +7,9 @@ maps that check it, one test id per stream.  A stream draws its maps, and
 each map's rule, edge subset or edge, from its own `random.Random(seed)`.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,17 @@ def test_q_expansion_matches_polynomial_products():
             got, ref = q_by_expansion(g, rule), exhaustive_q(g, rule)
             assert got.poly == ref.poly, rule
             assert got.admissible_pairs == ref.admissible_pairs, rule
+
+
+def test_references_share_no_walker_with_the_engines():
+    # a reference that walked subsets, or built incidences or partial duals,
+    # with the engines' own helpers would pass wherever those helpers fail
+    path = Path(__file__).with_name("reference_enumerators.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "rgp" for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used & {"_subset_degrees", "_incidences", "partial_dual"} == set()
 
 
 def test_hu_expansion_equals_reduction():

@@ -33,7 +33,7 @@ from rgp.errors import (
     TooLarge,
     UnknownMethod,
 )
-from rgp import hyperbolic
+from rgp import hyperbolic, poly
 from rgp.hyperbolic import (
     hu,
     hu_commutative_limit,
@@ -309,6 +309,37 @@ def test_commutative_limit_add_budget(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__add__", counting_add)
     assert len(hu_commutative_limit(cycle_graph(9)).terms) == 18916
     assert (len(calls), sum(copied)) == (288, 18044)
+
+
+def test_hu_images_stay_on_one_table(monkeypatch):
+    # table extensions (`poly._onto`) of a warm-memo hu(cycle_graph(6)):
+    # images built from one-variable t and O took 24, four per edge
+    onto = poly._onto
+    calls = []
+
+    def counting_onto(*args):
+        calls.append(1)
+        return onto(*args)
+
+    g = cycle_graph(6)
+    hu(g)
+    monkeypatch.setattr(poly, "_onto", counting_onto)
+    hu(g)
+    assert len(calls) == 0
+
+
+def test_shared_memo_bound(monkeypatch):
+    g = triangle(with_flags=True)
+    want = hv(g)
+    monkeypatch.setattr(hyperbolic, "_SHARED_MEMO", {})
+    monkeypatch.setattr(hyperbolic, "_SHARED_MEMO_BOUND", 0)
+    assert hv(g) == want
+    hu(cycle_graph(4))
+    own = set(hyperbolic._SHARED_MEMO)
+    assert own
+    hu(sunset())
+    hu(cycle_graph(4))
+    assert set(hyperbolic._SHARED_MEMO) == own
 
 
 def test_symanzik_values():
