@@ -2,7 +2,9 @@
 components, and the odd/even spanning-class counts.
 
 Edge and flag deletion induce the permutations on the surviving crosses;
-cutting an edge turns it into two flags (labelled <e>.1 and <e>.2).  Partial
+cutting an edge turns it into two flags, one per half-ribbon.  `_halves` is
+the one place that splits an edge into the half-ribbons <e>.1 and <e>.2, for
+the flags of `cut` and the item ids of `to_rotation_spec`.  Partial
 duality is the one permutation surgery `maps._dual_triple`; the natural dual
 is the partial dual along every edge.  The surgery keeps every edge's four
 crosses and every flag's two crosses intact, so labels survive all of these
@@ -75,17 +77,23 @@ def delete(g: RibbonGraph, e) -> RibbonGraph:
     return delete_edges(g, [e])
 
 
+def _halves(g: RibbonGraph, e) -> tuple[frozenset, frozenset]:
+    """The edge's two half-ribbons, <e>.1 and <e>.2: the theta-pair of its
+    smallest cross, then the other pair."""
+    orb = g.edge_crosses(e)
+    x = min(orb)
+    first = frozenset((x, g.map.theta[x]))
+    return first, orb - first
+
+
 def cut(g: RibbonGraph, e) -> RibbonGraph:
     """Replace the edge by two flags, one per half-ribbon: sigma1 becomes the
     identity on the edge's crosses, everything else is untouched."""
-    orb = g.edge_crosses(e)
-    sigma1 = {**g.map.sigma1, **{x: x for x in orb}}
+    halves = _halves(g, e)
+    sigma1 = {**g.map.sigma1, **{x: x for half in halves for x in half}}
     m = CombinatorialMap(g.map.crosses, g.map.sigma0, g.map.theta, sigma1)
-    x = min(orb)
-    first = frozenset((x, g.map.theta[x]))
-    second = frozenset(orb - first)
     flags = dict(g.flag_labels)
-    for suffix, half in ((1, first), (2, second)):
+    for suffix, half in enumerate(halves, 1):
         lab = f"{e}.{suffix}"
         while lab in flags:
             lab += "'"
@@ -266,36 +274,23 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
     through from_rotation_system yields an isomorphic graph.
     """
     chosen = orientation_selection(g).chosen
-    hr_id: dict[frozenset, object] = {}
-    for lab, orb in g.edge_labels.items():
-        x = min(orb)
-        first = frozenset((x, g.map.theta[x]))
-        second = frozenset(orb - first)
-        hr_id[first] = f"{lab}.1"
-        hr_id[second] = f"{lab}.2"
-    for lab, orb in g.flag_labels.items():
-        hr_id[orb] = lab
+    theta = g.map.theta
+    hr_id = {orb: lab for lab, orb in g.flag_labels.items()}
+    edges = []
+    for lab in g.sorted_edges():
+        first, second = _halves(g, lab)
+        hr_id[first], hr_id[second] = f"{lab}.1", f"{lab}.2"
+        (sx,), (sy,) = first & chosen, second & chosen
+        edges.append((lab, hr_id[first], hr_id[second], int(g.map.sigma1[sx] == sy)))
     if len(set(hr_id.values())) != len(hr_id):
         raise DuplicateId("half-ribbon ids collide; relabel edges or flags")
 
     verts = []
-    for i, v in enumerate(vertices_of(g)):
+    for i, v in enumerate(vertices_of(g), 1):
         walk = v.cycle if set(v.cycle) <= chosen else v.partner
-        items = tuple(hr_id[frozenset((x, g.map.theta[x]))] for x in walk)
-        verts.append((f"v{i + 1}", items))
-    for j in range(g.bare_vertices):
-        verts.append((f"v{len(vertices_of(g)) + j + 1}", ()))
-
-    edges = []
-    for lab in g.sorted_edges():
-        orb = g.edge_labels[lab]
-        x = min(orb)
-        first = frozenset((x, g.map.theta[x]))
-        second = frozenset(orb - first)
-        sx = next(iter(first & chosen))
-        sy = next(iter(second & chosen))
-        twist = 1 if g.map.sigma1[sx] == sy else 0
-        edges.append((lab, f"{lab}.1", f"{lab}.2", twist))
+        verts.append((f"v{i}", tuple(hr_id[frozenset((x, theta[x]))] for x in walk)))
+    n = len(verts)
+    verts += [(f"v{n + j}", ()) for j in range(1, g.bare_vertices + 1)]
 
     flags = tuple(sorted(g.flag_labels, key=str))
     return RotationSpec(vertices=tuple(verts), edges=tuple(edges), flags=flags)

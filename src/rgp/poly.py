@@ -207,8 +207,8 @@ _CHUNK = 4
 
 
 class _Fragments(dict):
-    """Exponent -> the JSON of `var` at that exponent, as json.dumps writes
-    it in MultiPoly.to_json_obj; each made on first use."""
+    """Exponent -> json.dumps of {"kind", "label", "exp"} for `var` at that
+    exponent, one entry of a term's "vars" list; each made on first use."""
 
     __slots__ = ("var", "sort_keys")
 
@@ -675,20 +675,16 @@ class MultiPoly:
     # -- JSON --------------------------------------------------------------
 
     def to_json_obj(self) -> list:
-        vars_, rows = self._rows()
-        return [
-            {"coeff": str(c),
-             "vars": [{"kind": v.kind, "label": v.label, "exp": e}
-                      for v, e in zip(vars_, exps) if e]}
-            for exps, c in rows
-        ]
+        return json.loads(self.to_json())
 
     def to_json(self, out: Optional[TextIO] = None, sort_keys: bool = False) -> Optional[str]:
-        """json.dumps(self.to_json_obj(), sort_keys=sort_keys).  With a text
-        stream `out`, the text is written to it _BATCH terms at a time and
-        None is returned; without one, the text is returned.  A term's
-        "vars" list is joined from the cached texts of the _CHUNK-variable
-        chunks of its packed vector."""
+        """The JSON list of the terms in the canonical term order, each
+        {"coeff": decimal string, "vars": [{"kind", "label", "exp"} per
+        variable with a nonzero exponent, in `_var_key` order]}, with
+        json.dumps's separators.  With a text stream `out`, the text is
+        written to it _BATCH terms at a time and None is returned; without
+        one, the text is returned.  A term's "vars" list is joined from the
+        cached texts of the _CHUNK-variable chunks of its packed vector."""
         vars_, n, order, terms = self._order()
         pieces: list[str] = []
         write = pieces.append if out is None else out.write

@@ -9,7 +9,7 @@ from rgp.errors import UnknownEdge
 from rgp.maps import (RotationSpec, cross_components, face_count, from_rotation_system,
                       isomorphic, perm_from_cycles, structure_report, validate_map,
                       vertices_of)
-from rgp.ops import (class_counts, contract, cut, delete, delete_flag,
+from rgp.ops import (class_counts, contract, cut, delete, delete_edges, delete_flag,
                      disjoint_union, natural_dual, partial_dual, restrict,
                      spanning_subgraph, to_rotation_spec)
 
@@ -264,13 +264,33 @@ def test_surgery_outputs_validate():
 
 # --- rotation-spec export ---------------------------------------------------------
 
+def _cyclic_classes(items: tuple) -> set:
+    """Every rotation of the sequence and of its reverse."""
+    return {seq[i:] + seq[:i] for seq in (items, items[::-1]) for i in range(len(seq) or 1)}
+
+
 def test_rotation_round_trip():
     graphs = list(corpus.acceptance_corpus().values())
     rng = random.Random(61)
     graphs += [corpus.random_rotation_graph(rng) for _ in range(20)]
+    # Two walked vertices, then two bare ones named after them.
+    stubbed = delete_edges(corpus.star(3), ["e1", "e2"])
+    assert to_rotation_spec(stubbed).vertices == (
+        ("v1", ("e3.1",)), ("v2", ("e3.2",)), ("v3", ()), ("v4", ()))
+    graphs.append(stubbed)
     for g in graphs:
-        h = from_rotation_system(to_rotation_spec(g))
+        spec = to_rotation_spec(g)
+        h = from_rotation_system(spec)
         assert isomorphic(g, h)
+        # Cutting e keeps every vertex's items: its half-ribbons become the
+        # flags e.1 and e.2, named as the spec names the edge's ends.
+        for e in g.edge_labels:
+            cut_spec = to_rotation_spec(cut(g, e))
+            assert len(cut_spec.vertices) == len(spec.vertices)
+            for (name, items), (cut_name, cut_items) in zip(spec.vertices, cut_spec.vertices):
+                assert cut_name == name and cut_items in _cyclic_classes(items)
+            assert {f"{e}.1", f"{e}.2"} <= set(cut_spec.flags)
+            assert e not in [lab for lab, *_ in cut_spec.edges]
 
 
 # --- class counts --------------------------------------------------------------------
