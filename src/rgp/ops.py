@@ -3,8 +3,9 @@ components, and the odd/even spanning-class counts.
 
 Edge and flag deletion induce the permutations on the surviving crosses;
 cutting an edge turns it into two flags, one per half-ribbon.  `_halves` is
-the one place that splits an edge into the half-ribbons <e>.1 and <e>.2, for
-the flags of `cut` and the item ids of `to_rotation_spec`.  Partial
+the one place that splits an edge into the half-ribbons <e>.1 and <e>.2, with
+`'` appended to a name already taken, for the flags of `cut` and the item ids
+of `to_rotation_spec`.  Partial
 duality is the one permutation surgery `maps._dual_triple`; the natural dual
 is the partial dual along every edge.  The surgery keeps every edge's four
 crosses and every flag's two crosses intact, so labels survive all of these
@@ -77,27 +78,29 @@ def delete(g: RibbonGraph, e) -> RibbonGraph:
     return delete_edges(g, [e])
 
 
-def _halves(g: RibbonGraph, e) -> tuple[frozenset, frozenset]:
-    """The edge's two half-ribbons, <e>.1 and <e>.2: the theta-pair of its
-    smallest cross, then the other pair."""
+def _halves(g: RibbonGraph, e, taken) -> list[tuple[str, frozenset]]:
+    """The edge's two half-ribbons as (name, crosses): the theta-pair of its
+    smallest cross, then the other pair.  They are named <e>.1 and <e>.2,
+    each with `'` appended while `taken` holds the name."""
     orb = g.edge_crosses(e)
     x = min(orb)
     first = frozenset((x, g.map.theta[x]))
-    return first, orb - first
+    halves = []
+    for suffix, half in enumerate((first, orb - first), 1):
+        name = f"{e}.{suffix}"
+        while name in taken:
+            name += "'"
+        halves.append((name, half))
+    return halves
 
 
 def cut(g: RibbonGraph, e) -> RibbonGraph:
     """Replace the edge by two flags, one per half-ribbon: sigma1 becomes the
     identity on the edge's crosses, everything else is untouched."""
-    halves = _halves(g, e)
-    sigma1 = {**g.map.sigma1, **{x: x for half in halves for x in half}}
+    halves = _halves(g, e, g.flag_labels)
+    sigma1 = {**g.map.sigma1, **{x: x for _, half in halves for x in half}}
     m = CombinatorialMap(g.map.crosses, g.map.sigma0, g.map.theta, sigma1)
-    flags = dict(g.flag_labels)
-    for suffix, half in enumerate(halves, 1):
-        lab = f"{e}.{suffix}"
-        while lab in flags:
-            lab += "'"
-        flags[lab] = half
+    flags = {**g.flag_labels, **dict(halves)}
     edges = {lab: o for lab, o in g.edge_labels.items() if lab != e}
     return make_graph(m, edges, flags, bare_vertices=g.bare_vertices, check=False)
 
@@ -276,14 +279,14 @@ def to_rotation_spec(g: RibbonGraph) -> RotationSpec:
     chosen = orientation_selection(g).chosen
     theta = g.map.theta
     hr_id = {orb: lab for lab, orb in g.flag_labels.items()}
+    taken = set(g.flag_labels)
     edges = []
     for lab in g.sorted_edges():
-        first, second = _halves(g, lab)
-        hr_id[first], hr_id[second] = f"{lab}.1", f"{lab}.2"
+        (id1, first), (id2, second) = _halves(g, lab, taken)
+        hr_id[first], hr_id[second] = id1, id2
+        taken.update((id1, id2))
         (sx,), (sy,) = first & chosen, second & chosen
-        edges.append((lab, hr_id[first], hr_id[second], int(g.map.sigma1[sx] == sy)))
-    if len(set(hr_id.values())) != len(hr_id):
-        raise DuplicateId("half-ribbon ids collide; relabel edges or flags")
+        edges.append((lab, id1, id2, int(g.map.sigma1[sx] == sy)))
 
     verts = []
     for i, v in enumerate(vertices_of(g), 1):

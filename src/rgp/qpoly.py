@@ -33,9 +33,10 @@ The weights r_n are per vertex, so Q of a disjoint union is the product of
 the Q of its parts.  The reduction splits every disconnected graph into its
 components, so the memo holds connected maps without bare vertices only, and
 a branch whose bare or edgeless vertices weigh zero (r_0 = 0 under the odd
-rule) is dropped before it is reduced.  Likewise a branch whose edge weight is
-zero (`zero_kinds`) is never built: the specialisations that set two of x, y,
-z, w to 0 run a two-term reduction.
+rule) is dropped before it is reduced.  The relation is linear in each edge's
+x, y, z and w, which enter only at that edge's step, so the reduction takes
+their values there (`images`): the specialisations fix x to 1 or keep it,
+and set two of the four to 0, whose branches are never built.
 
 `q_polynomial` enumerates by default when no weight can be zero (every pair
 then survives, and the reduction has nothing to prune), and reduces
@@ -249,7 +250,7 @@ def _reduction_edge(h: RibbonGraph):
 
 def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
                    memo: Optional[dict] = None,
-                   zero_kinds: Iterable[str] = "") -> QResult:
+                   images: Optional[dict] = None) -> QResult:
     """Recursive four-term reduction with canonical-form memoisation.
 
     The reduction edge is a loop if the current graph has one, else an edge
@@ -268,20 +269,23 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
     connected graphs with edges and no bare vertex reach the canonical form
     and the memo.
 
-    `zero_kinds`, a subset of "XYZW", sets those edge variables to 0 on every
-    edge: their branches are never built, and the partial dual is skipped
-    when neither Y nor Z is left.  The children's Q hold only the other
-    edges' variables, so the pruned result is the full one with those
-    variables at 0.  The zero kinds are part of the memo key.
+    `images` maps each kept kind of "XYZW" to None, the edge's own variable,
+    or to an int that the variable takes on every edge; the default keeps
+    all four variables.  A kind left out is 0: its branch is never built,
+    and the partial dual is skipped when neither Y nor Z is kept.  Each
+    edge's variables enter only at its own step, so the result is the full
+    Q with those values put in.  The images are part of the memo key.
     """
     r = r or RSequenceSpec.symbolic()
     if memo is None:
         memo = {}
-    zero = set(zero_kinds)
-    if not zero <= set("XYZW"):
-        raise InvalidArgument(f"zero kinds {sorted(zero)} are not a subset of XYZW")
-    kept = "".join(kind for kind in "XYZW" if kind not in zero)
-    rkey = (r, kept)
+    images = dict.fromkeys("XYZW") if images is None else images
+    if not isinstance(images, dict) or not all(
+            kind in ("X", "Y", "Z", "W") and (img is None or isinstance(img, int))
+            for kind, img in images.items()):
+        raise InvalidArgument(f"edge images {images!r} are not a table from XYZW "
+                              "to None or an int")
+    rkey = (r, tuple((kind, images[kind]) for kind in "XYZW" if kind in images))
 
     def rec(h: RibbonGraph) -> MultiPoly:
         """Q as the product over the components.  A component without edges
@@ -316,10 +320,10 @@ def q_by_reduction(g: RibbonGraph, r: RSequenceSpec | None = None,
             return hit.rename(_edge_relabelling(
                 {slot: lab for lab, slot in cf.edge_slots.items()}))
         e = _reduction_edge(h)
-        hd = partial_dual(h, [e]) if "Y" in kept or "Z" in kept else None
+        hd = partial_dual(h, [e]) if "Y" in images or "Z" in images else None
         branches = (("X", delete, h), ("Y", delete, hd), ("Z", cut, hd), ("W", cut, h))
-        terms = (MultiPoly.variable(kind, e) * rec(op(base, e))
-                 for kind, op, base in branches if kind in kept)
+        terms = ((MultiPoly.variable(kind, e) if images[kind] is None else images[kind])
+                 * rec(op(base, e)) for kind, op, base in branches if kind in images)
         # summed as they come: at most one child's Q waits beside the sum
         first = next(terms, None)
         p = MultiPoly.zero() if first is None else sum(terms, first)
@@ -376,21 +380,12 @@ def q_partial_dual_transform(p: MultiPoly, edges: Iterable) -> MultiPoly:
 # specializations
 # ---------------------------------------------------------------------------
 
-def _sub_per_edge(g: RibbonGraph, p: MultiPoly, x=None, y=None, z=None, w=None) -> MultiPoly:
-    mapping = {}
-    for lab in g.edge_labels:
-        for kind, val in (("X", x), ("Y", y), ("Z", z), ("W", w)):
-            if val is not None:
-                mapping[VarId(kind, lab)] = MultiPoly.const(val)
-    return p.substitute(mapping)
-
-
 def specialize_br(g: RibbonGraph) -> MultiPoly:
     """x=1, z=w=0 and a single symbolic vertex weight r: the edge-subset sum
-    of y^A r^(vertex count of the partial dual).  The reduction drops the z
-    and w branches, so it is the two-term deletion-contraction."""
-    p = q_by_reduction(g, RSequenceSpec.symbolic(), zero_kinds="ZW").poly
-    p = _sub_per_edge(g, p, x=1)
+    of y^A r^(vertex count of the partial dual).  The reduction takes x = 1
+    at each step and drops the z and w branches, so it is the two-term
+    deletion-contraction."""
+    p = q_by_reduction(g, RSequenceSpec.symbolic(), images={"X": 1, "Y": None}).poly
     rvar = VarId("R")
     return p.rename({v: rvar for v in p.variables() if v.kind == "R" and v.label is not None})
 
@@ -398,12 +393,15 @@ def specialize_br(g: RibbonGraph) -> MultiPoly:
 def specialize_dimer(g: RibbonGraph) -> MultiPoly:
     """x=1, y=z=0 with the delta-at-one weight: the perfect-matching sum in w.
     The reduction drops the y and z branches and never dualises."""
-    p = q_by_reduction(g, RSequenceSpec.delta_one(), zero_kinds="YZ").poly
-    return _sub_per_edge(g, p, x=1)
+    return q_by_reduction(g, RSequenceSpec.delta_one(), images={"X": 1, "W": None}).poly
 
 
 def specialize_ising(g: RibbonGraph) -> MultiPoly:
     """y=z=0 with even-degree weight 2: the even-subgraph (Ising) sum in x, w.
     The reduction drops the y and z branches and never dualises."""
-    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero(), zero_kinds="YZ").poly
-    return _sub_per_edge(g, p, y=0, z=0)
+    p = q_by_reduction(g, RSequenceSpec.even_two_odd_zero(), images={"X": None, "W": None}).poly
+    # y = z = 0 changes nothing, since the reduction builds no y or z; the
+    # call stays only as perfbench's one source of `poly.substitute.terms_in`
+    # on subset-sums, until a counter that never ran reads 0 there
+    return p.substitute({VarId(kind, lab): MultiPoly.const(0)
+                         for lab in g.edge_labels for kind in "YZ"})

@@ -19,6 +19,8 @@ subset walk, incidence table or partial dual.  The `reference_*`
 writers repack every polynomial into key order with `_moved` and sort it on
 a (degree, vector) tuple, where `MultiPoly` permutes fields and sorts one
 int per term; `reference_to_json` encodes every variable with json.dumps.
+`_sub_per_edge` puts constants in for edge variables after Q is built, by
+one `substitute`, where the specialisations take them at each reduction step.
 `ALL_RULES` and `SIX_RULES` are the weight rules the Q sweeps run under.
 Not a test module: pytest does not collect it.
 """
@@ -399,6 +401,17 @@ def exhaustive_q(g, r=None) -> QResult:
                 rexps.update(mono)
                 terms.append((rexps, c))
     return QResult(MultiPoly.from_monomials(terms), "EXPANSION", admissible)
+
+
+def _sub_per_edge(g, p, x=None, y=None, z=None, w=None) -> MultiPoly:
+    """p with the given constants put in for x, y, z and w on every edge of
+    g, by one `substitute`."""
+    mapping = {}
+    for lab in g.edge_labels:
+        for kind, val in (("X", x), ("Y", y), ("Z", z), ("W", w)):
+            if val is not None:
+                mapping[VarId(kind, lab)] = MultiPoly.const(val)
+    return p.substitute(mapping)
 
 
 def _reference_canonical(p) -> tuple:

@@ -28,7 +28,7 @@ from rgp.errors import RgpError
 from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hv,
                             symanzik_commutative_limit, symanzik_u)
 from rgp.maps import isomorphic
-from rgp.ops import contract, cut, delete, natural_dual
+from rgp.ops import contract, cut, delete, natural_dual, partial_dual
 from rgp.poly import MultiPoly, parse
 from rgp.qpoly import (RSequenceSpec, q_polynomial, specialize_br, specialize_dimer,
                        specialize_ising)
@@ -287,6 +287,75 @@ def test_structural_verbs_match_library(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 0, (verb, err)
         assert isomorphic(read_graph_text(out), ref), verb
+
+
+def _graph_verb_reads_back(capsys, path, verb, edges, ref):
+    """Run the graph verb on the file, in both output forms, and check that
+    the graph it writes reads back isomorphic to `ref`, with its labels."""
+    argv = [verb, *(["-e", ",".join(edges)] if edges else []), str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    h = read_graph_text(out)
+    assert isomorphic(h, ref), argv
+    assert (set(h.edge_labels), set(h.flag_labels)) == \
+        (set(ref.edge_labels), set(ref.flag_labels)), argv
+    code, out, err = run(capsys, *argv, "--emit", "dot")
+    assert (code, err) == (0, "") and out.startswith("graph rgp {"), argv
+
+
+def test_writers_take_flags_named_like_half_ribbons(capsys, tmp_path):
+    # the flag e1.1 takes the name the writers give e1's first half-ribbon,
+    # so that half-ribbon is written as e1.1'
+    path = tmp_path / "named_flag.rg"
+    path.write_text("vertex u : a b e1.1\nvertex v : c d\n"
+                    "edge e1 : a c\nedge e2 : b d\nflag e1.1\n")
+    g = read_graph_file(str(path))
+    assert run(capsys, "hu", str(path))[0] == 0
+    for verb, edges, ref in (("dual", [], natural_dual(g)),
+                             ("pdual", ["e1"], partial_dual(g, ["e1"])),
+                             ("cut", ["e2"], cut(g, "e2"))):
+        _graph_verb_reads_back(capsys, path, verb, edges, ref)
+    assert run(capsys, "cut", "-e", "e2", str(path))[1] == (
+        "vertex v1 : e1.1' e2.1 e1.1\n"
+        "vertex v2 : e1.2 e2.2\n"
+        "edge e1 : e1.1' e1.2\n"
+        "flag e1.1\n"
+        "flag e2.1\n"
+        "flag e2.2\n")
+
+
+def _half_ribbon_named_map(rng: random.Random, path: Path) -> None:
+    """Write a random map of 1-3 edges whose half-edge ids are h0, h1, ...
+    and whose flags are named from <e>.1, <e>.2, <e>.1', <e>, v1 and v2."""
+    n_e, n_f = rng.randint(1, 3), rng.randint(1, 3)
+    names = [f"e{i}{s}" for i in range(1, n_e + 1) for s in (".1", ".2", ".1'", "")]
+    items = [f"h{i}" for i in range(2 * n_e)] + rng.sample(names + ["v1", "v2"], n_f)
+    flags = items[2 * n_e:]
+    rng.shuffle(items)
+    n_v = rng.randint(1, len(items))
+    buckets: list[list] = [[] for _ in range(n_v)]
+    for it in items:
+        buckets[rng.randrange(n_v)].append(it)
+    halves = [f"h{i}" for i in range(2 * n_e)]
+    rng.shuffle(halves)
+    lines = [f"vertex u{i} : {' '.join(b)}" for i, b in enumerate(buckets)]
+    lines += [f"edge e{i + 1} : {halves[2 * i]} {halves[2 * i + 1]} twist={rng.randint(0, 1)}"
+              for i in range(n_e)]
+    lines += [f"flag {f}" for f in flags]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_graph_verbs_take_flags_named_like_half_ribbons(capsys, tmp_path):
+    rng = random.Random(30)
+    path = tmp_path / "named_flags.rg"
+    for _ in range(40):
+        _half_ribbon_named_map(rng, path)
+        g = read_graph_file(str(path))
+        _graph_verb_reads_back(capsys, path, "dual", [], natural_dual(g))
+        for e in g.edge_labels:
+            for verb, ref in (("pdual", partial_dual(g, [e])), ("delete", delete(g, e)),
+                              ("cut", cut(g, e)), ("contract", contract(g, e))):
+                _graph_verb_reads_back(capsys, path, verb, [e], ref)
 
 
 def test_limit_modes(capsys):

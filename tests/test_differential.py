@@ -23,12 +23,13 @@ from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_cycle,
 from rgp.maps import RotationSpec, from_rotation_system, isomorphic, structure_report
 from rgp.ops import class_counts, disjoint_union, partial_dual, to_rotation_spec
 from rgp.poly import MultiPoly, VarId
-from rgp.qpoly import (RSequenceSpec, _sub_per_edge, q_by_expansion, q_by_reduction,
+from rgp.qpoly import (RSequenceSpec, q_by_expansion, q_by_reduction,
                        q_partial_dual_transform, specialize_br, specialize_dimer,
                        specialize_ising)
 
-from reference_enumerators import (ALL_RULES, SIX_RULES, exhaustive_class_counts,
-                                   exhaustive_q, spanning_tree_cotree_sum)
+from reference_enumerators import (ALL_RULES, SIX_RULES, _sub_per_edge,
+                                   exhaustive_class_counts, exhaustive_q,
+                                   spanning_tree_cotree_sum)
 
 ALL_KINDS = {"bare vertex", "disconnected", "flagged", "non-orientable"}
 

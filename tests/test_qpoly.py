@@ -27,7 +27,6 @@ from rgp.ops import disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
 from rgp.qpoly import (
     RSequenceSpec,
-    _sub_per_edge,
     q_by_expansion,
     q_by_reduction,
     q_partial_dual_transform,
@@ -37,7 +36,7 @@ from rgp.qpoly import (
     specialize_ising,
 )
 
-from reference_enumerators import ALL_RULES, SIX_RULES, exhaustive_q
+from reference_enumerators import ALL_RULES, SIX_RULES, _sub_per_edge, exhaustive_q
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -273,7 +272,7 @@ def test_pruned_reduction_skips_the_dual(monkeypatch):
     seen = _recording_canonical_form(monkeypatch)
     g = cycle_graph(5)
     rule = RSequenceSpec.even_two_odd_zero()
-    pruned = q_by_reduction(g, rule, zero_kinds="YZ").poly
+    pruned = q_by_reduction(g, rule, images={"X": None, "W": None}).poly
     assert duals == []
     pruned_nodes = len(seen)
     seen.clear()
@@ -319,21 +318,42 @@ def test_reduction_node_budget(monkeypatch):
 
 
 def test_memo_keeps_pruned_and_full_entries_apart():
+    # full Q, Q at z = w = 0, and BR's x = 1, z = w = 0, through one memo in
+    # both orders
     g = fig_two_vertex()
     full = q_by_reduction(g).poly
     pruned = _sub_per_edge(g, full, z=0, w=0)
-    assert pruned != full
-    for order in (("", "ZW"), ("ZW", "")):
+    br = _sub_per_edge(g, full, x=1, z=0, w=0)
+    assert len({full, pruned, br}) == 3
+    tables = [(None, full), ({"X": None, "Y": None}, pruned), ({"X": 1, "Y": None}, br)]
+    for order in (tables, tables[::-1]):
         memo = {}
-        for zero_kinds in order:
-            got = q_by_reduction(g, memo=memo, zero_kinds=zero_kinds).poly
-            assert got == (pruned if zero_kinds else full), order
+        for images, want in order:
+            assert q_by_reduction(g, memo=memo, images=images).poly == want, images
 
 
-def test_unknown_zero_kind_is_rejected():
-    for zero_kinds in ("YQ", "y", ["YZ"]):
+def test_bad_images_are_rejected():
+    for images in ({"Q": None}, {"y": None}, {"X": "1"}, {"X": None, "W": 1.5}, "XW"):
         with pytest.raises(InvalidArgument):
-            q_by_reduction(two_cycle(), zero_kinds=zero_kinds)
+            q_by_reduction(two_cycle(), images=images)
+
+
+def test_substitute_calls_per_specialisation(monkeypatch):
+    # dimer takes x = 1 in the reduction, BR substitutes only in its
+    # non-injective R rename, and Ising keeps one no-op y = z = 0 pass
+    calls = []
+    real_substitute = MultiPoly.substitute
+
+    def count(p, mapping):
+        calls.append(len(mapping))
+        return real_substitute(p, mapping)
+
+    monkeypatch.setattr(MultiPoly, "substitute", count)
+    g = fig_two_vertex()
+    for specialize, want in ((specialize_dimer, 0), (specialize_br, 1), (specialize_ising, 1)):
+        calls.clear()
+        specialize(g)
+        assert len(calls) == want, specialize.__name__
 
 
 def test_r_sequence_spec_checks_its_constant():
