@@ -5,12 +5,13 @@
 
 A and B are checkouts (each with ``src/rgp``), for example two ``git
 archive`` exports.  This process imports both packages, as ``rgp_a`` and
-``rgp_b``, and builds the job list with ``perfbench/jobs.py``.  Each round
-runs the list once per side, in alternating order (AB, BA, ...), and each run
-is a child forked from this process: it starts cold, whatever module state a
-revision keeps, and reports its CPU time (``time.process_time`` around the
-job loop), its peak RSS and a digest of every job's argv, stdout, stderr and
-exit code.
+``rgp_b``, and builds the job list with ``perfbench/jobs.py`` for the
+``run_seconds`` of ``BENCHMARK.json``.  Each round runs the list once per
+side, in alternating order (AB, BA, ...), and each run is a child forked from
+this process: it starts cold, whatever module state a revision keeps, runs
+the jobs through perfbench's own job loop (``perfbench/run.py::run_jobs``)
+and reports its CPU time (``time.process_time`` around that loop), its peak
+RSS and a digest of every job's argv, stdout, stderr, exit code and crash.
 
 The comparison is refused when a tree fails to import, a run dies, or two
 runs print different bytes; every job runs in every run.  It prints every
@@ -22,10 +23,8 @@ no claim: a claim still needs its ``BENCH_<n>.json``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import os
 import resource
@@ -62,20 +61,26 @@ def import_tree(tree: Path, name: str):
         raise Refused(f"{tree}: import failed: {type(ex).__name__}: {ex}") from None
 
 
+def perfbench_module(name: str):
+    """Module `name` of this checkout's ``perfbench`` directory."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module(name)
+
+
 def run_jobs(cli, jobs: list) -> dict:
-    """Every job through ``cli.main``: CPU seconds, peak RSS and the digest
-    of what the jobs printed."""
-    digest = hashlib.sha256()
-    t0 = time.process_time()
-    for argv in jobs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except Exception as ex:   # a crash is output, compared like any other
-                code = f"raised {type(ex).__name__}: {ex}"
-        digest.update(json.dumps([argv, out.getvalue(), err.getvalue(), code]).encode())
-    cpu_s = time.process_time() - t0
+    """Every job through perfbench's job loop: CPU seconds, peak RSS and the
+    digest of what the jobs printed.  The loop writes each output to a file,
+    as it does in a perfbench run, so that time is measured too."""
+    with tempfile.TemporaryDirectory(prefix="ab_compare-out-") as outdir:
+        t0 = time.process_time()
+        results = perfbench_module("run").run_jobs(jobs, cli.main, Path(outdir))
+        cpu_s = time.process_time() - t0
+        digest = hashlib.sha256()
+        for r in results:   # a crash is output, compared like any other
+            digest.update(json.dumps([r.job.argv + [r.job.path],
+                                      r.out_path.read_text(encoding="utf-8"),
+                                      r.stderr, r.rc, r.error]).encode())
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"cpu_s": cpu_s, "rss_mb": rss_mb, "digest": digest.hexdigest()}
 
@@ -133,14 +138,14 @@ def compare(tree_a: Path, tree_b: Path, jobs: list, rounds: int, show=print) -> 
                        for side, rs in runs.items()}}
 
 
-def perfbench_jobs(workload: str, seed: int, seconds: float, directory: Path) -> list:
-    """The argv of every job perfbench runs for this workload and seed, with
-    the job files written under `directory`."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from jobs import build_jobs, load_references, write_jobs
-    jobs = build_jobs(load_references(), workload, seed, seconds)
-    write_jobs(jobs, directory)
-    return [job.argv + [job.path] for job in jobs]
+def perfbench_jobs(workload: str, seed: int, directory: Path) -> list:
+    """The jobs perfbench runs for this workload and seed in the benchmark's
+    ``run_seconds``, with the job files written under `directory`."""
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    jobs = perfbench_module("jobs")
+    job_list = jobs.build_jobs(jobs.load_references(), workload, seed, seconds)
+    jobs.write_jobs(job_list, directory)
+    return job_list
 
 
 def main(argv=None) -> int:
@@ -150,13 +155,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("hu-large", "hv-small", "subset-sums"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0,
-                        help="pool-commit seconds of work, as perfbench takes them")
     parser.add_argument("--rounds", type=int, default=11)
     args = parser.parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="ab_compare-"))
     try:
-        jobs = perfbench_jobs(args.workload, args.seed, args.seconds, scratch)
+        jobs = perfbench_jobs(args.workload, args.seed, scratch)
         print(f"workload {args.workload}  seed {args.seed}  jobs {len(jobs)}  "
               f"rounds {args.rounds}")
         got = compare(args.a, args.b, jobs, args.rounds)
