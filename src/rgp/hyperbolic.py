@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (HasFlags, NoFlags, NotACycle, NotATree, NotConnected,
                      NotOrientable, SelfCheckFailed, TooLarge, UnknownMethod)
@@ -30,8 +31,8 @@ from .maps import (
     orientation_selection,
     structure_report,
     vertices_of,
-    make_graph,
-    CombinatorialMap,
+    RotationSpec,
+    from_rotation_system,
 )
 from .ops import (cut, delete, delete_flag, natural_dual, partial_dual,
                   spanning_subgraph, to_rotation_spec)
@@ -280,53 +281,6 @@ class QuadraticForm:
                      frozenset(self.sym.items()), frozenset(self.antisym.items())))
 
 
-def _selected_cross(g: RibbonGraph, chosen: frozenset, flag) -> int:
-    orb = g.flag_labels[flag]
-    (sel,) = orb & chosen
-    return sel
-
-
-def _join_flags(g: RibbonGraph, a_i: int, a_j: int, drop: tuple):
-    """Fuse two flag half-ribbons into an edge (new sigma1 couples the chosen
-    side of one to the unchosen side of the other).  Returns (graph, label)."""
-    m = g.map
-    b_i, b_j = m.theta[a_i], m.theta[a_j]
-    s1 = dict(m.sigma1)
-    s1.update({a_i: b_j, b_j: a_i, b_i: a_j, a_j: b_i})
-    label = "~".join(str(f) for f in drop)
-    while label in g.edge_labels:
-        label += "'"
-    edge_labels = dict(g.edge_labels)
-    edge_labels[label] = frozenset((a_i, b_i, a_j, b_j))
-    flag_labels = {lab: orb for lab, orb in g.flag_labels.items() if lab not in drop}
-    joined = make_graph(
-        CombinatorialMap(m.crosses, m.sigma0, m.theta, s1),
-        edge_labels, flag_labels, g.bare_vertices)
-    return joined, label
-
-
-def _insert_flag_after(g: RibbonGraph, at: int):
-    """Splice a fresh flag into the rotation right after cross `at`."""
-    m = g.map
-    p = max(m.crosses) + 1
-    pbar = p + 1
-    s = m.sigma0[at]
-    s0 = dict(m.sigma0)
-    s0.update({at: p, p: s, m.theta[s]: pbar, pbar: m.theta[at]})
-    th = dict(m.theta)
-    th.update({p: pbar, pbar: p})
-    s1 = dict(m.sigma1)
-    s1.update({p: p, pbar: pbar})
-    label = "+"
-    while label in g.flag_labels:
-        label += "+"
-    flag_labels = dict(g.flag_labels)
-    flag_labels[label] = frozenset((p, pbar))
-    return make_graph(
-        CombinatorialMap(frozenset(m.crosses | {p, pbar}), s0, th, s1),
-        g.edge_labels, flag_labels, g.bare_vertices)
-
-
 def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
     """HU(G^e - e) - HU(G^e v e) for the fused edge."""
     pd = partial_dual(g, [label])
@@ -340,37 +294,42 @@ def hv(g: RibbonGraph) -> QuadraticForm:
     """Second hyperbolic polynomial as a quadratic form over the flags.
 
     diag_i drops flag i and takes HU; the off-diagonal parts fuse flags i and
-    j into an edge (antisym additionally splices a parity-marking flag next to
-    i) and take the difference of HU over the two ways of removing it.  The
+    j into one untwisted edge of `to_rotation_spec(g)` and take the
+    difference of HU over the two ways of removing it.  antisym additionally
+    splices a parity-marking flag into the rotation right after i.  The
     antisymmetric table is canonical up to one global sign, fixed here by the
-    deterministic cycle selection.
+    rotations `to_rotation_spec` writes.
     """
     flags = tuple(sorted(g.flag_labels, key=str))
     if not flags:
         raise NoFlags("the quadratic form needs at least one flag")
-    chosen = orientation_selection(g).chosen
+    spec = to_rotation_spec(g)
+    marker = "+"
+    while any(marker in items for _v, items in spec.vertices):
+        marker += "+"
+
+    def marked(f) -> tuple:
+        """spec's rotations with the marker right after flag f."""
+        return tuple((v, sum(((it, marker) if it == f else (it,) for it in items), ()))
+                     for v, items in spec.vertices)
+
+    def fused(i, j, vertices) -> MultiPoly:
+        label = f"{i}~{j}"
+        while label in g.edge_labels:
+            label += "'"
+        edges = spec.edges + ((label, i, j, 0),)
+        return _edge_difference(from_rotation_system(RotationSpec(vertices, edges)), label)
+
     diag = {i: hu(delete_flag(g, i)) for i in flags}
     sym = {}
     antisym = {}
-    for a in range(len(flags)):
-        for b in range(a + 1, len(flags)):
-            i, j = flags[a], flags[b]
-            a_i = _selected_cross(g, chosen, i)
-            a_j = _selected_cross(g, chosen, j)
-            joined, lab = _join_flags(g, a_i, a_j, drop=(i, j))
-            sym[(i, j)] = _edge_difference(joined, lab)
-
-            def marked(first: int, second: int) -> MultiPoly:
-                grown = _insert_flag_after(g, first)
-                fused, elab = _join_flags(grown, first, second, drop=(i, j))
-                return _edge_difference(fused, elab)
-
-            fwd = marked(a_i, a_j)
-            bwd = marked(a_j, a_i)
-            if fwd != MultiPoly.zero() - bwd:
-                raise SelfCheckFailed("the marked difference must be antisymmetric "
-                                      "in the flag order")
-            antisym[(i, j)] = fwd
+    for i, j in combinations(flags, 2):
+        sym[(i, j)] = fused(i, j, spec.vertices)
+        fwd = fused(i, j, marked(i))
+        if fwd != MultiPoly.zero() - fused(i, j, marked(j)):
+            raise SelfCheckFailed("the marked difference must be antisymmetric "
+                                  "in the flag order")
+        antisym[(i, j)] = fwd
     return QuadraticForm(flags, diag, sym, antisym)
 
 

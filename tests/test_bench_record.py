@@ -1,4 +1,5 @@
-"""The checks `scripts/bench_record.py` makes before it records a run."""
+"""The checks `scripts/bench_record.py` makes before it records a run, and
+the layout it writes."""
 
 import importlib.util
 import json
@@ -50,3 +51,35 @@ def test_accepts_a_complete_result(bench_record):
 def test_refuses_a_run_it_cannot_record(bench_record, lines, code, reason):
     with pytest.raises(bench_record.Refused, match=reason):
         _run(bench_record, _fake(lines, code))
+
+
+def _record(module) -> dict:
+    metrics = {"wall_s": module.summary([0.25, 0.5, 0.125], "s"),
+               "peak_rss_mb": module.summary([30.5, 31.0, 30.75], "MB")}
+    return {"benchmark": ["python3", "perfbench/run.py"], "seeds": [1, 2, 3],
+            "machine": {"cpu_count": 2, "python": "3.11.7"},
+            "revisions": {side: {"sha": sha, "workloads": {"hu-large": metrics,
+                                                           "hv-small": metrics}}
+                          for side, sha in (("base", "a1"), ("head", "b2"))}}
+
+
+def test_record_text_keeps_each_metric_on_one_line(bench_record):
+    record = _record(bench_record)
+    text = bench_record.dumps(record)
+    assert json.loads(text) == record
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    for key, value in record.items():
+        if key != "revisions":
+            assert f"{json.dumps(key)}: {json.dumps(value)}" in lines, key
+    for revision in record["revisions"].values():
+        for metrics in revision["workloads"].values():
+            for name, value in metrics.items():
+                assert f"{json.dumps(name)}: {json.dumps(value)}" in lines, name
+
+
+def test_committed_records_are_in_the_written_layout(bench_record):
+    paths = sorted(SCRIPT.parents[1].glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert bench_record.dumps(json.loads(text)) == text, path.name

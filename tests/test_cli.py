@@ -15,6 +15,7 @@ from rgp.cli import (
     read_graph_text,
 )
 from rgp.corpus import (
+    acceptance_corpus,
     banana,
     double_tadpole,
     dumbbell,
@@ -115,6 +116,44 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
     assert first[0] == 0
     assert first[1].startswith("diag[s1] = ")
+
+
+# The sign of every nonzero antisym entry `rgp hv` prints for the flagged
+# acceptance graphs, as "<i>,<j><sign>" in print order.  Acceptance check 2
+# compares antisym only up to one global sign per graph; this pins the sign,
+# which splicing the marker flag before i instead of after it would flip.
+HV_ANTISYM_SIGNS = {
+    "bridge_02": "v1,v2+",
+    "loop_02": "q1,q2+",
+    "bridge_12": "u1,v1- u1,v2+ v1,v2+",
+    "loop_12": "p1,q1- p1,q2+ q1,q2+",
+    "bridge_20": "u1,u2+",
+    "loop_20": "p1,p2+",
+    "bridge_21": "u1,u2+ u1,v1+ u2,v1-",
+    "loop_21": "p1,p2+ p1,q1+ p2,q1-",
+    "bridge_22": "u1,u2+ v1,v2+",
+    "loop_22": "p1,p2+ q1,q2+",
+    "triangle_flags": "g1,g2- g1,g3- g2,g3-",
+    "sunset": "s1,s2-",
+    "star3_flags": "f1,f2+ f1,f3- f2,f3+",
+    "fig_two_vertex": "f1,f2+",
+}
+
+
+def test_hv_prints_pinned_antisym_signs(capsys, tmp_path):
+    got = {}
+    for name, g in acceptance_corpus().items():
+        if not g.flag_labels:
+            continue
+        path = tmp_path / f"{name}.rg"
+        path.write_text(format_graph_file(g))
+        code, out, err = run(capsys, "hv", str(path))
+        assert code == 0 and err == "", name
+        signs = [f"{m[1]}{'-' if m[2] else '+'}"
+                 for m in re.finditer(r"^antisym\[(.*)\] = (-)?(?!0$)", out, re.M)]
+        if signs:
+            got[name] = " ".join(signs)
+    assert got == HV_ANTISYM_SIGNS
 
 
 def test_unknown_edge(capsys):
