@@ -1,8 +1,9 @@
 """Builders for the example graphs used throughout the tests and scripts.
 
-Each builder checks the structural facts its callers rely on (face counts,
-flag placement, orientability) and raises SelfCheckFailed if one fails, so a
-regression in the core shows up here first, with a named graph attached.
+Each builder declares the structural facts its callers rely on (counts from
+`structure_report`, and which groups of flags share a face) and `_built`
+checks them, raising SelfCheckFailed with the graph's name, the expected and
+the observed values, so a regression in the core shows up here first.
 """
 
 from __future__ import annotations
@@ -21,21 +22,27 @@ def _require(ok: bool, fact: str) -> None:
         raise SelfCheckFailed(fact)
 
 
-def _face_of(g: RibbonGraph, crosses) -> int:
-    """Index of the face containing all the given crosses; -1 if split."""
-    for i, fs in enumerate(face_sets(g)):
-        if set(crosses) <= fs:
-            return i
-    return -1
+def _checked(name: str, g: RibbonGraph, flag_groups=(), **facts) -> RibbonGraph:
+    """g, once each named StructureReport field equals its value and each
+    nonempty group of flag labels lies on one face, a different face per
+    group; else SelfCheckFailed naming the graph and what it showed."""
+    rep = structure_report(g)
+    seen = {fact: getattr(rep, fact) for fact in facts}
+    _require(seen == facts, f"{name}: expected {facts}, got {seen}")
+    faces = face_sets(g)
+    groups = [group for group in flag_groups if group]
+    homes = [next((i for i, fs in enumerate(faces)
+                   if all(g.flag_labels[lab] <= fs for lab in group)), None)
+             for group in groups]
+    _require(None not in homes and len(set(homes)) == len(homes),
+             f"{name}: expected flag groups {groups} each on its own face, got faces {homes}")
+    return g
 
 
-def _flag_faces(g: RibbonGraph) -> dict:
-    return {lab: _face_of(g, orb) for lab, orb in g.flag_labels.items()}
-
-
-def _edges_on_face(g: RibbonGraph, face_idx: int) -> set:
-    fs = face_sets(g)[face_idx]
-    return {lab for lab, orb in g.edge_labels.items() if orb & fs}
+def _built(name: str, vertices, edges, flag_groups=(), **facts) -> RibbonGraph:
+    """The graph of this rotation system, checked as `_checked` does."""
+    g = from_rotation_system(RotationSpec(vertices=tuple(vertices), edges=tuple(edges)))
+    return _checked(name, g, flag_groups, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -46,44 +53,21 @@ def bridge(m: int = 0, n: int = 0) -> RibbonGraph:
     """One edge joining two vertices carrying m and n flags."""
     u = ("uh",) + tuple(f"u{i}" for i in range(1, m + 1))
     v = ("vh",) + tuple(f"v{i}" for i in range(1, n + 1))
-    g = from_rotation_system(RotationSpec(
-        vertices=(("u", u), ("v", v)),
-        edges=(("e1", "uh", "vh", 0),),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.faces, rep.orientable) == (2, 1, m + n, 1, True),
-             "bridge: not a planar one-edge tree")
-    return g
+    return _built(f"bridge({m}, {n})", (("u", u), ("v", v)), (("e1", "uh", "vh", 0),),
+                  v=2, e=1, f=m + n, faces=1, orientable=True)
 
 
 def loop_graph(m: int = 0, n: int = 0, twisted: bool = False) -> RibbonGraph:
     """A single loop at a single vertex with m flags in one face and n in the
     other (the twisted variant has just one face)."""
-    items = ("h1",) + tuple(f"p{i}" for i in range(1, m + 1)) \
-        + ("h2",) + tuple(f"q{i}" for i in range(1, n + 1))
-    g = from_rotation_system(RotationSpec(
-        vertices=(("v", items),),
-        edges=(("e1", "h1", "h2", 1 if twisted else 0),),
-    ))
-    rep = structure_report(g)
+    p = tuple(f"p{i}" for i in range(1, m + 1))
+    q = tuple(f"q{i}" for i in range(1, n + 1))
+    vertices = (("v", ("h1",) + p + ("h2",) + q),)
     if twisted:
-        _require((rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 1, False),
-                 "twisted loop: not one non-orientable face")
-    else:
-        _require((rep.v, rep.e, rep.faces, rep.orientable) == (1, 1, 2, True),
-                 "loop: not two orientable faces")
-        ff = _flag_faces(g)
-        sides = {0: [l for l in ff if l.startswith("p")], 1: [l for l in ff if l.startswith("q")]}
-        placed = {ff[l] for l in ff}
-        if m and n:
-            _require(len({ff[l] for l in sides[0]}) == 1
-                     and len({ff[l] for l in sides[1]}) == 1,
-                     "loop: a side's flags split over faces")
-            _require({ff[l] for l in sides[0]} != {ff[l] for l in sides[1]},
-                     "loop: both sides' flags on one face")
-        elif m + n:
-            _require(len(placed) == 1, "loop: one side's flags split over faces")
-    return g
+        return _built(f"loop_graph({m}, {n}, twisted=True)", vertices,
+                      (("e1", "h1", "h2", 1),), v=1, e=1, faces=1, orientable=False)
+    return _built(f"loop_graph({m}, {n})", vertices, (("e1", "h1", "h2", 0),), (p, q),
+                  v=1, e=1, faces=2, orientable=True)
 
 
 def twisted_loop() -> RibbonGraph:
@@ -95,20 +79,11 @@ def banana(n: int, planar: bool = True) -> RibbonGraph:
     second rotation, the non-planar one repeats it."""
     u = tuple(f"a{i}" for i in range(1, n + 1))
     v = tuple(f"b{i}" for i in (range(n, 0, -1) if planar else range(1, n + 1)))
-    g = from_rotation_system(RotationSpec(
-        vertices=(("u", u), ("v", v)),
-        edges=tuple((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, n + 1)),
-    ))
-    rep = structure_report(g)
-    if planar:
-        _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (2, n, n, 0),
-                 "planar banana: not n faces on the sphere")
-    else:
-        _require(rep.v == 2 and rep.e == n, "banana: not two vertices and n edges")
-        if n == 3:
-            _require(rep.faces == 1 and rep.euler_genus == 2 and rep.orientable,
-                     "non-planar 3-banana: not one face on the torus")
-    return g
+    edges = ((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, n + 1))
+    facts = ({"faces": n, "euler_genus": 0} if planar
+             else {"faces": 1, "euler_genus": 2, "orientable": True} if n == 3 else {})
+    return _built(f"banana({n}, planar={planar})", (("u", u), ("v", v)), edges,
+                  v=2, e=n, **facts)
 
 
 def two_cycle() -> RibbonGraph:
@@ -118,40 +93,24 @@ def two_cycle() -> RibbonGraph:
 
 def double_tadpole() -> RibbonGraph:
     """Two interleaved loops on one vertex (the non-planar '8')."""
-    g = from_rotation_system(RotationSpec(
-        vertices=(("v", ("h1a", "h2a", "h1b", "h2b")),),
-        edges=(("e1", "h1a", "h1b", 0), ("e2", "h2a", "h2b", 0)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.faces, rep.euler_genus, rep.orientable) == (1, 2, 1, 2, True),
-             "double tadpole: not one face on the torus")
-    return g
+    return _built("double_tadpole", (("v", ("h1a", "h2a", "h1b", "h2b")),),
+                  (("e1", "h1a", "h1b", 0), ("e2", "h2a", "h2b", 0)),
+                  v=1, e=2, faces=1, euler_genus=2, orientable=True)
 
 
 def dumbbell() -> RibbonGraph:
     """Two vertices joined by e1, with planar loops e2 and e3."""
-    g = from_rotation_system(RotationSpec(
-        vertices=(("u", ("h1u", "l2a", "l2b")), ("v", ("h1v", "l3a", "l3b"))),
-        edges=(("e1", "h1u", "h1v", 0), ("e2", "l2a", "l2b", 0),
-               ("e3", "l3a", "l3b", 0)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (2, 3, 3, 0),
-             "dumbbell: not three faces on the sphere")
-    return g
+    return _built("dumbbell", (("u", ("h1u", "l2a", "l2b")), ("v", ("h1v", "l3a", "l3b"))),
+                  (("e1", "h1u", "h1v", 0), ("e2", "l2a", "l2b", 0), ("e3", "l3a", "l3b", 0)),
+                  v=2, e=3, faces=3, euler_genus=0)
 
 
 def linear_tree3() -> RibbonGraph:
     """Path on four vertices; e1 is the middle edge, e2 and e3 the ends."""
-    g = from_rotation_system(RotationSpec(
-        vertices=(("v1", ("a2",)), ("v2", ("b2", "a1")),
-                  ("v3", ("b1", "a3")), ("v4", ("b3",))),
-        edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.faces) == (4, 3, 0, 1),
-             "linear_tree3: not a flagless 3-edge tree")
-    return g
+    return _built("linear_tree3", (("v1", ("a2",)), ("v2", ("b2", "a1")),
+                                   ("v3", ("b1", "a3")), ("v4", ("b3",))),
+                  (("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
+                  v=4, e=3, f=0, faces=1)
 
 
 def path_tree(k: int, flags_at: tuple = ()) -> RibbonGraph:
@@ -166,12 +125,8 @@ def path_tree(k: int, flags_at: tuple = ()) -> RibbonGraph:
             items.append(f"a{i + 1}")
         items += [f"F{i}.{j}" for j in range(counts[i])]
         verts.append((f"v{i}", tuple(items)))
-    g = from_rotation_system(RotationSpec(
-        vertices=tuple(verts),
-        edges=tuple((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, k + 1)),
-    ))
-    _require(structure_report(g).faces == 1, "path_tree: more than one face")
-    return g
+    edges = ((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, k + 1))
+    return _built(f"path_tree({k}, {flags_at})", verts, edges, faces=1)
 
 
 def star(n: int, with_flags: bool = False) -> RibbonGraph:
@@ -181,14 +136,9 @@ def star(n: int, with_flags: bool = False) -> RibbonGraph:
     for i in range(1, n + 1):
         items = (f"l{i}", f"f{i}") if with_flags else (f"l{i}",)
         verts.append((f"leaf{i}", items))
-    g = from_rotation_system(RotationSpec(
-        vertices=tuple(verts),
-        edges=tuple((f"e{i}", f"c{i}", f"l{i}", 0) for i in range(1, n + 1)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.faces) == (n + 1, n, n if with_flags else 0, 1),
-             "star: wrong vertex, edge, flag or face count")
-    return g
+    edges = ((f"e{i}", f"c{i}", f"l{i}", 0) for i in range(1, n + 1))
+    return _built(f"star({n}, {with_flags})", verts, edges,
+                  v=n + 1, e=n, f=n if with_flags else 0, faces=1)
 
 
 def cycle_graph(n: int, flag_plan: dict | None = None) -> RibbonGraph:
@@ -196,28 +146,17 @@ def cycle_graph(n: int, flag_plan: dict | None = None) -> RibbonGraph:
     a vertex index (1-based) to (inner, outer) flag counts; 'inner'/'outer'
     are the two faces, consistently across vertices."""
     plan = flag_plan or {}
-    verts = []
+    verts, inner, outer = [], [], []
     for i in range(1, n + 1):
-        prev = f"b{(i - 2) % n + 1}"
-        inner, outer = plan.get(i, (0, 0))
-        items = (prev,) + tuple(f"I{i}.{j}" for j in range(inner)) \
-            + (f"a{i}",) + tuple(f"O{i}.{j}" for j in range(outer))
-        verts.append((f"v{i}", items))
-    g = from_rotation_system(RotationSpec(
-        vertices=tuple(verts),
-        edges=tuple((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, n + 1)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.faces, rep.euler_genus) == (n, n, 2, 0),
-             "cycle_graph: not two faces on the sphere")
-    ff = _flag_faces(g)
-    inner_faces = {f for l, f in ff.items() if l.startswith("I")}
-    outer_faces = {f for l, f in ff.items() if l.startswith("O")}
-    _require(len(inner_faces) <= 1 and len(outer_faces) <= 1,
-             "cycle_graph: a side's flags split over faces")
-    if inner_faces and outer_faces:
-        _require(inner_faces != outer_faces, "cycle_graph: inner and outer flags on one face")
-    return g
+        n_in, n_out = plan.get(i, (0, 0))
+        ins = tuple(f"I{i}.{j}" for j in range(n_in))
+        outs = tuple(f"O{i}.{j}" for j in range(n_out))
+        verts.append((f"v{i}", (f"b{(i - 2) % n + 1}",) + ins + (f"a{i}",) + outs))
+        inner += ins
+        outer += outs
+    edges = ((f"e{i}", f"a{i}", f"b{i}", 0) for i in range(1, n + 1))
+    return _built(f"cycle_graph({n}, {plan})", verts, edges, (inner, outer),
+                  v=n, e=n, faces=2, euler_genus=0)
 
 
 def triangle(with_flags: bool = False) -> RibbonGraph:
@@ -225,41 +164,25 @@ def triangle(with_flags: bool = False) -> RibbonGraph:
     face (flags g1, g2, g3 at v1, v2, v3)."""
     if not with_flags:
         return cycle_graph(3)
-    verts = (("v1", ("b3", "g1", "a1")), ("v2", ("b1", "g2", "a2")),
-             ("v3", ("b2", "g3", "a3")))
-    g = from_rotation_system(RotationSpec(
-        vertices=verts,
-        edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.faces) == (3, 3, 3, 2),
-             "triangle: wrong vertex, edge, flag or face count")
-    _require(len(set(_flag_faces(g).values())) == 1, "triangle: flags must share a face")
-    return g
+    return _built("triangle", (("v1", ("b3", "g1", "a1")), ("v2", ("b1", "g2", "a2")),
+                               ("v3", ("b2", "g3", "a3"))),
+                  (("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
+                  (("g1", "g2", "g3"),), v=3, e=3, f=3, faces=2)
 
 
 def broken_cycle3() -> RibbonGraph:
     """Planar triangle with two flags at v1 (between e3 and e1), one per face."""
-    g = cycle_graph(3, {1: (1, 1)})
-    ff = _flag_faces(g)
-    _require(len(ff) == 2 and len(set(ff.values())) == 2,
-             "broken_cycle3: the two flags must lie on different faces")
-    return g
+    return cycle_graph(3, {1: (1, 1)})
 
 
 def sunset() -> RibbonGraph:
     """Planar 3-banana plus one flag per vertex (s1 on u, s2 on v), both in
     the face bounded by edges e1 and e3."""
-    g = from_rotation_system(RotationSpec(
-        vertices=(("u", ("a1", "a2", "a3", "s1")), ("v", ("b3", "b2", "b1", "s2"))),
-        edges=(("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
-    ))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.faces) == (2, 3, 2, 3),
-             "sunset: wrong vertex, edge, flag or face count")
-    ff = _flag_faces(g)
-    _require(ff["s1"] == ff["s2"] != -1, "sunset: both flags must share a face")
-    _require(_edges_on_face(g, ff["s1"]) == {"e1", "e3"},
+    g = _built("sunset", (("u", ("a1", "a2", "a3", "s1")), ("v", ("b3", "b2", "b1", "s2"))),
+               (("e1", "a1", "b1", 0), ("e2", "a2", "b2", 0), ("e3", "a3", "b3", 0)),
+               (("s1", "s2"),), v=2, e=3, f=2, faces=3)
+    face = next(fs for fs in face_sets(g) if g.flag_labels["s1"] <= fs)
+    _require({lab for lab, orb in g.edge_labels.items() if orb & face} == {"e1", "e3"},
              "sunset: the flags' face must be bounded by e1 and e3")
     return g
 
@@ -274,12 +197,8 @@ def fig_two_vertex() -> RibbonGraph:
         perm_from_cycles(dom, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]),
         perm_from_cycles(dom, [(1, 5), (2, 6), (3, 8), (4, 7)]),
     )
-    g = make_graph(m)
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f, rep.k, rep.faces) == (2, 2, 2, 1, 1),
-             "fig_two_vertex: wrong vertex, edge, flag, component or face count")
-    _require(rep.euler_genus == 1 and not rep.orientable,
-             "fig_two_vertex: not the projective plane")
+    g = _checked("fig_two_vertex", make_graph(m),
+                 v=2, e=2, f=2, k=1, faces=1, euler_genus=1, orientable=False)
     _require(g.edge_labels == {"e1": frozenset({1, 2, 5, 6}), "e2": frozenset({3, 4, 7, 8})},
              "fig_two_vertex: unexpected edge labels")
     _require(g.flag_labels == {"f1": frozenset({9, 10}), "f2": frozenset({11, 12})},
@@ -290,11 +209,7 @@ def fig_two_vertex() -> RibbonGraph:
 def single_vertex(n_flags: int = 0) -> RibbonGraph:
     """One vertex carrying n flags (a bare vertex when n = 0)."""
     items = tuple(f"x{i}" for i in range(1, n_flags + 1))
-    g = from_rotation_system(RotationSpec(vertices=(("v", items),), edges=()))
-    rep = structure_report(g)
-    _require((rep.v, rep.e, rep.f) == (1, 0, n_flags),
-             "single_vertex: not one vertex with n flags")
-    return g
+    return _built(f"single_vertex({n_flags})", (("v", items),), (), v=1, e=0, f=n_flags)
 
 
 def half_edge_detached(g: RibbonGraph, edge, end: int = 1) -> RibbonGraph:
@@ -331,9 +246,8 @@ def half_edge_detached(g: RibbonGraph, edge, end: int = 1) -> RibbonGraph:
     vertices.append(("hat", (target, leaf)))
     out = from_rotation_system(RotationSpec(vertices=tuple(vertices),
                                             edges=spec.edges))
-    rep_in, rep_out = structure_report(g), structure_report(out)
-    _require(rep_out.v == rep_in.v + 1 and rep_out.e == rep_in.e,
-             "half_edge_detached: not one more vertex and the same edges")
+    rep = structure_report(g)
+    _checked("half_edge_detached", out, v=rep.v + 1, e=rep.e)
     _require(set(out.flag_labels) == {stub, leaf},
              "half_edge_detached: the flags are not the stub and the leaf")
     return out

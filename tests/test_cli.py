@@ -84,6 +84,46 @@ def test_raw_form_rejects_unknown_directives(tmp_path, capsys, key, extra):
         1, "", f"E-PARSE unknown directive {key!r} (line 5)\n")
 
 
+RAW = "crosses: 4\nsigma0: (1 2)(3 4)\ntheta: (1 3)(2 4)\nsigma1: ( )\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    (RAW.replace("( )", "( ) junk"), "E-PARSE stray text 'junk' in permutation (line 4)"),
+    (RAW.replace("(1 2)", "(1 a)"), "E-PARSE non-integer cross in cycle (1 a) (line 2)"),
+    (RAW + "theta: (1 3)(2 4)\n", "E-PARSE duplicate 'theta' line (line 5)"),
+    (RAW.replace("sigma1: ( )\n", ""), "E-PARSE raw map form is missing a 'sigma1' line"),
+    (RAW.replace("4", "four", 1), "E-PARSE crosses wants an integer count (line 1)"),
+    (RAW.replace("4", "3", 1), "E-PARSE cross count must be positive and even (line 1)"),
+    (RAW.replace("(3 4)", "(3 5)"), "E-PARSE cross 5 outside 1..4 (line 2)"),
+    ("vertex :: a b\n", "E-PARSE vertex line wants an id (line 1)"),
+    ("vertex v : a b\nedge e1 a b\n",
+     "E-PARSE edge line wants `edge <id> : <end> <end> [twist=0|1]` (line 2)"),
+    ("vertex v : a b\nedge e1 : a b twist=2\n", "E-PARSE bad twist field 'twist=2' (line 2)"),
+    ("vertex v : a\nflag\n", "E-PARSE flag line wants an id (line 2)"),
+    ("vertex v : a\nface : a\n", "E-PARSE unknown directive 'face' (line 2)"),
+    ("flag a\n", "E-PARSE no vertex lines found"),
+    ("# nothing here\n\n", "E-PARSE empty graph file"),
+    ("vertex v : a\nvertex v : b\n", "E-MAP duplicate vertex label"),
+    ("vertex v : a b c d\nedge e1 : a b\nedge e1 : c d\n", "E-MAP duplicate edge label 'e1'"),
+    ("vertex v : a b\nedge e1 : a b\nflag a\n", "E-MAP flag 'a' is also an edge end"),
+    ("vertex v : a\nflag z\n", "E-MAP flag 'z' appears in no rotation"),
+], ids=["stray-text", "non-integer-cross", "duplicate-line", "missing-line",
+        "non-integer-count", "odd-count", "cross-out-of-range", "vertex-without-id",
+        "malformed-edge", "twist-2", "flag-without-id", "unknown-directive",
+        "no-vertex-line", "empty-file", "duplicate-vertex", "duplicate-edge",
+        "flag-is-edge-end", "flag-in-no-rotation"])
+def test_validate_refuses_malformed_graph_files(tmp_path, capsys, text, err):
+    path = tmp_path / "bad.rg"
+    path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (1, "", err + "\n")
+
+
+def test_validate_refuses_an_unreadable_path(tmp_path, capsys):
+    missing = tmp_path / "missing.rg"
+    assert run(capsys, "validate", str(missing)) == (
+        1, "", f"E-PARSE cannot read {missing}: No such file or directory\n")
+
+
 def test_validate_broken_permutations(tmp_path, capsys):
     bad = tmp_path / "broken.rg"
     # theta fails to be a fixed-point-free involution pairing sigma0 cycles
@@ -308,6 +348,11 @@ def test_q_r_rules(capsys):
     code, out, err = run(capsys, "q", str(EXAMPLES / "two_cycle.rg"),
                          "--r-rule", "const:1")
     assert code == 0
+    code, out, err = run(capsys, "q", str(EXAMPLES / "two_cycle.rg"),
+                         "--r-rule", "bogus")
+    assert (code, out) == (2, "")
+    assert ("unknown r-rule 'bogus' (want symbolic, even2odd0, odd2even0, delta1, "
+            "or const:<n>)") in err
 
 
 def test_specialize_ising(capsys):

@@ -48,7 +48,7 @@ from rgp.hyperbolic import (
 )
 from rgp.maps import RotationSpec, from_rotation_system
 from rgp.ops import delete_flag, disjoint_union, partial_dual
-from rgp.poly import MultiPoly, parse
+from rgp.poly import MultiPoly, VarId, parse
 
 from reference_enumerators import spanning_tree_cotree_sum
 
@@ -230,6 +230,31 @@ def test_unknown_method_is_typed():
 def test_hv_needs_flags():
     with pytest.raises(NoFlags):
         hv(two_cycle())
+
+
+def test_hv_steps_its_names_around_the_graphs_labels():
+    # the flag "+" takes hv's marker name and the edge "a~b" the fused edge's;
+    # "0" and "x" free both names and sort like the labels they replace
+    def graph(plus, ab):
+        return from_rotation_system(RotationSpec(
+            vertices=(("u", ("a", "h1", plus, "k1", "k2")), ("v", ("h2", "b"))),
+            edges=((ab, "h1", "h2", 0), ("z", "k1", "k2", 0))))
+
+    def back(p):
+        return MultiPoly.from_monomials(
+            ({VarId(v.kind, "a~b" if v.label == "x" else v.label): e for v, e in mono.items()}, c)
+            for mono, c in p.monomials())
+
+    def flag(f):
+        return "+" if f == "0" else f
+
+    clashing, free = hv(graph("+", "a~b")), hv(graph("0", "x"))
+    assert clashing.flags == tuple(map(flag, free.flags))
+    assert clashing.diag == {flag(i): back(p) for i, p in free.diag.items()}
+    for table in ("sym", "antisym"):
+        assert getattr(clashing, table) == {
+            (flag(i), flag(j)): back(p) for (i, j), p in getattr(free, table).items()}
+    assert MultiPoly.zero() not in clashing.antisym.values()
 
 
 def test_hv_duality_covariance():

@@ -53,6 +53,18 @@ def test_sigma1_equal_theta_detected():
     assert any(v.axiom == "A.2" and "theta" in v.message for v in bad)
 
 
+@pytest.mark.parametrize("n, theta, sigma1, violation", [
+    (3, [(0, 1)], [], ("A.1", (), "odd number of crosses")),
+    (4, [(0, 1), (2, 3)], [(0, 2, 3)], ("A.1", (0,), "sigma1 is not an involution")),
+    (4, [(0, 1), (2, 3)], [(1, 2)], ("A.1", (0,), "theta and sigma1 do not commute")),
+], ids=["odd-crosses", "sigma1-not-involution", "theta-sigma1-not-commuting"])
+def test_first_axiom_violations_detected(n, theta, sigma1, violation):
+    dom = range(n)
+    m = CombinatorialMap(frozenset(dom), perm_from_cycles(dom, []),
+                         perm_from_cycles(dom, theta), perm_from_cycles(dom, sigma1))
+    assert violation in [(v.axiom, v.witnesses, v.message) for v in validate_map(m)]
+
+
 def test_conjugation_axiom_detected():
     dom = range(4)
     # sigma0 = (0,2) on 'a' crosses only, not inverted on the partner cycle

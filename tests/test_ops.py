@@ -33,6 +33,8 @@ def test_delete_fig2_edge(fig2):
 def test_delete_unknown_edge(fig2):
     with pytest.raises(UnknownEdge):
         delete(fig2, "nope")
+    with pytest.raises(UnknownEdge, match=r"^no flag labelled 'nope'$"):
+        delete_flag(fig2, "nope")
 
 
 def test_delete_bridge_leaves_bare_vertices():

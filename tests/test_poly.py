@@ -616,6 +616,31 @@ def test_json_rejects_garbage():
         MultiPoly.from_json('{"not": "a list"}')
     with pytest.raises(ParseError):
         MultiPoly.from_json('[{"coeff": "1", "vars": [{"kind": "NOPE", "label": null, "exp": 1}]}]')
+    with pytest.raises(ParseError, match=r"^exponents must be positive$"):
+        MultiPoly.from_json_obj([{"coeff": 1, "vars": [{"kind": "X", "label": "e1", "exp": 0}]}])
+    with pytest.raises(ParseError, match=r"^malformed polynomial JSON term: 'vars'$"):
+        MultiPoly.from_json_obj([{"coeff": 1}])
+
+
+def test_variable_refuses_unknown_kinds_and_negative_exponents():
+    with pytest.raises(InvalidArgument, match=r"^unknown variable kind 'NOPE'$"):
+        V("NOPE", "e1")
+    with pytest.raises(InvalidArgument, match=r"^negative exponent$"):
+        V("X", "e1", -1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("b_1", "variable 'b_1' does not take a label (at position 0)"),
+    ("q_1", "unknown variable 'q_1' (at position 0)"),
+    ("q", "unknown variable 'q' (at position 0)"),
+    ("*", "expected a number or variable, got '*' (at position 0)"),
+    ("x_e1^y", "exponent must be an integer (at position 4)"),
+    ("x_e1 y_e1", "expected '+', '-' or end, got 'y_e1' (at position 5)"),
+])
+def test_parse_refusals_name_the_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_all_kinds_round_trip():
