@@ -13,6 +13,8 @@ The package is organised bottom-up:
 - ``qpoly``: the four-variable polynomial Q by subset expansion and by
   memoised four-term reduction, with its duality transform, scaling law
   and classical specialisations.
+- ``loops``: HU's sum over (A, B) as a transfer matrix over the
+  sigma0-cycles of the partial duals, with each edge's images as values.
 - ``hyperbolic``: the evaluations of Q used by the hyperbolic model — HU,
   the quadratic form HV, the critical face product and reconstruction,
   the heat-kernel polynomial and the commutative limits.

@@ -300,14 +300,13 @@ def _r_rule(text: str) -> RSequenceSpec:
         "delta1, or const:<n>)")
 
 
-def _agreed(results: dict, default: str) -> MultiPoly:
-    """The default method's result, once every strategy gave the same
-    polynomial."""
+def _agreed(results: dict, default: str, text=MultiPoly.to_string):
+    """The default method's result, once every strategy gave the same one;
+    `text` writes a result into the disagreement message."""
     agreed = results[default]
     if any(p != agreed for p in results.values()):
         raise RgpError("strategy disagreement: "
-                       + "; ".join(f"{m}={p.to_string()}"
-                                   for m, p in sorted(results.items())))
+                       + "; ".join(f"{m}={text(p)}" for m, p in sorted(results.items())))
     return agreed
 
 
@@ -378,18 +377,25 @@ def _write_hv_json(form) -> None:
     out.write("}\n")
 
 
+def _hv_lines(form) -> list:
+    """The text lines of `rgp hv`."""
+    return ([f"diag[{i}] = {form.diag[i].to_string()}" for i in form.flags]
+            + [f"sym[{i},{j}] = {form.sym[(i, j)].to_string()}" for i, j in sorted(form.sym)]
+            + [f"antisym[{i},{j}] = {form.antisym[(i, j)].to_string()}"
+               for i, j in sorted(form.antisym)])
+
+
 def _cmd_hv(args) -> int:
     g = read_graph_file(args.input)
-    form = hv(g)
+    if args.check_all:
+        form = _agreed({m: hv(g, method=m) for m in args.methods}, args.default_method,
+                       text=lambda f: ", ".join(_hv_lines(f)))
+    else:
+        form = hv(g, method=args.method)
     if args.format == "json":
         _write_hv_json(form)
-        return 0
-    for i in form.flags:
-        print(f"diag[{i}] = {form.diag[i].to_string()}")
-    for i, j in sorted(form.sym):
-        print(f"sym[{i},{j}] = {form.sym[(i, j)].to_string()}")
-    for i, j in sorted(form.antisym):
-        print(f"antisym[{i},{j}] = {form.antisym[(i, j)].to_string()}")
+    else:
+        print("\n".join(_hv_lines(form)))
     return 0
 
 
@@ -421,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 + (default or "by --r-rule, see above") + ")")
             p.add_argument("--check-all", action="store_true",
                            help="run every strategy and fail on disagreement")
+        if max_edges is not None:
             p.add_argument("--max-edges", type=int, default=max_edges,
                            help="enumeration guard override (default: %(default)s)")
         if fmt:
@@ -452,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="vertex-weight rule: symbolic, even2odd0, odd2even0, "
                          "delta1, const:<n> (default: symbolic)")
     add("hu", _cmd_poly, "first hyperbolic polynomial",
-        method=("expansion", "reduction", "critical"), default="reduction",
+        method=("expansion", "reduction", "loops", "critical"), default="reduction",
         max_edges=10)
-    add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)")
+    add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)",
+        method=("loops", "surgery"), default="loops")
     add("hu-critical", _cmd_poly, "face-factorized value at Omega=1")
     add("symanzik-u", _cmd_poly, "heat-kernel (quasi-tree) polynomial U",
         method=("faces", "rank"), default="rank", max_edges=20)

@@ -10,6 +10,17 @@ a polynomial with nonnegative integer coefficients supported on the pairs
 The images of x, y, z and w are built on one t/Omega table (`_t_omega`).
 Closed forms for trees, cycles and the Omega = 1 specialization give three
 independent computation routes, all cross-checked in the test suite.
+
+Routes.  `hu` reduces Q by the four-term relation and substitutes the
+images (the default), enumerates Q's (A, B) pairs ("expansion"), sums the
+loop model of `loops` with the images as its values ("loops"), or rebuilds
+HU from the face product on orientable maps ("critical").  `hv` takes its
+diagonal from `hu` of each flag-deleted graph.  Its off-diagonal entries
+fuse two flags into an edge e of a new graph G' and take
+HU(G'^e - e) - HU(G'^e v e): by default as one loop sum on G' with e's
+images (x, y, z, w) = (0, 1, -1, 0), that is, e forced into A and signed by
+B ("loops"), or by building both graphs and calling `hu` on each
+("surgery").
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from itertools import combinations
 from .errors import (HasFlags, NoFlags, NotACycle, NotATree, NotConnected,
                      NotOrientable, SelfCheckFailed, TooLarge, UnknownMethod)
 from .gf2 import rank
+from .loops import loop_sum
 from .maps import (
     RibbonGraph,
     _UnionFind,
@@ -57,11 +69,20 @@ def _t_omega(edges) -> tuple[dict, dict]:
             {lab: var[VarId("OMEGA", lab)] for lab in edges})
 
 
+def _hu_images(edges) -> dict:
+    """{e: the images (t_e, O_e, O_e t_e^2, t_e O_e^2) of x_e, y_e, z_e and
+    w_e}, all on the one t/Omega table of `_t_omega`."""
+    t, om = _t_omega(edges)
+    return {lab: (t[lab], om[lab], om[lab] * t[lab] * t[lab], t[lab] * om[lab] * om[lab])
+            for lab in edges}
+
+
 def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiPoly:
     """First hyperbolic polynomial, via Q under the odd-vertex weight (method
-    "reduction" or "expansion"), or rebuilt from the face product at Omega = 1
-    on orientable maps (method "critical").  Q's four images per edge are
-    built on the one t/Omega table of `_t_omega`."""
+    "reduction" or "expansion") with Q's four variables per edge replaced by
+    their images (`_hu_images`), as the loop sum over those images (method
+    "loops", `TooLarge` above `loops.MAX_WIDTH`), or rebuilt from the face
+    product at Omega = 1 on orientable maps (method "critical")."""
     rule = RSequenceSpec.odd_two_even_zero()
     if method == "reduction":
         if len(_SHARED_MEMO) > _SHARED_MEMO_BOUND:
@@ -69,18 +90,14 @@ def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiP
         q = q_by_reduction(g, rule, memo=_SHARED_MEMO).poly
     elif method == "expansion":
         q = q_by_expansion(g, rule, max_edges=max_edges).poly
+    elif method == "loops":
+        return loop_sum(g, _hu_images(g.edge_labels))
     elif method == "critical":
         return hu_via_critical_algorithm(g)
     else:
         raise UnknownMethod(f"unknown method {method!r}")
-    t, om = _t_omega(g.edge_labels)
-    mapping = {}
-    for lab in g.edge_labels:
-        mapping[VarId("X", lab)] = t[lab]
-        mapping[VarId("Y", lab)] = om[lab]
-        mapping[VarId("Z", lab)] = om[lab] * t[lab] * t[lab]
-        mapping[VarId("W", lab)] = t[lab] * om[lab] * om[lab]
-    return q.substitute(mapping)
+    return q.substitute({VarId(kind, lab): img for lab, imgs in _hu_images(g.edge_labels).items()
+                         for kind, img in zip("XYZW", imgs)})
 
 
 def hu_partial_dual_transform(p: MultiPoly, edges) -> MultiPoly:
@@ -282,7 +299,7 @@ class QuadraticForm:
 
 
 def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
-    """HU(G^e - e) - HU(G^e v e) for the fused edge."""
+    """HU(G^e - e) - HU(G^e v e) for the fused edge, by surgery."""
     pd = partial_dual(g, [label])
     d = hu(delete(pd, label)) - hu(cut(pd, label))
     if any(v.label == label for v in d.variables()):
@@ -290,20 +307,30 @@ def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
     return d
 
 
-def hv(g: RibbonGraph) -> QuadraticForm:
+# A fused edge's images (x, y, z, w): by the four-term relation the loop sum
+# is then HU(G^e - e) - HU(G^e v e), e forced into A and signed by B.
+_FUSED_IMAGES = (0, 1, -1, 0)
+
+
+def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     """Second hyperbolic polynomial as a quadratic form over the flags.
 
     diag_i drops flag i and takes HU; the off-diagonal parts fuse flags i and
     j into one untwisted edge of `to_rotation_spec(g)` and take the
-    difference of HU over the two ways of removing it.  antisym additionally
-    splices a parity-marking flag into the rotation right after i.  The
-    antisymmetric table is canonical up to one global sign, fixed here by the
-    rotations `to_rotation_spec` writes.
+    difference of HU over the two ways of removing it: one loop sum with the
+    fused edge's `_FUSED_IMAGES` (method "loops"), or `hu` of both surgeries
+    (method "surgery").  antisym additionally splices a parity-marking flag
+    into the rotation right after i.  The antisymmetric table is canonical
+    up to one global sign, fixed here by the rotations `to_rotation_spec`
+    writes.
     """
+    if method not in ("loops", "surgery"):
+        raise UnknownMethod(f"unknown method {method!r}")
     flags = tuple(sorted(g.flag_labels, key=str))
     if not flags:
         raise NoFlags("the quadratic form needs at least one flag")
     spec = to_rotation_spec(g)
+    images = _hu_images(g.edge_labels)
     marker = "+"
     while any(marker in items for _v, items in spec.vertices):
         marker += "+"
@@ -318,9 +345,13 @@ def hv(g: RibbonGraph) -> QuadraticForm:
         while label in g.edge_labels:
             label += "'"
         edges = spec.edges + ((label, i, j, 0),)
-        return _edge_difference(from_rotation_system(RotationSpec(vertices, edges)), label)
+        h = from_rotation_system(RotationSpec(vertices, edges))
+        if method == "surgery":
+            return _edge_difference(h, label)
+        return loop_sum(h, {**images, label: _FUSED_IMAGES})
 
-    diag = {i: hu(delete_flag(g, i)) for i in flags}
+    # the fused entries first: a map too wide for the loop sum stops before
+    # any reduction runs
     sym = {}
     antisym = {}
     for i, j in combinations(flags, 2):
@@ -330,6 +361,7 @@ def hv(g: RibbonGraph) -> QuadraticForm:
             raise SelfCheckFailed("the marked difference must be antisymmetric "
                                   "in the flag order")
         antisym[(i, j)] = fwd
+    diag = {i: hu(delete_flag(g, i)) for i in flags}
     return QuadraticForm(flags, diag, sym, antisym)
 
 

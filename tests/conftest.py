@@ -2,10 +2,15 @@
 
 Collects the ``ACCEPTANCE n: ...`` verdict lines emitted by
 tests/test_acceptance.py and repeats them in the terminal summary, where
-output capture cannot hide them.
+output capture cannot hide them, and builds the map too wide for the loop
+sum that the guard tests share.
 """
 
+import random
+
 import pytest
+
+from rgp.maps import RotationSpec, from_rotation_system
 
 ACCEPTANCE_KEY = pytest.StashKey[list]()
 
@@ -19,6 +24,24 @@ def acceptance_report(request):
         lines.append(line)
 
     return emit
+
+
+@pytest.fixture
+def wide_map():
+    """A builder of one 3-vertex map with 60 edges, twists at random, plus
+    the given flags: its loop order holds 48 sigma0 arcs open."""
+    def build(flags=()):
+        rng = random.Random(60)
+        halves = [f"h{i}" for i in range(120)]
+        rng.shuffle(halves)
+        rotations = [halves[k::3] for k in range(3)]
+        rotations[0] += flags
+        return from_rotation_system(RotationSpec(
+            tuple((f"v{k}", tuple(items)) for k, items in enumerate(rotations)),
+            tuple((f"e{i}", f"h{2 * i}", f"h{2 * i + 1}", rng.randint(0, 1))
+                  for i in range(60))))
+
+    return build
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -310,6 +310,50 @@ def test_edge_list_applies_one_edge_at_a_time(capsys, verb, op):
     assert run(capsys, verb, "-e", "e1,e2", str(EXAMPLES / "dumbbell.rg")) == (0, want, "")
 
 
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.rg")), ids=lambda p: p.name)
+def test_hu_and_hv_routes_agree_on_the_examples(capsys, path):
+    # every route and hv --check-all print the default's bytes, or fail with
+    # its error (hv on a flagless map)
+    routes = {"hu": [["--method", "loops"]],
+              "hv": [["--method", "loops"], ["--method", "surgery"], ["--check-all"]]}
+    for verb, flag_sets in routes.items():
+        for fmt in ([], ["--format", "json"]):
+            want = run(capsys, verb, *fmt, str(path))
+            for flags in flag_sets:
+                assert run(capsys, verb, *flags, *fmt, str(path)) == want, (verb, flags, fmt)
+    assert (want[0] == 0) == (path.name in ("sunset.rg", "two_vertex_map.rg"))
+
+
+def test_hv_check_all_reports_disagreement(monkeypatch, capsys):
+    real = cli.hv
+
+    def wrong_hv(g, method):
+        form = real(g, method=method)
+        if method == "loops":
+            return form
+        return dataclasses.replace(form, sym={**form.sym, ("s1", "s2"): form.sym[("s1", "s2")]
+                                              + MultiPoly.one()})
+
+    monkeypatch.setattr(cli, "hv", wrong_hv)
+    path = str(EXAMPLES / "sunset.rg")
+    assert run(capsys, "hv", path)[0] == 0
+    code, out, err = run(capsys, "hv", "--check-all", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("E-MAP strategy disagreement: loops=diag[s1] = ")
+    assert "; surgery=diag[s1] = " in err
+
+
+def test_loop_width_guard_is_a_size_error(capsys, tmp_path, wide_map):
+    for verb, g in (("hu", wide_map()), ("hv", wide_map(("a", "b")))):
+        path = tmp_path / f"{verb}.rg"
+        path.write_text(format_graph_file(g))
+        argv = [verb, str(path)] + (["--method", "loops"] if verb == "hu" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.match(r"E-SIZE the loop order holds \d+ sigma0 arcs open, above 24; "
+                        r"the surgery or reduction routes", err), verb
+
+
 def test_check_all_reports_disagreement(monkeypatch, capsys):
     # one strategy off by one: --check-all must refuse, not pick a winner
     real_q, real_hu, real_u = cli.q_polynomial, cli.hu, cli.symanzik_u

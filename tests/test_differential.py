@@ -17,9 +17,10 @@ from rgp.corpus import (acceptance_corpus, banana, bridge, cycle_graph, double_t
                         dumbbell, fig_two_vertex, loop_graph, path_tree,
                         random_rotation_graph, single_vertex, star, sunset, triangle,
                         twisted_loop, two_cycle)
+from rgp import loops
 from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_cycle,
                             hu_partial_dual_transform, hu_tree, hu_via_critical_algorithm,
-                            symanzik_commutative_limit, symanzik_dual_check, symanzik_u)
+                            hv, symanzik_commutative_limit, symanzik_dual_check, symanzik_u)
 from rgp.maps import RotationSpec, from_rotation_system, isomorphic, structure_report
 from rgp.ops import class_counts, disjoint_union, partial_dual, to_rotation_spec
 from rgp.poly import MultiPoly, VarId
@@ -159,6 +160,83 @@ def test_hu_expansion_equals_reduction():
     for _ in range(25):
         g = random_rotation_graph(rng, max_edges=3, max_flags=3)
         assert hu(g, method="expansion") == hu(g)
+
+
+# --- the loop model (rgp.loops) -----------------------------------------------
+
+def hu_sweep() -> list:
+    """The acceptance corpus and 120 random maps of up to 6 edges and 3 flags."""
+    rng = random.Random(5)
+    return (list(acceptance_corpus().values())
+            + [random_rotation_graph(rng, max_edges=6, max_flags=3) for _ in range(120)])
+
+
+def hu_unions() -> list:
+    rng = random.Random(4711)
+    return [disjoint_union(random_rotation_graph(rng, max_edges=3, max_flags=3),
+                           random_rotation_graph(rng, max_edges=3, max_flags=3))
+            for _ in range(30)]
+
+
+@_streams(hu_sweep, hu_unions)
+def test_hu_loops_equal_expansion_and_reduction(stream):
+    graphs = stream()
+    assert _kinds(graphs) == ALL_KINDS
+    nonzero = 0
+    for g in graphs:
+        want = hu(g, method="expansion")
+        assert hu(g, method="loops") == want == hu(g)
+        nonzero += not want.is_zero()
+    assert nonzero >= 5
+
+
+def flagged_corpus() -> list:
+    return [g for g in acceptance_corpus().values() if g.flag_labels]
+
+
+def flagged_randoms() -> list:
+    """The first 60 maps with at least two flags, up to 5 edges and 4 flags."""
+    rng = random.Random(7)
+    graphs = []
+    while len(graphs) < 60:
+        g = random_rotation_graph(rng, max_edges=5, max_flags=4)
+        if len(g.flag_labels) >= 2:
+            graphs.append(g)
+    return graphs
+
+
+@_streams(flagged_corpus, flagged_randoms)
+def test_hv_loops_equal_surgery(stream):
+    offdiagonal = 0
+    for g in stream():
+        form = hv(g)
+        assert form == hv(g, method="surgery")
+        offdiagonal += any(not p.is_zero() for p in [*form.sym.values(), *form.antisym.values()])
+    assert offdiagonal >= 10
+
+
+def test_hu_loops_reach():
+    # 57,514 terms, past what the expansion affords, against the closed form
+    g = cycle_graph(10)
+    p = hu(g, method="loops")
+    assert len(p.terms) == 57514
+    assert p == hu_cycle(g)
+
+
+def test_loops_imports_no_engine():
+    # the loop sum is checked against qpoly's routes and hv's surgery, so it
+    # may share none of their code
+    path = Path(loops.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "maps" in imported
+    assert imported & {"qpoly", "hyperbolic", "ops"} == set()
 
 
 # --- partial duality ----------------------------------------------------------

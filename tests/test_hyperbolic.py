@@ -33,7 +33,7 @@ from rgp.errors import (
     TooLarge,
     UnknownMethod,
 )
-from rgp import hyperbolic, poly
+from rgp import hyperbolic, loops, poly
 from rgp.hyperbolic import (
     hu,
     hu_commutative_limit,
@@ -221,6 +221,22 @@ def test_unknown_method_is_typed():
         hu_commutative_limit(g, method="nope")
     with pytest.raises(UnknownMethod):
         symanzik_u(g, method="nope")
+    with pytest.raises(UnknownMethod):
+        hv(sunset(), method="nope")
+
+
+def test_loop_width_guard(monkeypatch, wide_map):
+    # the order and its width come before any state is stepped, and hv's
+    # fused entries before any reduction
+    def no_work(*args):
+        raise AssertionError("work done past the width guard")
+
+    monkeypatch.setattr(loops, "_step", no_work)
+    with pytest.raises(TooLarge, match=r"holds 48 sigma0 arcs open, above 24"):
+        hu(wide_map(), method="loops")
+    monkeypatch.setattr(hyperbolic, "hu", no_work)
+    with pytest.raises(TooLarge, match=r"holds \d+ sigma0 arcs open"):
+        hv(wide_map(("a", "b")))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +271,29 @@ def test_hv_steps_its_names_around_the_graphs_labels():
         assert getattr(clashing, table) == {
             (flag(i), flag(j)): back(p) for (i, j), p in getattr(free, table).items()}
     assert MultiPoly.zero() not in clashing.antisym.values()
+
+
+@pytest.mark.parametrize("method", ["loops", "surgery"])
+def test_hv_antisymmetry_check_fires(monkeypatch, method):
+    # one marked entry off by one: the two flag orders no longer negate
+    name, real = (("loop_sum", loops.loop_sum) if method == "loops"
+                  else ("_edge_difference", hyperbolic._edge_difference))
+
+    def off_when_marked(h, *args):
+        return real(h, *args) + (C(1) if "+" in h.flag_labels else C(0))
+
+    monkeypatch.setattr(hyperbolic, name, off_when_marked)
+    with pytest.raises(SelfCheckFailed, match="antisymmetric"):
+        hv(sunset(), method=method)
+
+
+def test_edge_difference_check_fires(monkeypatch):
+    # an hu that leaves the fused edge's t in the cut branch only
+    real = hyperbolic.hu
+    monkeypatch.setattr(hyperbolic, "hu",
+                        lambda h, **kwargs: real(h) + T("s1~s2") * len(h.flag_labels))
+    with pytest.raises(SelfCheckFailed, match="fused edge"):
+        hv(sunset(), method="surgery")
 
 
 def test_hv_duality_covariance():
