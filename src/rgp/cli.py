@@ -388,10 +388,10 @@ def _hv_lines(form) -> list:
 def _cmd_hv(args) -> int:
     g = read_graph_file(args.input)
     if args.check_all:
-        form = _agreed({m: hv(g, method=m) for m in args.methods}, args.default_method,
+        form = _agreed({m: hv(g, method=m) for m in ("loops", "surgery")}, "loops",
                        text=lambda f: ", ".join(_hv_lines(f)))
     else:
-        form = hv(g, method=args.method)
+        form = hv(g)
     if args.format == "json":
         _write_hv_json(form)
     else:
@@ -461,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("hu", _cmd_poly, "first hyperbolic polynomial",
         method=("expansion", "reduction", "loops", "critical"), default="reduction",
         max_edges=10)
-    add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)",
-        method=("loops", "surgery"), default="loops")
+    hvp = add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)")
+    hvp.add_argument("--check-all", action="store_true",
+                     help="recompute the off-diagonal entries by surgery and fail "
+                          "on disagreement")
     add("hu-critical", _cmd_poly, "face-factorized value at Omega=1")
     add("symanzik-u", _cmd_poly, "heat-kernel (quasi-tree) polynomial U",
         method=("faces", "rank"), default="rank", max_edges=20)

@@ -19,8 +19,8 @@ diagonal from `hu` of each flag-deleted graph.  Its off-diagonal entries
 fuse two flags into an edge e of a new graph G' and take
 HU(G'^e - e) - HU(G'^e v e): by default as one loop sum on G' with e's
 images (x, y, z, w) = (0, 1, -1, 0), that is, e forced into A and signed by
-B ("loops"), or by building both graphs and calling `hu` on each
-("surgery").
+B ("loops", where the loop order's width allows), or by building both
+graphs and calling `hu` on each ("surgery").
 """
 
 from __future__ import annotations
@@ -318,8 +318,9 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     diag_i drops flag i and takes HU; the off-diagonal parts fuse flags i and
     j into one untwisted edge of `to_rotation_spec(g)` and take the
     difference of HU over the two ways of removing it: one loop sum with the
-    fused edge's `_FUSED_IMAGES` (method "loops"), or `hu` of both surgeries
-    (method "surgery").  antisym additionally splices a parity-marking flag
+    fused edge's `_FUSED_IMAGES` (method "loops"; an entry whose loop order
+    is wider than `loops.MAX_WIDTH` is taken by surgery instead), or `hu` of
+    both surgeries (method "surgery").  antisym additionally splices a parity-marking flag
     into the rotation right after i.  The antisymmetric table is canonical
     up to one global sign, fixed here by the rotations `to_rotation_spec`
     writes.
@@ -346,12 +347,14 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
             label += "'"
         edges = spec.edges + ((label, i, j, 0),)
         h = from_rotation_system(RotationSpec(vertices, edges))
-        if method == "surgery":
-            return _edge_difference(h, label)
-        return loop_sum(h, {**images, label: _FUSED_IMAGES})
+        if method == "loops":
+            try:
+                return loop_sum(h, {**images, label: _FUSED_IMAGES})
+            except TooLarge:
+                pass    # wider than the loop order affords: surgery has no bound
+        return _edge_difference(h, label)
 
-    # the fused entries first: a map too wide for the loop sum stops before
-    # any reduction runs
+    diag = {i: hu(delete_flag(g, i)) for i in flags}
     sym = {}
     antisym = {}
     for i, j in combinations(flags, 2):
@@ -361,7 +364,6 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
             raise SelfCheckFailed("the marked difference must be antisymmetric "
                                   "in the flag order")
         antisym[(i, j)] = fwd
-    diag = {i: hu(delete_flag(g, i)) for i in flags}
     return QuadraticForm(flags, diag, sym, antisym)
 
 

@@ -120,8 +120,7 @@ def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
     order, width = _order(groups, s0)
     if width > MAX_WIDTH:
         raise TooLarge(f"the loop order holds {width} sigma0 arcs open, above "
-                       f"{MAX_WIDTH}; the surgery or reduction routes have no "
-                       "such bound")
+                       f"{MAX_WIDTH}; the reduction route has no such bound")
     if g.bare_vertices:
         return MultiPoly.zero()
     states = {((), 0): MultiPoly.one()}

@@ -28,20 +28,15 @@ def acceptance_report(request):
 
 @pytest.fixture
 def wide_map():
-    """A builder of one 3-vertex map with 60 edges, twists at random, plus
-    the given flags: its loop order holds 48 sigma0 arcs open."""
-    def build(flags=()):
-        rng = random.Random(60)
-        halves = [f"h{i}" for i in range(120)]
-        rng.shuffle(halves)
-        rotations = [halves[k::3] for k in range(3)]
-        rotations[0] += flags
-        return from_rotation_system(RotationSpec(
-            tuple((f"v{k}", tuple(items)) for k, items in enumerate(rotations)),
-            tuple((f"e{i}", f"h{2 * i}", f"h{2 * i + 1}", rng.randint(0, 1))
-                  for i in range(60))))
-
-    return build
+    """A 3-vertex map with 60 edges, twists at random: its loop order holds
+    48 sigma0 arcs open."""
+    rng = random.Random(60)
+    halves = [f"h{i}" for i in range(120)]
+    rng.shuffle(halves)
+    return from_rotation_system(RotationSpec(
+        tuple((f"v{k}", tuple(halves[k::3])) for k in range(3)),
+        tuple((f"e{i}", f"h{2 * i}", f"h{2 * i + 1}", rng.randint(0, 1))
+              for i in range(60))))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

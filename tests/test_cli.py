@@ -312,10 +312,9 @@ def test_edge_list_applies_one_edge_at_a_time(capsys, verb, op):
 
 @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.rg")), ids=lambda p: p.name)
 def test_hu_and_hv_routes_agree_on_the_examples(capsys, path):
-    # every route and hv --check-all print the default's bytes, or fail with
-    # its error (hv on a flagless map)
-    routes = {"hu": [["--method", "loops"]],
-              "hv": [["--method", "loops"], ["--method", "surgery"], ["--check-all"]]}
+    # hu's loop route and hv --check-all print the default's bytes, or fail
+    # with its error (hv on a flagless map)
+    routes = {"hu": [["--method", "loops"]], "hv": [["--check-all"]]}
     for verb, flag_sets in routes.items():
         for fmt in ([], ["--format", "json"]):
             want = run(capsys, verb, *fmt, str(path))
@@ -327,7 +326,7 @@ def test_hu_and_hv_routes_agree_on_the_examples(capsys, path):
 def test_hv_check_all_reports_disagreement(monkeypatch, capsys):
     real = cli.hv
 
-    def wrong_hv(g, method):
+    def wrong_hv(g, method="loops"):
         form = real(g, method=method)
         if method == "loops":
             return form
@@ -344,14 +343,19 @@ def test_hv_check_all_reports_disagreement(monkeypatch, capsys):
 
 
 def test_loop_width_guard_is_a_size_error(capsys, tmp_path, wide_map):
-    for verb, g in (("hu", wide_map()), ("hv", wide_map(("a", "b")))):
-        path = tmp_path / f"{verb}.rg"
-        path.write_text(format_graph_file(g))
-        argv = [verb, str(path)] + (["--method", "loops"] if verb == "hu" else [])
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert re.match(r"E-SIZE the loop order holds \d+ sigma0 arcs open, above 24; "
-                        r"the surgery or reduction routes", err), verb
+    path = tmp_path / "wide.rg"
+    path.write_text(format_graph_file(wide_map))
+    code, out, err = run(capsys, "hu", "--method", "loops", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("E-SIZE the loop order holds 48 sigma0 arcs open, above 24; "
+                          "the reduction route has no such bound")
+
+
+def test_hv_has_no_method_option(capsys):
+    # hv picks its route per entry from the loop order's width
+    code, out, err = run(capsys, "hv", "--method", "surgery", str(EXAMPLES / "sunset.rg"))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --method" in err
 
 
 def test_check_all_reports_disagreement(monkeypatch, capsys):

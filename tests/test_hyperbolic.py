@@ -226,17 +226,28 @@ def test_unknown_method_is_typed():
 
 
 def test_loop_width_guard(monkeypatch, wide_map):
-    # the order and its width come before any state is stepped, and hv's
-    # fused entries before any reduction
+    # the order and its width come before any state is stepped
     def no_work(*args):
         raise AssertionError("work done past the width guard")
 
     monkeypatch.setattr(loops, "_step", no_work)
     with pytest.raises(TooLarge, match=r"holds 48 sigma0 arcs open, above 24"):
-        hu(wide_map(), method="loops")
-    monkeypatch.setattr(hyperbolic, "hu", no_work)
-    with pytest.raises(TooLarge, match=r"holds \d+ sigma0 arcs open"):
-        hv(wide_map(("a", "b")))
+        hu(wide_map, method="loops")
+
+
+def test_hv_takes_wide_entries_by_surgery(monkeypatch):
+    # sunset's fused graphs hold 8 arcs open: above the bound, each of its
+    # three entries is taken by surgery, with the surgery route's values
+    monkeypatch.setattr(loops, "MAX_WIDTH", 2)
+    real, labels = hyperbolic._edge_difference, []
+
+    def counted(h, label):
+        labels.append(label)
+        return real(h, label)
+
+    monkeypatch.setattr(hyperbolic, "_edge_difference", counted)
+    assert hv(sunset()) == hv(sunset(), method="surgery")
+    assert labels == ["s1~s2"] * 6
 
 
 # ---------------------------------------------------------------------------
