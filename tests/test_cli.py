@@ -351,13 +351,6 @@ def test_loop_width_guard_is_a_size_error(capsys, tmp_path, wide_map):
                           "the reduction route has no such bound")
 
 
-def test_hv_has_no_method_option(capsys):
-    # hv picks its route per entry from the loop order's width
-    code, out, err = run(capsys, "hv", "--method", "surgery", str(EXAMPLES / "sunset.rg"))
-    assert (code, out) == (2, "")
-    assert "unrecognized arguments: --method" in err
-
-
 def test_check_all_reports_disagreement(monkeypatch, capsys):
     # one strategy off by one: --check-all must refuse, not pick a winner
     real_q, real_hu, real_u = cli.q_polynomial, cli.hu, cli.symanzik_u
