@@ -19,6 +19,7 @@ from typing import Optional
 
 from .errors import ParseError, RgpError, TooLarge, UnknownEdge
 from .hyperbolic import (
+    SYMANZIK_MAX_EDGES,
     hu,
     hu_commutative_limit,
     hu_critical,
@@ -46,6 +47,7 @@ from .ops import (
 )
 from .poly import MultiPoly
 from .qpoly import (
+    EXPANSION_MAX_EDGES,
     RSequenceSpec,
     q_default_method,
     q_polynomial,
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         emit=True, fmt=False)
 
     qp = add("q", _cmd_poly, "topological polynomial Q",
-             method=("expansion", "reduction"), max_edges=10)
+             method=("expansion", "reduction"), max_edges=EXPANSION_MAX_EDGES)
     qp.description = ("Q by subset expansion when no vertex weight can be zero "
                       "(symbolic, const:<n> with n != 0), else by the "
                       "four-term reduction.  The expansion stops above "
@@ -460,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "delta1, const:<n> (default: symbolic)")
     add("hu", _cmd_poly, "first hyperbolic polynomial",
         method=("expansion", "reduction", "loops", "critical"), default="reduction",
-        max_edges=10)
+        max_edges=EXPANSION_MAX_EDGES)
     hvp = add("hv", _cmd_hv, "second hyperbolic polynomial (quadratic form in flags)")
     hvp.add_argument("--check-all", action="store_true",
                      help="recompute the off-diagonal entries by surgery and fail "
                           "on disagreement")
     add("hu-critical", _cmd_poly, "face-factorized value at Omega=1")
     add("symanzik-u", _cmd_poly, "heat-kernel (quasi-tree) polynomial U",
-        method=("faces", "rank"), default="rank", max_edges=20)
+        method=("faces", "rank"), default="rank", max_edges=SYMANZIK_MAX_EDGES)
     lim = add("limit", _cmd_poly,
               "limits: --commutative for the Mehler limit of hu, "
               "--heat-kernel for U; both together give the spanning-tree "

@@ -35,7 +35,10 @@ class UnknownEdge(RgpError):
 
 
 class TooLarge(RgpError):
-    """An enumeration guard tripped; pass a larger bound to override."""
+    """A size guard tripped.  The edge guards of the subset expansions and
+    of `symanzik_u` take a larger `max_edges` (`--max-edges`); the loop
+    order's `loops.MAX_WIDTH` and the commutative limit's 12-edge guard have
+    no override."""
 
 
 class NotATree(RgpError):

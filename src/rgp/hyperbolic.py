@@ -49,7 +49,7 @@ from .maps import (
 from .ops import (cut, delete, delete_flag, natural_dual, partial_dual,
                   spanning_subgraph, to_rotation_spec)
 from .poly import MultiPoly, VarId
-from .qpoly import RSequenceSpec, q_by_expansion, q_by_reduction
+from .qpoly import EXPANSION_MAX_EDGES, RSequenceSpec, q_by_expansion, q_by_reduction
 
 # Q-reduction results are independent of labels, so one memo serves every HU
 # computation in the process (HV alone triggers dozens of related graphs);
@@ -59,6 +59,8 @@ _SHARED_MEMO_BOUND = 4096
 
 # hu_commutative_limit's enumeration visits all 2^e edge subsets.
 _COMMUTATIVE_MAX_EDGES = 12
+# symanzik_u's default guard: it visits all 2^e edge subsets too.
+SYMANZIK_MAX_EDGES = 20
 
 
 def _t_omega(edges) -> tuple[dict, dict]:
@@ -77,7 +79,8 @@ def _hu_images(edges) -> dict:
             for lab in edges}
 
 
-def hu(g: RibbonGraph, method: str = "reduction", max_edges: int = 10) -> MultiPoly:
+def hu(g: RibbonGraph, method: str = "reduction",
+       max_edges: int = EXPANSION_MAX_EDGES) -> MultiPoly:
     """First hyperbolic polynomial, via Q under the odd-vertex weight (method
     "reduction" or "expansion") with Q's four variables per edge replaced by
     their images (`_hu_images`), as the loop sum over those images (method
@@ -371,7 +374,8 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
 # heat-kernel limit: the Symanzik polynomial
 # ---------------------------------------------------------------------------
 
-def symanzik_u(g: RibbonGraph, method: str = "rank", max_edges: int = 20) -> MultiPoly:
+def symanzik_u(g: RibbonGraph, method: str = "rank",
+               max_edges: int = SYMANZIK_MAX_EDGES) -> MultiPoly:
     """Sum over spanning quasi-trees: b^(|A| - v + 1) * prod_{e not in A} a_e.
 
     A quasi-tree is an edge subset A whose spanning subgraph has one face.

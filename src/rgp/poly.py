@@ -106,6 +106,12 @@ MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 _var_key = functools.lru_cache(maxsize=1 << 12)(VarId.sort_key)
 
 
+def _descends(vars_: tuple) -> bool:
+    """Whether the table `vars_` sits in descending key order."""
+    keys = [_var_key(v) for v in vars_]
+    return all(a > b for a, b in zip(keys, keys[1:]))
+
+
 @functools.lru_cache(maxsize=1 << 8)
 def _guard(n: int) -> int:
     """The guard bits of n fields."""
@@ -295,6 +301,7 @@ class MultiPoly:
         """The sum of `polys`, added into one dict over one table in
         descending key order.  Each addend is moved onto the table at most
         once, and not at all when it is that table (as `basis` builds it); the
+        first addend's table is taken as it stands when it descends, and the
         table, and the sum so far with it, is laid out again only when an
         addend brings variables it lacks."""
         vars_: tuple = ()
@@ -303,7 +310,9 @@ class MultiPoly:
         for p in polys:
             terms = p.terms
             if p._vars is not vars_ and p._vars:
-                if not p._index.keys() <= index.keys():
+                if not index and _descends(p._vars):
+                    vars_, index = p._vars, p._index
+                elif not p._index.keys() <= index.keys():
                     grown = sorted(index.keys() | p._index.keys(), key=_var_key, reverse=True)
                     if grown == list(p._vars):
                         table, where = p._vars, p._index

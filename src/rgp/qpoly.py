@@ -56,6 +56,9 @@ from .maps import (RibbonGraph, _incidences, _subset_degrees, canonical_form,
 from .ops import cut, delete, partial_dual, restrict
 from .poly import MultiPoly, VarId
 
+# The subset expansion's default guard: it builds all 4^e (A, B) pairs.
+EXPANSION_MAX_EDGES = 10
+
 
 # ---------------------------------------------------------------------------
 # vertex-degree weight sequences
@@ -149,7 +152,7 @@ class QResult:
 # ---------------------------------------------------------------------------
 
 def q_by_expansion(g: RibbonGraph, r: RSequenceSpec | None = None,
-                   max_edges: int = 10) -> QResult:
+                   max_edges: int = EXPANSION_MAX_EDGES) -> QResult:
     """Enumerate all (A, B) pairs.  Guarded by e(G) <= max_edges.
 
     Every r_n is a coefficient times at most one variable, so the weight of
@@ -343,7 +346,8 @@ def q_default_method(r: RSequenceSpec | None = None) -> str:
 
 
 def q_polynomial(g: RibbonGraph, r: RSequenceSpec | None = None,
-                 method: Optional[str] = None, max_edges: int = 10) -> QResult:
+                 method: Optional[str] = None,
+                 max_edges: int = EXPANSION_MAX_EDGES) -> QResult:
     """Q of g by `method`, "expansion" or "reduction".
 
     The default is `q_default_method(r)`.  When no weight can be zero (the

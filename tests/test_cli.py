@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import random
 import re
@@ -31,8 +32,8 @@ from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hv,
 from rgp.maps import isomorphic
 from rgp.ops import contract, cut, delete, natural_dual, partial_dual
 from rgp.poly import MultiPoly, parse
-from rgp.qpoly import (RSequenceSpec, q_polynomial, specialize_br, specialize_dimer,
-                       specialize_ising)
+from rgp.qpoly import (RSequenceSpec, q_by_expansion, q_polynomial, specialize_br,
+                       specialize_dimer, specialize_ising)
 from reference_enumerators import reference_to_json, reference_to_json_obj
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -236,6 +237,14 @@ def test_size_guard(capsys, tmp_path):
                                "codd": 2 ** 14, "cev": 2 ** 14,
                                "oddf": 2 ** 24, "evf": 2 ** 24,
                                "coddf": 2 ** 26, "cevf": 2 ** 26}
+
+
+def test_max_edges_defaults_are_the_library_bounds():
+    guarded = {"q": [q_by_expansion, q_polynomial], "hu": [hu], "symanzik-u": [symanzik_u]}
+    for verb, functions in guarded.items():
+        default = cli.build_parser().parse_args([verb, "graph.rg"]).max_edges
+        assert {inspect.signature(f).parameters["max_edges"].default
+                for f in functions} == {default}, verb
 
 
 def test_parser_built_once(monkeypatch, capsys):

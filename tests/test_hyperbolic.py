@@ -1,9 +1,13 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from rgp.cli import read_graph_file, read_graph_text
 from rgp.corpus import (
+    acceptance_corpus,
     banana,
     bridge,
     broken_cycle3,
@@ -51,6 +55,8 @@ from rgp.ops import delete_flag, disjoint_union, partial_dual
 from rgp.poly import MultiPoly, VarId, parse
 
 from reference_enumerators import spanning_tree_cotree_sum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def T(lab) -> MultiPoly:
@@ -248,6 +254,24 @@ def test_hv_takes_wide_entries_by_surgery(monkeypatch):
     monkeypatch.setattr(hyperbolic, "_edge_difference", counted)
     assert hv(sunset()) == hv(sunset(), method="surgery")
     assert labels == ["s1~s2"] * 6
+
+
+def test_hv_takes_every_corpus_entry_by_loop_sum(monkeypatch):
+    # the flagged acceptance corpus, examples and hv-small pool all fit the
+    # loop order's width: a wider order would send them back to surgery
+    graphs = list(acceptance_corpus().values())
+    graphs += [read_graph_file(str(path)) for path in sorted((ROOT / "examples").glob("*.rg"))]
+    pool = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    graphs += [read_graph_text(entry["graph"]) for entry in pool["workloads"]["hv-small"]]
+    graphs = [g for g in graphs if g.flag_labels]
+
+    def no_surgery(h, label):
+        raise AssertionError(f"the entry of {label} was taken by surgery")
+
+    monkeypatch.setattr(hyperbolic, "_edge_difference", no_surgery)
+    for g in graphs:
+        hv(g)
+    assert len(graphs) >= 55
 
 
 # ---------------------------------------------------------------------------

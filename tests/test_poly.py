@@ -16,6 +16,7 @@ from rgp.corpus import banana, cycle_graph, path_tree
 from rgp.hyperbolic import (hu, hu_commutative_limit, hu_critical, hu_cycle, hu_tree,
                             symanzik_u)
 from rgp.qpoly import q_by_expansion
+import rgp.poly
 from rgp.poly import _BATCH, KINDS, MAX_EXPONENT, MultiPoly, VarId, parse
 from rgp.errors import InvalidArgument, MissingVariable, ParseError
 
@@ -267,6 +268,20 @@ def test_basis_products_and_constants_stay_on_its_table():
     assert got._vars is var[x]._vars
     assert MultiPoly.sum([got, var[x], 1 * var[t]])._vars is var[x]._vars
     assert got == parse("3 + 3*x_e1*t_e2 - 2*t_e2")
+
+
+def test_sum_on_one_in_order_table_lays_out_no_table(monkeypatch):
+    var = MultiPoly.basis([VarId("X", "e1"), VarId("T", "e2"), VarId("R", 3)])
+    addends = [MultiPoly.one()] + [3 * p for p in var.values()] + [var[VarId("R", 3)] ** 2]
+    want = functools.reduce(operator.add, addends)
+
+    def no_layout(*args, **kwargs):
+        raise AssertionError("sum laid out a table")
+
+    monkeypatch.setattr(rgp.poly, "sorted", no_layout, raising=False)
+    got = MultiPoly.sum(addends)
+    assert got._vars is var[VarId("X", "e1")]._vars
+    assert got == want
 
 
 def test_basis_product_past_max_exponent_raises():
