@@ -68,8 +68,9 @@ class Refused(Exception):
 def checkout(ref: str, dest: Path) -> tuple:
     """(a directory holding `ref`, how the record names it): a directory as
     it stands, or a revision exported into `dest`."""
-    if Path(ref).is_dir():
-        return Path(ref).resolve(), {"dir": str(Path(ref).resolve())}
+    tree = Path(ref).resolve()
+    if tree.is_dir():
+        return tree, {"dir": str(tree)}
     sha = subprocess.run(["git", "rev-parse", ref], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     dest.mkdir(parents=True)
