@@ -17,10 +17,10 @@ loop model of `loops` with the images as its values ("loops"), or rebuilds
 HU from the face product on orientable maps ("critical").  `hv` takes its
 diagonal from `hu` of each flag-deleted graph.  Its off-diagonal entries
 fuse two flags into an edge e of a new graph G' and take
-HU(G'^e - e) - HU(G'^e v e): by default as one loop sum on G' with e's
-images (x, y, z, w) = (0, 1, -1, 0), that is, e forced into A and signed by
-B ("loops", where the loop order's width allows), or by building both
-graphs and calling `hu` on each ("surgery").
+HU(G'^e - e) - HU(G'^e v e): by default as loop sums with e forced into A
+and signed by B, all closed from one sum over G's edges ("loops", where
+that sum's width allows), or by building both graphs and calling `hu` on
+each ("surgery").
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 from .errors import (HasFlags, NoFlags, NotACycle, NotATree, NotConnected,
                      NotOrientable, SelfCheckFailed, TooLarge, UnknownMethod)
 from .gf2 import rank
-from .loops import loop_sum
+from .loops import fused_sums, loop_sum
 from .maps import (
     RibbonGraph,
     _UnionFind,
@@ -310,21 +310,18 @@ def _edge_difference(g: RibbonGraph, label) -> MultiPoly:
     return d
 
 
-# A fused edge's images (x, y, z, w): by the four-term relation the loop sum
-# is then HU(G^e - e) - HU(G^e v e), e forced into A and signed by B.
-_FUSED_IMAGES = (0, 1, -1, 0)
-
-
 def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     """Second hyperbolic polynomial as a quadratic form over the flags.
 
     diag_i drops flag i and takes HU; the off-diagonal parts fuse flags i and
     j into one untwisted edge of `to_rotation_spec(g)` and take the
-    difference of HU over the two ways of removing it: one loop sum with the
-    fused edge's `_FUSED_IMAGES` (method "loops"; an entry whose loop order
-    is wider than `loops.MAX_WIDTH` is taken by surgery instead), or `hu` of
-    both surgeries (method "surgery").  antisym additionally splices a parity-marking flag
-    into the rotation right after i.  The antisymmetric table is canonical
+    difference of HU over the two ways of removing it.  antisym additionally
+    marks a flag spliced into the rotation right after i.  Method "loops"
+    writes one graph with a marker right after every flag and sums its
+    edges' loop model once (`loops.fused_sums`): each entry closes the kept
+    states with its own marker marked and the other markers absent.  Where that sum is wider than
+    `loops.MAX_WIDTH`, and for method "surgery", each entry builds its graph
+    and calls `hu` on both surgeries.  The antisymmetric table is canonical
     up to one global sign, fixed here by the rotations `to_rotation_spec`
     writes.
     """
@@ -333,40 +330,45 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     flags = tuple(sorted(g.flag_labels, key=str))
     if not flags:
         raise NoFlags("the quadratic form needs at least one flag")
+    diag = {i: hu(delete_flag(g, i)) for i in flags}
     spec = to_rotation_spec(g)
-    images = _hu_images(g.edge_labels)
     marker = "+"
-    while any(marker in items for _v, items in spec.vertices):
+    while any(str(it).startswith(marker) for _v, items in spec.vertices for it in items):
         marker += "+"
 
-    def marked(f) -> tuple:
-        """spec's rotations with the marker right after flag f."""
-        return tuple((v, sum(((it, marker) if it == f else (it,) for it in items), ()))
+    def marked(names: dict) -> tuple:
+        """spec's rotations with each flag f of `names` followed by names[f]."""
+        return tuple((v, sum(((it, names[it]) if it in names else (it,) for it in items), ()))
                      for v, items in spec.vertices)
 
-    def fused(i, j, vertices) -> MultiPoly:
-        label = f"{i}~{j}"
-        while label in g.edge_labels:
-            label += "'"
-        edges = spec.edges + ((label, i, j, 0),)
-        h = from_rotation_system(RotationSpec(vertices, edges))
-        if method == "loops":
-            try:
-                return loop_sum(h, {**images, label: _FUSED_IMAGES})
-            except TooLarge:
-                pass    # wider than the loop order affords: surgery has no bound
-        return _edge_difference(h, label)
-
-    diag = {i: hu(delete_flag(g, i)) for i in flags}
-    sym = {}
-    antisym = {}
-    for i, j in combinations(flags, 2):
-        sym[(i, j)] = fused(i, j, spec.vertices)
-        fwd = fused(i, j, marked(i))
-        if fwd != MultiPoly.zero() - fused(i, j, marked(j)):
+    pairs = list(combinations(flags, 2))
+    sums = None
+    if method == "loops":
+        names = {f: f"{marker}{k}" for k, f in enumerate(flags)}
+        others = {(i, j): set(flags) - {i, j} for i, j in pairs}
+        try:
+            # each pair's sym entry, then its antisym entries marked after i and after j
+            sums = fused_sums(
+                from_rotation_system(RotationSpec(marked(names), spec.edges)),
+                _hu_images(g.edge_labels),
+                [(i, j, [m, m | {names[i]}, m | {names[j]}]) for (i, j), m in others.items()])
+        except TooLarge:
+            pass    # wider than the loop order affords: surgery has no bound
+    if sums is None:
+        sums = []
+        for i, j in pairs:
+            label = f"{i}~{j}"
+            while label in g.edge_labels:
+                label += "'"
+            edges = spec.edges + ((label, i, j, 0),)
+            sums.append([_edge_difference(from_rotation_system(RotationSpec(v, edges)), label)
+                         for v in (spec.vertices, marked({i: marker}), marked({j: marker}))])
+    sym, antisym = {}, {}
+    for pair, (symmetric, fwd, bwd) in zip(pairs, sums):
+        if fwd != -bwd:
             raise SelfCheckFailed("the marked difference must be antisymmetric "
                                   "in the flag order")
-        antisym[(i, j)] = fwd
+        sym[pair], antisym[pair] = symmetric, fwd
     return QuadraticForm(flags, diag, sym, antisym)
 
 

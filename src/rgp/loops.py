@@ -28,6 +28,12 @@ cycles closed so far; each new state's addends are added once with
 `MultiPoly.sum`.  The values are products of the images as given: there is
 no canonical form, memo, surgery or `substitute`.  The width is known before
 any work, and above MAX_WIDTH the sum raises TooLarge.
+
+`fused_sums` serves graphs that differ only at their flags: two flags fused
+into an edge, some marked, the rest absent.  It adds the edge groups alone,
+every flag cross pending, and keeps the states.  Each pending cross then
+draws one arc, and one walk along a state's open paths closes the cycles of
+every marking of a flag pair at once.
 """
 
 from __future__ import annotations
@@ -46,12 +52,14 @@ MAX_WIDTH = 24
 _CHOICES = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _order(groups: list, s0: dict) -> tuple[list, int]:
-    """(order, width): the groups added one at a time, each time the one that
-    leaves the fewest sigma0 arcs between added and pending groups (the
-    first on a tie), and the most arcs open after any step."""
-    group_of = {x: k for k, (crosses, _choices) in enumerate(groups) for x in crosses}
-    links = [Counter() for _ in groups]
+def _order(groups: list, s0: dict) -> list:
+    """The groups added one at a time, each time the one that leaves the
+    fewest sigma0 arcs between added and pending groups (the first on a tie).
+    Raises TooLarge when the most arcs open after any step, the order's
+    width, is above MAX_WIDTH.  Crosses in no group stay pending throughout."""
+    group_of = dict.fromkeys(s0, len(groups))   # a group never added
+    group_of.update((x, k) for k, (crosses, _choices) in enumerate(groups) for x in crosses)
+    links = [Counter() for _ in range(len(groups) + 1)]
     for x, k in group_of.items():
         h = group_of[s0[x]]
         if h != k:
@@ -68,7 +76,10 @@ def _order(groups: list, s0: dict) -> tuple[list, int]:
         width = max(width, open_arcs)
         for h, n in links[k].items():
             gain[h] -= 2 * n
-    return order, width
+    if width > MAX_WIDTH:
+        raise TooLarge(f"the loop order holds {width} sigma0 arcs open, above "
+                       f"{MAX_WIDTH}; the reduction route has no such bound")
+    return order
 
 
 def _step(paths: tuple, closed: int, arcs: tuple):
@@ -99,12 +110,11 @@ def _step(paths: tuple, closed: int, arcs: tuple):
     return (tuple(sorted((s, e, p) for e, (s, p) in head.items())), closed), pairs
 
 
-def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
-    """HU's sum over (A, B) with each edge's images (x, y, z, w) in place of
-    its variables, `images` holding one 4-tuple of ints or `MultiPoly`s per
-    edge label.  Raises TooLarge when the order's width is above MAX_WIDTH."""
+def _edge_groups(g: RibbonGraph, images: dict) -> list:
+    """Each edge's group (crosses, [(weights, arcs)]), its choices weighed by
+    `images` and each choice's weights indexed by the pairs it closes."""
     s0, th, s1 = g.map.sigma0, g.map.theta, g.map.sigma1
-    groups = []    # (crosses, [(weights, arcs)]): weights by pairs closed
+    groups = []
     for lab in g.sorted_edges():
         crosses = sorted(g.edge_labels[lab])
         choices = []
@@ -114,15 +124,11 @@ def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
             arcs = tuple((x, s0[th[s1[x]]] if in_a else s0[x], in_b) for x in crosses)
             choices.append(((img, img * 2, img * 4), arcs))
         groups.append((crosses, choices))
-    for orb in g.flag_labels.values():
-        crosses = sorted(orb)
-        groups.append((crosses, [((1, 2, 4), tuple((x, s0[x], 1) for x in crosses))]))
-    order, width = _order(groups, s0)
-    if width > MAX_WIDTH:
-        raise TooLarge(f"the loop order holds {width} sigma0 arcs open, above "
-                       f"{MAX_WIDTH}; the reduction route has no such bound")
-    if g.bare_vertices:
-        return MultiPoly.zero()
+    return groups
+
+
+def _sweep(groups: list, order: list) -> dict:
+    """{(paths, closed): value} after adding the groups in `order`."""
     states = {((), 0): MultiPoly.one()}
     for k in order:
         addends: dict = {}
@@ -135,4 +141,80 @@ def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
                         value if isinstance(w, int) and w == 1 else value * w)
         states = {key: p for key, ps in addends.items()
                   if (p := ps[0] if len(ps) == 1 else MultiPoly.sum(ps))}
-    return states.get(((), 0), MultiPoly.zero())
+    return states
+
+
+def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
+    """HU's sum over (A, B) with each edge's images (x, y, z, w) in place of
+    its variables, `images` holding one 4-tuple of ints or `MultiPoly`s per
+    edge label.  Raises TooLarge when the order's width is above MAX_WIDTH."""
+    if g.bare_vertices:
+        return MultiPoly.zero()
+    s0 = g.map.sigma0
+    groups = _edge_groups(g, images)
+    for orb in g.flag_labels.values():
+        crosses = sorted(orb)
+        groups.append((crosses, [((1, 2, 4), tuple((x, s0[x], 1) for x in crosses))]))
+    return _sweep(groups, _order(groups, s0)).get(((), 0), MultiPoly.zero())
+
+
+def _closure(node: dict, arcs: dict, closed: int, odd: int) -> tuple:
+    """(odd, 2^pairs) for the cycles closed when each pending cross x draws
+    arcs[x] = (target, marks) from a state: its paths `node` (start -> (end,
+    marks)), its `closed` parity.  Marks hold one parity bit per variant (-1
+    sets all); the bits of `odd` kept are the variants whose cycles all
+    close odd.  The cycles close in conjugate pairs, so closed ends even."""
+    left = set(arcs)
+    while left:
+        x = y = left.pop()
+        marks = 0
+        while True:
+            target, mark = arcs[y]
+            y, m = node.get(target, (target, 0))
+            marks ^= mark ^ m
+            if y == x:
+                break
+            left.remove(y)
+        odd &= marks
+        if not odd:
+            return 0, 0
+        closed += 1
+    return odd, 1 << (closed >> 1)
+
+
+def fused_sums(g: RibbonGraph, images: dict, pairs: list) -> list:
+    """For each (i, j, markings) of `pairs`, one loop sum per set in
+    `markings` with flags i and j fused into one untwisted edge e, forced
+    into A and signed by B, the flags in the set marked and every other flag
+    an unmarked pass-through, that is, absent.  By the four-term relation
+    each is HU(G'^e - e) - HU(G'^e v e) of that graph G'.  e pairs the
+    crosses as `from_rotation_system` would: the smaller cross of each flag
+    runs the rotation.  Raises TooLarge when the edges' order is wider than
+    MAX_WIDTH."""
+    if g.bare_vertices:
+        return [[MultiPoly.zero()] * len(markings) for _i, _j, markings in pairs]
+    s0 = g.map.sigma0
+    groups = _edge_groups(g, images)
+    states = _sweep(groups, _order(groups, s0))
+    nodes = [({s: (e, -p) for s, e, p in paths}, closed, value)
+             for (paths, closed), value in states.items()]
+    crosses = {f: sorted(orb) for f, orb in g.flag_labels.items()}
+    sums = []
+    for i, j, markings in pairs:
+        # mark bit 2k + b: the flags of markings[k] marked, e in B when b = 1
+        every = (1 << 2 * len(markings)) - 1
+        arcs = {x: (s0[x], sum(3 << 2 * k for k, m in enumerate(markings) if f in m))
+                for f, xs in crosses.items() for x in xs}
+        # e in A: x -> sigma0(theta(sigma1(x))), sigma1 joining ai to bj, bi to aj
+        (ai, bi), (aj, bj) = crosses[i], crosses[j]
+        in_b = every // 3 * 2
+        arcs.update((x, (s0[y], in_b)) for x, y in ((ai, aj), (bi, bj), (aj, ai), (bj, bi)))
+        addends = [[] for _ in markings]
+        for node, closed, value in nodes:
+            odd, paid = _closure(node, arcs, closed, every)
+            for k, ps in enumerate(addends):
+                c = paid * ((odd >> 2 * k & 1) - (odd >> 2 * k + 1 & 1))
+                if c:
+                    ps.append(value if c == 1 else value.scale(c))
+        sums.append([MultiPoly.sum(ps) for ps in addends])
+    return sums

@@ -205,14 +205,67 @@ def flagged_randoms() -> list:
     return graphs
 
 
-@_streams(flagged_corpus, flagged_randoms)
+def flagged_bare_twisted() -> list:
+    """The first 40 maps with at least two flags, up to 6 edges and 4 flags:
+    bare vertices and twists among them."""
+    rng = random.Random(17)
+    graphs = []
+    while len(graphs) < 40:
+        g = random_rotation_graph(rng, max_edges=6, max_flags=4)
+        if len(g.flag_labels) >= 2:
+            graphs.append(g)
+    assert _kinds(graphs) >= {"bare vertex", "non-orientable"}
+    return graphs
+
+
+def flagged_wider() -> list:
+    """The first 5 connected maps with two flags and 7-9 edges."""
+    rng = random.Random(9)
+    graphs = []
+    while len(graphs) < 5:
+        g = random_rotation_graph(rng, max_edges=9, min_edges=7, max_flags=2)
+        if len(g.flag_labels) == 2 and structure_report(g).k == 1:
+            graphs.append(g)
+    return graphs
+
+
+@_streams(flagged_corpus, flagged_randoms, flagged_bare_twisted, flagged_wider)
 def test_hv_loops_equal_surgery(stream):
+    graphs = stream()
     offdiagonal = 0
-    for g in stream():
+    for g in graphs:
         form = hv(g)
         assert form == hv(g, method="surgery")
         offdiagonal += any(not p.is_zero() for p in [*form.sym.values(), *form.antisym.values()])
-    assert offdiagonal >= 10
+    assert offdiagonal >= min(10, len(graphs))
+
+
+def test_fused_sums_equal_the_loop_sum_of_the_fused_graph():
+    # one prefix, closed per pair and marking, against a loop sum of the graph
+    # that fuses the pair into an edge of images (0, 1, -1, 0) and drops the
+    # unmarked flags
+    rng = random.Random(23)
+    checked = nonzero = 0
+    while checked < 60:
+        spec = to_rotation_spec(random_rotation_graph(rng, max_edges=5, max_flags=4))
+        flags = list(spec.flags)
+        if len(flags) < 2:
+            continue
+        checked += 1
+        i, j = rng.sample(flags, 2)
+        markings = [{f for f in flags if f not in (i, j) and rng.random() < 0.6}
+                    for _ in range(2)]
+        images = {e: tuple(rng.choice((0, 1, 3)) for _ in range(4)) for e, *_ in spec.edges}
+        [got] = loops.fused_sums(from_rotation_system(spec), images, [(i, j, markings)])
+        for p, marked in zip(got, markings):
+            kept = {i, j, *marked}
+            h = from_rotation_system(RotationSpec(
+                tuple((v, tuple(it for it in items if it in kept or it not in flags))
+                      for v, items in spec.vertices),
+                spec.edges + (("i~j", i, j, 0),)))
+            assert p == loops.loop_sum(h, {**images, "i~j": (0, 1, -1, 0)})
+            nonzero += not p.is_zero()
+    assert nonzero >= 20
 
 
 def test_hu_loops_reach():

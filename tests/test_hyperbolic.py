@@ -51,7 +51,7 @@ from rgp.hyperbolic import (
     symanzik_u,
 )
 from rgp.maps import RotationSpec, from_rotation_system
-from rgp.ops import delete_flag, disjoint_union, partial_dual
+from rgp.ops import delete_flag, disjoint_union, partial_dual, to_rotation_spec
 from rgp.poly import MultiPoly, VarId, parse
 
 from reference_enumerators import spanning_tree_cotree_sum
@@ -241,8 +241,50 @@ def test_loop_width_guard(monkeypatch, wide_map):
         hu(wide_map, method="loops")
 
 
+def test_loop_routes_answer_a_bare_vertex_first(monkeypatch, wide_map):
+    # a bare vertex weighs 0, so HU and hv's entries are 0 whatever the width
+    def with_bare(g):
+        spec = to_rotation_spec(g)
+        return from_rotation_system(RotationSpec(spec.vertices + (("bare", ()),), spec.edges))
+
+    assert hu(with_bare(wide_map), method="loops") == MultiPoly.zero()
+
+    def no_surgery(h, label):
+        raise AssertionError(f"the entry of {label} was taken by surgery")
+
+    monkeypatch.setattr(loops, "MAX_WIDTH", 2)
+    monkeypatch.setattr(hyperbolic, "_edge_difference", no_surgery)
+    form = hv(with_bare(sunset()))
+    assert form.sym == form.antisym == {("s1", "s2"): MultiPoly.zero()}
+
+
+def test_hv_builds_one_graph_and_steps_each_edge_once(monkeypatch):
+    # one marked graph per call, its edge groups stepped once in one sweep;
+    # every entry is then closed from the kept states
+    pool = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    built, swept = [], []
+    real_build, real_sweep = hyperbolic.from_rotation_system, loops._sweep
+
+    def build(spec):
+        built.append(spec)
+        return real_build(spec)
+
+    def sweep(groups, order):
+        swept.append(sorted(order))
+        return real_sweep(groups, order)
+
+    monkeypatch.setattr(hyperbolic, "from_rotation_system", build)
+    monkeypatch.setattr(loops, "_sweep", sweep)
+    for g in (sunset(), read_graph_text(pool["workloads"]["hv-small"][7]["graph"])):
+        built.clear()
+        swept.clear()
+        hv(g)
+        assert len(built) == 1
+        assert swept == [list(range(len(g.edge_labels)))]
+
+
 def test_hv_takes_wide_entries_by_surgery(monkeypatch):
-    # sunset's fused graphs hold 8 arcs open: above the bound, each of its
+    # sunset's edge prefix holds 8 arcs open: above the bound, each of its
     # three entries is taken by surgery, with the surgery route's values
     monkeypatch.setattr(loops, "MAX_WIDTH", 2)
     real, labels = hyperbolic._edge_difference, []
@@ -258,7 +300,7 @@ def test_hv_takes_wide_entries_by_surgery(monkeypatch):
 
 def test_hv_takes_every_corpus_entry_by_loop_sum(monkeypatch):
     # the flagged acceptance corpus, examples and hv-small pool all fit the
-    # loop order's width: a wider order would send them back to surgery
+    # edge prefix's width: a wider prefix would send them back to surgery
     graphs = list(acceptance_corpus().values())
     graphs += [read_graph_file(str(path)) for path in sorted((ROOT / "examples").glob("*.rg"))]
     pool = json.loads((ROOT / "perfbench" / "references.json").read_text())
@@ -311,13 +353,22 @@ def test_hv_steps_its_names_around_the_graphs_labels():
 @pytest.mark.parametrize("method", ["loops", "surgery"])
 def test_hv_antisymmetry_check_fires(monkeypatch, method):
     # one marked entry off by one: the two flag orders no longer negate
-    name, real = (("loop_sum", loops.loop_sum) if method == "loops"
-                  else ("_edge_difference", hyperbolic._edge_difference))
+    if method == "loops":
+        real = loops.fused_sums
 
-    def off_when_marked(h, *args):
-        return real(h, *args) + (C(1) if "+" in h.flag_labels else C(0))
+        def off_when_marked(h, images, pairs):
+            return [[p + C(any(str(f).startswith("+") for f in marked))
+                     for p, marked in zip(sums, markings)]
+                    for sums, (_i, _j, markings) in zip(real(h, images, pairs), pairs)]
 
-    monkeypatch.setattr(hyperbolic, name, off_when_marked)
+        monkeypatch.setattr(hyperbolic, "fused_sums", off_when_marked)
+    else:
+        real = hyperbolic._edge_difference
+
+        def off_when_marked(h, label):
+            return real(h, label) + (C(1) if "+" in h.flag_labels else C(0))
+
+        monkeypatch.setattr(hyperbolic, "_edge_difference", off_when_marked)
     with pytest.raises(SelfCheckFailed, match="antisymmetric"):
         hv(sunset(), method=method)
 
