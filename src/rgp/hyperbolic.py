@@ -319,11 +319,11 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     marks a flag spliced into the rotation right after i.  Method "loops"
     writes one graph with a marker right after every flag and sums its
     edges' loop model once (`loops.fused_sums`): each entry closes the kept
-    states with its own marker marked and the other markers absent.  Where that sum is wider than
-    `loops.MAX_WIDTH`, and for method "surgery", each entry builds its graph
-    and calls `hu` on both surgeries.  The antisymmetric table is canonical
-    up to one global sign, fixed here by the rotations `to_rotation_spec`
-    writes.
+    states with its own marker marked and the other markers absent.  Where
+    that sum is wider than `loops.MAX_WIDTH`, and for method "surgery", each
+    entry builds its graph and calls `hu` on both surgeries.  The
+    antisymmetric table is canonical up to one global sign, fixed here by
+    the rotations `to_rotation_spec` writes.
     """
     if method not in ("loops", "surgery"):
         raise UnknownMethod(f"unknown method {method!r}")
