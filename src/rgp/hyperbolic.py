@@ -7,7 +7,8 @@ HU is the odd-weight evaluation of Q,
 
 a polynomial with nonnegative integer coefficients supported on the pairs
 (A, B) whose residual graph has odd flag count at every vertex ("admissible").
-The images of x, y, z and w are built on one t/Omega table (`_t_omega`).
+The images of x, y, z and w are written once, on one t/Omega table
+(`_hu_images`), and the closed forms read their sums and products from them.
 Closed forms for trees, cycles and the Omega = 1 specialization give three
 independent computation routes, all cross-checked in the test suite.
 
@@ -63,20 +64,15 @@ _COMMUTATIVE_MAX_EDGES = 12
 SYMANZIK_MAX_EDGES = 20
 
 
-def _t_omega(edges) -> tuple[dict, dict]:
-    """({e: t_e}, {e: O_e}) for the given edge labels, all over one shared
-    key-ordered table (`MultiPoly.basis`)."""
-    var = MultiPoly.basis(VarId(kind, lab) for lab in edges for kind in ("T", "OMEGA"))
-    return ({lab: var[VarId("T", lab)] for lab in edges},
-            {lab: var[VarId("OMEGA", lab)] for lab in edges})
-
-
 def _hu_images(edges) -> dict:
     """{e: the images (t_e, O_e, O_e t_e^2, t_e O_e^2) of x_e, y_e, z_e and
-    w_e}, all on the one t/Omega table of `_t_omega`."""
-    t, om = _t_omega(edges)
-    return {lab: (t[lab], om[lab], om[lab] * t[lab] * t[lab], t[lab] * om[lab] * om[lab])
-            for lab in edges}
+    w_e}, all over one shared key-ordered t/Omega table (`MultiPoly.basis`)."""
+    var = MultiPoly.basis(VarId(kind, lab) for lab in edges for kind in ("T", "OMEGA"))
+    images = {}
+    for lab in edges:
+        t, om = var[VarId("T", lab)], var[VarId("OMEGA", lab)]
+        images[lab] = (t, om, om * t * t, t * om * om)
+    return images
 
 
 def hu(g: RibbonGraph, method: str = "reduction",
@@ -127,11 +123,12 @@ def _parity_split(factors) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks,
-                    t: dict, om: dict) -> MultiPoly:
+                    images: dict) -> MultiPoly:
     """The closed-form sum over the given A (bitmasks over `edges`): contract
     A, then every vertex of G/A must be made odd by the cut edges B among the
-    rest.  Each admissible (A, B) is weighted 2^(vertices of G/A).  t and om
-    are the edges' t_e and O_e (`_t_omega`)."""
+    rest.  Each admissible (A, B) is weighted 2^(vertices of G/A), each edge
+    of A by y_e + z_e = O_e (1 + t_e^2), each cut edge by w_e and each other
+    by x_e (`_hu_images`)."""
     one = MultiPoly.one()
 
     def terms():
@@ -151,14 +148,15 @@ def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks,
             contracted = MultiPoly.const(2 ** len(base))
             for i, lab in enumerate(edges):
                 if amask >> i & 1:
-                    contracted = contracted * om[lab] * (one + t[lab] * t[lab])
+                    _x, y, z, _w = images[lab]
+                    contracted = contracted * (y + z)
             pairs = [(cls[roots[u]], cls[roots[w]]) for u, w in (ends[lab] for lab in rest)]
             for bmask, deg in _subset_degrees(base, pairs):
                 if any(d % 2 == 0 for d in deg):
                     continue
                 term = one
                 for j, lab in enumerate(rest):
-                    term = term * (om[lab] * om[lab] * t[lab] if bmask >> j & 1 else t[lab])
+                    term = term * images[lab][3 if bmask >> j & 1 else 0]
                 yield contracted * term
 
     return MultiPoly.sum(terms())
@@ -174,7 +172,7 @@ def hu_tree(g: RibbonGraph) -> MultiPoly:
         return MultiPoly.zero()   # a flagless point has even (zero) flag count
     flags_at, ends = _incidences(g)
     edges = g.sorted_edges()
-    return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)), *_t_omega(edges))
+    return _contracted_sum(edges, flags_at, ends, range(1 << len(edges)), _hu_images(edges))
 
 
 def hu_cycle(g: RibbonGraph) -> MultiPoly:
@@ -188,18 +186,18 @@ def hu_cycle(g: RibbonGraph) -> MultiPoly:
                         "every vertex bivalent)")
     edges = g.sorted_edges()
     m, n = _incidences(natural_dual(g))[0]     # flags per face
-    t, om = _t_omega(edges)
+    images = _hu_images(edges)
 
     total = MultiPoly.zero()
     if (m - n) % 2 == 0:
         # the two-face term survives only when both faces break the same way:
-        # prod O_e (1 + t_e^2) with an odd (n even) / even (n odd) number of t^2
-        even, odd = _parity_split((om[lab], om[lab] * t[lab] * t[lab]) for lab in edges)
+        # prod (y_e + z_e) with an odd (n even) / even (n odd) number of z
+        even, odd = _parity_split(images[lab][1:3] for lab in edges)
         total = MultiPoly.const(4) * (odd if n % 2 == 0 else even)
 
     # proper subsets only: A = every edge is the two-face term above
     return total + _contracted_sum(edges, flags_at, ends, range((1 << len(edges)) - 1),
-                                   t, om)
+                                   images)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +312,16 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     """Second hyperbolic polynomial as a quadratic form over the flags.
 
     diag_i drops flag i and takes HU; the off-diagonal parts fuse flags i and
-    j into one untwisted edge of `to_rotation_spec(g)` and take the
-    difference of HU over the two ways of removing it.  antisym additionally
-    marks a flag spliced into the rotation right after i.  Method "loops"
-    writes one graph with a marker right after every flag and sums its
-    edges' loop model once (`loops.fused_sums`): each entry closes the kept
-    states with its own marker marked and the other markers absent.  Where
-    that sum is wider than `loops.MAX_WIDTH`, and for method "surgery", each
-    entry builds its graph and calls `hu` on both surgeries.  The
-    antisymmetric table is canonical up to one global sign, fixed here by
-    the rotations `to_rotation_spec` writes.
+    j into one untwisted edge and take the difference of HU over the two
+    ways of removing it.  antisym additionally marks a flag spliced into the
+    rotation right after i.  Method "loops" sums G's edges' loop model once
+    (`loops.fused_sums`) and closes every entry from the kept states, each
+    marker's mark moved onto the fused edge's arcs.  Where that sum is wider
+    than `loops.MAX_WIDTH`, and for method "surgery", each entry writes its
+    graph as an edit of `to_rotation_spec(g)` and calls `hu` on both
+    surgeries.  The antisymmetric table is canonical up to one global sign,
+    fixed here by the rotations of `orientation_selection(g).chosen`, which
+    `to_rotation_spec` writes.
     """
     if method not in ("loops", "surgery"):
         raise UnknownMethod(f"unknown method {method!r}")
@@ -331,30 +329,24 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
     if not flags:
         raise NoFlags("the quadratic form needs at least one flag")
     diag = {i: hu(delete_flag(g, i)) for i in flags}
-    spec = to_rotation_spec(g)
-    marker = "+"
-    while any(str(it).startswith(marker) for _v, items in spec.vertices for it in items):
-        marker += "+"
-
-    def marked(names: dict) -> tuple:
-        """spec's rotations with each flag f of `names` followed by names[f]."""
-        return tuple((v, sum(((it, names[it]) if it in names else (it,) for it in items), ()))
-                     for v, items in spec.vertices)
-
     pairs = list(combinations(flags, 2))
     sums = None
     if method == "loops":
-        names = {f: f"{marker}{k}" for k, f in enumerate(flags)}
-        others = {(i, j): set(flags) - {i, j} for i, j in pairs}
         try:
-            # each pair's sym entry, then its antisym entries marked after i and after j
-            sums = fused_sums(
-                from_rotation_system(RotationSpec(marked(names), spec.edges)),
-                _hu_images(g.edge_labels),
-                [(i, j, [m, m | {names[i]}, m | {names[j]}]) for (i, j), m in others.items()])
+            sums = fused_sums(g, _hu_images(g.edge_labels), pairs)
         except TooLarge:
             pass    # wider than the loop order affords: surgery has no bound
     if sums is None:
+        spec = to_rotation_spec(g)
+        marker = "+"
+        while any(marker in items for _v, items in spec.vertices):
+            marker += "+"
+
+        def after(f) -> tuple:
+            """spec's rotations with the marker spliced in right after flag f."""
+            return tuple((v, sum(((it, marker) if it == f else (it,) for it in items), ()))
+                         for v, items in spec.vertices)
+
         sums = []
         for i, j in pairs:
             label = f"{i}~{j}"
@@ -362,7 +354,7 @@ def hv(g: RibbonGraph, method: str = "loops") -> QuadraticForm:
                 label += "'"
             edges = spec.edges + ((label, i, j, 0),)
             sums.append([_edge_difference(from_rotation_system(RotationSpec(v, edges)), label)
-                         for v in (spec.vertices, marked({i: marker}), marked({j: marker}))])
+                         for v in (spec.vertices, after(i), after(j))])
     sym, antisym = {}, {}
     for pair, (symmetric, fwd, bwd) in zip(pairs, sums):
         if fwd != -bwd:
@@ -495,8 +487,8 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
             return MultiPoly.zero()
         v = structure_report(g).v
         beta = MultiPoly.variable("BETA")
-        om = _t_omega(g.edge_labels)[1]
-        graded = p.substitute({VarId("OMEGA", lab): beta * o for lab, o in om.items()})
+        graded = p.substitute({VarId("OMEGA", lab): beta * y
+                               for lab, (_x, y, _z, _w) in _hu_images(g.edge_labels).items()})
         degrees = {mono.get(VarId("BETA"), 0) for mono, _c in graded.monomials()}
         if min(degrees) < v:
             raise SelfCheckFailed(f"leading Omega-degree {min(degrees)} < v = {v}")
@@ -514,9 +506,9 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
     flags_at, ends = _incidences(g)
     nv = len(flags_at)
     twist = {lab: tw for lab, _p, _q, tw in to_rotation_spec(g).edges}
-    t, om = _t_omega(edges)
+    images = _hu_images(edges)
     one = MultiPoly.one()
-    kept = {lab: om[lab] * (one + t[lab] * t[lab]) for lab in edges}
+    kept = {lab: y + z for lab, (_x, y, z, _w) in images.items()}
     factors: dict = {}   # a component's edges -> its factor, None if it has none
 
     def factor(labs: tuple, size: int):
@@ -524,7 +516,7 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
             # the tree: 4 * sum_e O_e^2 t_e prod_(rest) O (1 + t^2)
             prod, acc = one, MultiPoly.zero()
             for lab in labs:
-                acc = acc * kept[lab] + prod * om[lab] * om[lab] * t[lab]
+                acc = acc * kept[lab] + prod * images[lab][3]
                 prod = prod * kept[lab]
             return acc * 4
         if len(labs) > size:
@@ -532,7 +524,7 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
         cyc = _cycle_edges(labs, ends)
         if sum(twist[lab] for lab in cyc) % 2 == 1:
             return None
-        _even, odd = _parity_split((om[lab], om[lab] * t[lab] * t[lab]) for lab in cyc)
+        _even, odd = _parity_split(images[lab][1:3] for lab in cyc)
         for lab in labs:
             if lab not in cyc:
                 odd = odd * kept[lab]
@@ -546,7 +538,7 @@ def hu_commutative_limit(g: RibbonGraph, method: str = "enumeration") -> MultiPo
                 if mask >> i & 1:
                     uf.union(*ends[lab])
                 else:
-                    weight = weight * t[lab]
+                    weight = weight * images[lab][0]
             roots = [uf.find(v) for v in range(nv)]
             comp_edges: dict = {}
             for i, lab in enumerate(edges):

@@ -29,11 +29,11 @@ cycles closed so far; each new state's addends are added once with
 no canonical form, memo, surgery or `substitute`.  The width is known before
 any work, and above MAX_WIDTH the sum raises TooLarge.
 
-`fused_sums` serves graphs that differ only at their flags: two flags fused
-into an edge, some marked, the rest absent.  It adds the edge groups alone,
-every flag cross pending, and keeps the states.  Each pending cross then
-draws one arc, and one walk along a state's open paths closes the cycles of
-every marking of a flag pair at once.
+`fused_sums` serves the graphs that fuse two flags of G into an edge, with
+an antisymmetric marker flag or none.  It adds G's edge groups alone, every
+flag cross pending, and keeps the states.  Each pending cross then draws one
+arc; a marker's mark rides on the fused edge's arcs through its corner, so
+one walk along a state's open paths closes every variant of a flag pair.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import TooLarge
-from .maps import RibbonGraph
+from .maps import RibbonGraph, orientation_selection
 from .poly import MultiPoly
 
 # The open sigma0 arcs the order may hold.  Twisted 3-vertex maps of 24-28
@@ -183,33 +183,37 @@ def _closure(node: dict, arcs: dict, closed: int, odd: int) -> tuple:
 
 
 def fused_sums(g: RibbonGraph, images: dict, pairs: list) -> list:
-    """For each (i, j, markings) of `pairs`, one loop sum per set in
-    `markings` with flags i and j fused into one untwisted edge e, forced
-    into A and signed by B, the flags in the set marked and every other flag
-    an unmarked pass-through, that is, absent.  By the four-term relation
-    each is HU(G'^e - e) - HU(G'^e v e) of that graph G'.  e pairs the
-    crosses as `from_rotation_system` would: the smaller cross of each flag
-    runs the rotation.  Raises TooLarge when the edges' order is wider than
-    MAX_WIDTH."""
+    """For each flag pair (i, j) of `pairs`, the loop sums [sym, after i,
+    after j] of G with i and j fused into one untwisted edge e, forced into A
+    and signed by B, and every other flag kept.  By the four-term relation
+    each is HU(G'^e - e) - HU(G'^e v e) of that graph G'.  e joins each
+    flag's cross on the rotation of `orientation_selection(g).chosen` to the
+    other flag's other cross.  "after i" adds a marker flag right after i in
+    that rotation; it passes every arc through unmarked but its own, so its
+    mark moves onto the arcs of e that run through it: the one from j's
+    chosen cross and the one from i's other cross.  Raises TooLarge when the
+    edges' order is wider than MAX_WIDTH."""
     if g.bare_vertices:
-        return [[MultiPoly.zero()] * len(markings) for _i, _j, markings in pairs]
-    s0 = g.map.sigma0
+        return [[MultiPoly.zero()] * 3 for _ in pairs]
+    s0, th = g.map.sigma0, g.map.theta
     groups = _edge_groups(g, images)
     states = _sweep(groups, _order(groups, s0))
     nodes = [({s: (e, -p) for s, e, p in paths}, closed, value)
              for (paths, closed), value in states.items()]
-    crosses = {f: sorted(orb) for f, orb in g.flag_labels.items()}
+    chosen = orientation_selection(g).chosen
+    rotating = {f: min(orb & chosen) for f, orb in g.flag_labels.items()}   # one cross each
+    # mark bit 2k + b: variant k (sym, after i, after j), e in B when b = 1.
+    # Marks are parities, so a marker's bits toggle those of e's arcs.
+    every, in_b, after_i, after_j = 0b111111, 0b101010, 0b001100, 0b110000
+    flag_arcs = {x: (s0[x], every) for orb in g.flag_labels.values() for x in orb}
     sums = []
-    for i, j, markings in pairs:
-        # mark bit 2k + b: the flags of markings[k] marked, e in B when b = 1
-        every = (1 << 2 * len(markings)) - 1
-        arcs = {x: (s0[x], sum(3 << 2 * k for k, m in enumerate(markings) if f in m))
-                for f, xs in crosses.items() for x in xs}
-        # e in A: x -> sigma0(theta(sigma1(x))), sigma1 joining ai to bj, bi to aj
-        (ai, bi), (aj, bj) = crosses[i], crosses[j]
-        in_b = every // 3 * 2
-        arcs.update((x, (s0[y], in_b)) for x, y in ((ai, aj), (bi, bj), (aj, ai), (bj, bi)))
-        addends = [[] for _ in markings]
+    for i, j in pairs:
+        ci, cj = rotating[i], rotating[j]
+        # e in A: x -> sigma0(theta(sigma1(x))), sigma1 joining ci to th[cj], th[ci] to cj
+        arcs = dict(flag_arcs)
+        arcs.update({ci: (s0[cj], in_b ^ after_j), th[ci]: (s0[th[cj]], in_b ^ after_i),
+                     cj: (s0[ci], in_b ^ after_i), th[cj]: (s0[th[ci]], in_b ^ after_j)})
+        addends = [[], [], []]
         for node, closed, value in nodes:
             odd, paid = _closure(node, arcs, closed, every)
             for k, ps in enumerate(addends):

@@ -258,28 +258,33 @@ def test_loop_routes_answer_a_bare_vertex_first(monkeypatch, wide_map):
     assert form.sym == form.antisym == {("s1", "s2"): MultiPoly.zero()}
 
 
-def test_hv_builds_one_graph_and_steps_each_edge_once(monkeypatch):
-    # one marked graph per call, its edge groups stepped once in one sweep;
-    # every entry is then closed from the kept states
+def test_hv_builds_no_graph_and_steps_each_edge_once(monkeypatch):
+    # G's own edge groups stepped once in one sweep, every entry then closed
+    # from the kept states: no rotation spec written and no graph built
     pool = json.loads((ROOT / "perfbench" / "references.json").read_text())
-    built, swept = [], []
-    real_build, real_sweep = hyperbolic.from_rotation_system, loops._sweep
+    calls, swept = [], []
+    real_sweep = loops._sweep
 
-    def build(spec):
-        built.append(spec)
-        return real_build(spec)
+    def counted(name):
+        real = getattr(hyperbolic, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
     def sweep(groups, order):
         swept.append(sorted(order))
         return real_sweep(groups, order)
 
-    monkeypatch.setattr(hyperbolic, "from_rotation_system", build)
+    for name in ("from_rotation_system", "to_rotation_spec"):
+        monkeypatch.setattr(hyperbolic, name, counted(name))
     monkeypatch.setattr(loops, "_sweep", sweep)
     for g in (sunset(), read_graph_text(pool["workloads"]["hv-small"][7]["graph"])):
-        built.clear()
+        calls.clear()
         swept.clear()
         hv(g)
-        assert len(built) == 1
+        assert calls == []
         assert swept == [list(range(len(g.edge_labels)))]
 
 
@@ -326,8 +331,9 @@ def test_hv_needs_flags():
 
 
 def test_hv_steps_its_names_around_the_graphs_labels():
-    # the flag "+" takes hv's marker name and the edge "a~b" the fused edge's;
-    # "0" and "x" free both names and sort like the labels they replace
+    # the flag "+" takes the surgery route's marker name and the edge "a~b"
+    # its fused edge's; "0" and "x" free both names and sort like the labels
+    # they replace.  The loop route names neither, and must agree
     def graph(plus, ab):
         return from_rotation_system(RotationSpec(
             vertices=(("u", ("a", "h1", plus, "k1", "k2")), ("v", ("h2", "b"))),
@@ -341,13 +347,14 @@ def test_hv_steps_its_names_around_the_graphs_labels():
     def flag(f):
         return "+" if f == "0" else f
 
-    clashing, free = hv(graph("+", "a~b")), hv(graph("0", "x"))
-    assert clashing.flags == tuple(map(flag, free.flags))
-    assert clashing.diag == {flag(i): back(p) for i, p in free.diag.items()}
-    for table in ("sym", "antisym"):
-        assert getattr(clashing, table) == {
-            (flag(i), flag(j)): back(p) for (i, j), p in getattr(free, table).items()}
-    assert MultiPoly.zero() not in clashing.antisym.values()
+    for method in ("loops", "surgery"):
+        clashing, free = hv(graph("+", "a~b"), method=method), hv(graph("0", "x"), method=method)
+        assert clashing.flags == tuple(map(flag, free.flags))
+        assert clashing.diag == {flag(i): back(p) for i, p in free.diag.items()}
+        for table in ("sym", "antisym"):
+            assert getattr(clashing, table) == {
+                (flag(i), flag(j)): back(p) for (i, j), p in getattr(free, table).items()}
+        assert MultiPoly.zero() not in clashing.antisym.values()
 
 
 @pytest.mark.parametrize("method", ["loops", "surgery"])
@@ -357,9 +364,8 @@ def test_hv_antisymmetry_check_fires(monkeypatch, method):
         real = loops.fused_sums
 
         def off_when_marked(h, images, pairs):
-            return [[p + C(any(str(f).startswith("+") for f in marked))
-                     for p, marked in zip(sums, markings)]
-                    for sums, (_i, _j, markings) in zip(real(h, images, pairs), pairs)]
+            return [[sym, after_i + C(1), after_j]
+                    for sym, after_i, after_j in real(h, images, pairs)]
 
         monkeypatch.setattr(hyperbolic, "fused_sums", off_when_marked)
     else:

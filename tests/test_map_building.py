@@ -1,8 +1,8 @@
 """The polynomial modules build no maps by hand.
 
 `hyperbolic` and `qpoly` compute on graphs that `ops` surgeries or
-`from_rotation_system` built: `hv` writes its fused and marked graphs as
-edits of `to_rotation_spec` output.  So neither module calls
+`from_rotation_system` built: `hv`'s surgery route writes its fused and
+marked graphs as edits of `to_rotation_spec` output.  So neither module calls
 `CombinatorialMap(...)` or `make_graph(...)`, and a change of how a map is
 stored does not reach them.
 """
