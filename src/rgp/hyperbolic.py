@@ -130,6 +130,7 @@ def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks,
     of A by y_e + z_e = O_e (1 + t_e^2), each cut edge by w_e and each other
     by x_e (`_hu_images`)."""
     one = MultiPoly.one()
+    kept = {lab: y + z for lab, (_x, y, z, _w) in images.items()}
 
     def terms():
         for amask in amasks:
@@ -148,8 +149,7 @@ def _contracted_sum(edges: list, flags_at: list, ends: dict, amasks,
             contracted = MultiPoly.const(2 ** len(base))
             for i, lab in enumerate(edges):
                 if amask >> i & 1:
-                    _x, y, z, _w = images[lab]
-                    contracted = contracted * (y + z)
+                    contracted = contracted * kept[lab]
             pairs = [(cls[roots[u]], cls[roots[w]]) for u, w in (ends[lab] for lab in rest)]
             for bmask, deg in _subset_degrees(base, pairs):
                 if any(d % 2 == 0 for d in deg):
