@@ -446,8 +446,9 @@ def test_closed_forms_equal_hu():
 def test_hu_of_one_point_joins():
     # 2 HU(G1 v G2) = HU(G1) HU(G2+) + HU(G1+) HU(G2), G+ being G with one
     # flag at its join corner: at the joined vertex the odd rule sees only
-    # the parity of the two sides' counts.  The joined rotation runs u's
-    # items from corner c on, then w's from corner d on; bare u or w allowed
+    # the parity of the two sides' counts.  The joined rotation runs G1's
+    # join-vertex items from its corner c on, then G2's from its corner c
+    # on; a bare join vertex is allowed
     rng = random.Random(31)
     nonzero = 0
     for _ in range(150):
