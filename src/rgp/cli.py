@@ -221,7 +221,7 @@ def format_dot(g: RibbonGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def _edge_list(g: RibbonGraph, args) -> list:
-    labels = [piece for piece in args.edges.split(",") if piece]
+    labels = list(dict.fromkeys(piece for piece in args.edges.split(",") if piece))
     for lab in labels:
         if lab not in g.edge_labels:
             raise UnknownEdge(f"graph has no edge {lab!r}")

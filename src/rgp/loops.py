@@ -23,17 +23,21 @@ closure.  A bare vertex weighs r_0 = 0.
 The dynamic programme adds the groups in a greedy order that keeps the
 fewest sigma0 arcs open between added and pending groups; the most it ever
 holds open is the order's width.  A state is the sorted tuple of open
-paths, each (start cross, end cross, mark parity), and the parity of the
-cycles closed so far; each new state's addends are added once with
+paths, each (start cross, end cross, marks), and the parity of the cycles
+closed so far; each new state's addends are added once with
 `MultiPoly.sum`.  The values are products of the images as given: there is
 no canonical form, memo, surgery or `substitute`.  The width is known before
 any work, and above MAX_WIDTH the sum raises TooLarge.
 
-`fused_sums` serves the graphs that fuse two flags of G into an edge, with
-an antisymmetric marker flag or none.  It adds G's edge groups alone, every
-flag cross pending, and keeps the states.  Each pending cross then draws one
-arc; a marker's mark rides on the fused edge's arcs through its corner, so
-one walk along a state's open paths closes every variant of a flag pair.
+A step's marks hold one parity bit per entry, -1 setting all of them, and a
+closing cycle keeps only the entries whose bits it has odd.  The sweep's
+marks are 0 or -1, one entry in every bit.  `fused_sums` serves the graphs
+that fuse two flags of G into an edge, with an antisymmetric marker flag or
+none.  It adds G's edge groups alone, every flag cross pending, and keeps
+the states.  A flag pair then closes each kept state by one more step, every
+pending cross drawing its arc, with six entry bits: a marker's mark rides on
+the fused edge's arcs through its corner, so one step closes all three
+entries of the pair.
 """
 
 from __future__ import annotations
@@ -82,21 +86,20 @@ def _order(groups: list, s0: dict) -> list:
     return order
 
 
-def _step(paths: tuple, closed: int, arcs: tuple):
-    """The state after drawing `arcs`, each (cross, target, mark), from the
-    state (paths, closed), with the number of conjugate pairs it closes; or
-    None when a cycle closes with an even mark count."""
-    head = {}    # end -> (start, parity)
-    tail = {}    # start -> end
-    for s, e, p in paths:
-        head[e] = (s, p)
-        tail[s] = e
+def _step(paths: tuple, closed: int, arcs: tuple, odd: int = -1):
+    """(state, pairs, odd) after drawing `arcs`, each (cross, target, marks),
+    from the state (paths, closed): the new state, the number of conjugate
+    pairs it closes and the entries of `odd` still alive, each closing cycle
+    keeping those whose bits it has odd.  None when no entry is left."""
+    head = {e: (s, p) for s, e, p in paths}    # end -> (start, marks)
+    tail = {s: e for s, e, _p in paths}        # start -> end
     pairs = 0
     for x, y, mark in arcs:
         s, p = head.pop(x, (x, 0))     # the path that ends at x, or x alone
         p ^= mark
         if y == s:
-            if not p:
+            odd &= p
+            if not odd:
                 return None
             closed ^= 1
             pairs += not closed
@@ -107,7 +110,7 @@ def _step(paths: tuple, closed: int, arcs: tuple):
         e = y if e is None else e
         head[e] = (s, p ^ q)
         tail[s] = e
-    return (tuple(sorted((s, e, p) for e, (s, p) in head.items())), closed), pairs
+    return (tuple(sorted((s, e, p) for e, (s, p) in head.items())), closed), pairs, odd
 
 
 def _edge_groups(g: RibbonGraph, images: dict) -> list:
@@ -121,7 +124,7 @@ def _edge_groups(g: RibbonGraph, images: dict) -> list:
         for img, (in_a, in_b) in zip(images[lab], _CHOICES):
             if img == 0:
                 continue
-            arcs = tuple((x, s0[th[s1[x]]] if in_a else s0[x], in_b) for x in crosses)
+            arcs = tuple((x, s0[th[s1[x]]] if in_a else s0[x], -in_b) for x in crosses)
             choices.append(((img, img * 2, img * 4), arcs))
         groups.append((crosses, choices))
     return groups
@@ -154,32 +157,8 @@ def loop_sum(g: RibbonGraph, images: dict) -> MultiPoly:
     groups = _edge_groups(g, images)
     for orb in g.flag_labels.values():
         crosses = sorted(orb)
-        groups.append((crosses, [((1, 2, 4), tuple((x, s0[x], 1) for x in crosses))]))
+        groups.append((crosses, [((1, 2, 4), tuple((x, s0[x], -1) for x in crosses))]))
     return _sweep(groups, _order(groups, s0)).get(((), 0), MultiPoly.zero())
-
-
-def _closure(node: dict, arcs: dict, closed: int, odd: int) -> tuple:
-    """(odd, 2^pairs) for the cycles closed when each pending cross x draws
-    arcs[x] = (target, marks) from a state: its paths `node` (start -> (end,
-    marks)), its `closed` parity.  Marks hold one parity bit per variant (-1
-    sets all); the bits of `odd` kept are the variants whose cycles all
-    close odd.  The cycles close in conjugate pairs, so closed ends even."""
-    left = set(arcs)
-    while left:
-        x = y = left.pop()
-        marks = 0
-        while True:
-            target, mark = arcs[y]
-            y, m = node.get(target, (target, 0))
-            marks ^= mark ^ m
-            if y == x:
-                break
-            left.remove(y)
-        odd &= marks
-        if not odd:
-            return 0, 0
-        closed += 1
-    return odd, 1 << (closed >> 1)
 
 
 def fused_sums(g: RibbonGraph, images: dict, pairs: list) -> list:
@@ -191,18 +170,18 @@ def fused_sums(g: RibbonGraph, images: dict, pairs: list) -> list:
     other flag's other cross.  "after i" adds a marker flag right after i in
     that rotation; it passes every arc through unmarked but its own, so its
     mark moves onto the arcs of e that run through it: the one from j's
-    chosen cross and the one from i's other cross.  Raises TooLarge when the
+    chosen cross and the one from i's other cross.  Each kept state closes
+    by one `_step` over the flag crosses' arcs, one mark bit per entry and
+    side of B.  With no pair nothing is swept.  Raises TooLarge when the
     edges' order is wider than MAX_WIDTH."""
-    if g.bare_vertices:
+    if g.bare_vertices or not pairs:
         return [[MultiPoly.zero()] * 3 for _ in pairs]
     s0, th = g.map.sigma0, g.map.theta
     groups = _edge_groups(g, images)
     states = _sweep(groups, _order(groups, s0))
-    nodes = [({s: (e, -p) for s, e, p in paths}, closed, value)
-             for (paths, closed), value in states.items()]
     chosen = orientation_selection(g).chosen
     rotating = {f: min(orb & chosen) for f, orb in g.flag_labels.items()}   # one cross each
-    # mark bit 2k + b: variant k (sym, after i, after j), e in B when b = 1.
+    # mark bit 2k + b: entry k (sym, after i, after j), e in B when b = 1.
     # Marks are parities, so a marker's bits toggle those of e's arcs.
     every, in_b, after_i, after_j = 0b111111, 0b101010, 0b001100, 0b110000
     flag_arcs = {x: (s0[x], every) for orb in g.flag_labels.values() for x in orb}
@@ -213,11 +192,15 @@ def fused_sums(g: RibbonGraph, images: dict, pairs: list) -> list:
         arcs = dict(flag_arcs)
         arcs.update({ci: (s0[cj], in_b ^ after_j), th[ci]: (s0[th[cj]], in_b ^ after_i),
                      cj: (s0[ci], in_b ^ after_i), th[cj]: (s0[th[ci]], in_b ^ after_j)})
+        arcs = tuple((x, y, mark) for x, (y, mark) in arcs.items())
         addends = [[], [], []]
-        for node, closed, value in nodes:
-            odd, paid = _closure(node, arcs, closed, every)
+        for (paths, closed), value in states.items():
+            found = _step(paths, closed, arcs, every)
+            if found is None:
+                continue
+            _state, n, odd = found
             for k, ps in enumerate(addends):
-                c = paid * ((odd >> 2 * k & 1) - (odd >> 2 * k + 1 & 1))
+                c = ((odd >> 2 * k & 1) - (odd >> 2 * k + 1 & 1)) << n
                 if c:
                     ps.append(value if c == 1 else value.scale(c))
         sums.append([MultiPoly.sum(ps) for ps in addends])

@@ -319,6 +319,14 @@ def test_edge_list_applies_one_edge_at_a_time(capsys, verb, op):
     assert run(capsys, verb, "-e", "e1,e2", str(EXAMPLES / "dumbbell.rg")) == (0, want, "")
 
 
+@pytest.mark.parametrize("verb", ["pdual", "delete", "cut", "contract"])
+def test_edge_list_takes_a_repeated_edge_once(capsys, verb):
+    path = str(EXAMPLES / "sunset.rg")
+    want = run(capsys, verb, "-e", "e1", path)
+    assert want[0] == 0
+    assert run(capsys, verb, "-e", "e1,e1", path) == want
+
+
 @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.rg")), ids=lambda p: p.name)
 def test_hu_and_hv_routes_agree_on_the_examples(capsys, path):
     # hu's loop route and hv --check-all print the default's bytes, or fail

@@ -231,6 +231,19 @@ def flagged_wider() -> list:
     return graphs
 
 
+def flagged_many() -> list:
+    """The first 20 maps with 5-6 flags and up to 4 edges: bare vertices and
+    twists among them.  Each closure draws up to 12 flag arcs."""
+    rng = random.Random(57)
+    graphs = []
+    while len(graphs) < 20:
+        g = random_rotation_graph(rng, max_edges=4, max_flags=6)
+        if len(g.flag_labels) >= 5:
+            graphs.append(g)
+    assert _kinds(graphs) >= {"bare vertex", "non-orientable"}
+    return graphs
+
+
 def _raw_form(g, rng: random.Random) -> str:
     """g in the raw `crosses`/`sigma0`/`theta`/`sigma1` form, its crosses
     renumbered by a shuffle of 1..n."""
@@ -261,7 +274,7 @@ def flagged_raw_rereads() -> list:
 
 
 @_streams(flagged_corpus, flagged_randoms, flagged_bare_twisted, flagged_wider,
-          flagged_raw_rereads)
+          flagged_raw_rereads, flagged_many)
 def test_hv_loops_equal_surgery(stream):
     graphs = stream()
     offdiagonal = 0

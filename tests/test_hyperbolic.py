@@ -288,6 +288,19 @@ def test_hv_builds_no_graph_and_steps_each_edge_once(monkeypatch):
         assert swept == [list(range(len(g.edge_labels)))]
 
 
+def test_hv_sweeps_nothing_on_a_one_flag_map(monkeypatch):
+    # no flag pair reads the sweep's states, so none is taken
+    g = cycle_graph(4, {1: (1, 0)})
+    want = hv(g)
+
+    def no_sweep(groups, order):
+        raise AssertionError("swept with no flag pair")
+
+    monkeypatch.setattr(loops, "_sweep", no_sweep)
+    assert hv(g) == want
+    assert want.sym == want.antisym == {}
+
+
 def test_hv_takes_wide_entries_by_surgery(monkeypatch):
     # sunset's edge prefix holds 8 arcs open: above the bound, each of its
     # three entries is taken by surgery, with the surgery route's values
